@@ -19,6 +19,7 @@
 #include <string>
 
 #include "api/optimizer.hpp"
+#include "fleet/sim.hpp"
 #include "models/models.hpp"
 #include "schedule/serialize.hpp"
 #include "serve/server.hpp"
@@ -350,6 +351,117 @@ std::string serve_corpus_name(const ::testing::TestParamInfo<std::size_t>& i) {
 INSTANTIATE_TEST_SUITE_P(ServeCorpus, GoldenServingTest,
                          ::testing::Range<std::size_t>(0, 3),
                          serve_corpus_name);
+
+// ---------------------------------------------------------------------------
+// Fleet golden corpus: tests/golden/fleet_*.json pin the FleetStats and every
+// per-request latency (doubles at full precision) of failure-injected fleet
+// replays. The fleet tests only check run-vs-run determinism; these files
+// catch a change to kill ordering, batch stealing, or requeueing that moves
+// the outcome deterministically. Regenerate with IOS_GOLDEN_REGEN=1.
+
+struct FleetGoldenConfig {
+  const char* file;
+  fleet::FleetSimOptions options;
+  serve::TraceSpec trace;
+  bool plan = false;  ///< warm the planner first (re-plans then hit cache)
+};
+
+std::vector<FleetGoldenConfig> fleet_corpus() {
+  std::vector<FleetGoldenConfig> corpus;
+  {  // seeded kills on a saturated two-class, two-rack fleet
+    FleetGoldenConfig c;
+    c.file = "fleet_seeded_kills.json";
+    c.options.topology =
+        fleet::fleet_from_spec("rack:2{node:2{p100x2,1080tix2}}");
+    c.options.batching.batch_sizes = {1, 2, 4, 8};
+    c.options.batching.max_queue_delay_us = 3000;
+    c.options.workload = {WorkloadItem{"squeezenet", 8, 3.0},
+                          WorkloadItem{"mobilenet_v2", 8, 2.0}};
+    c.options.failures.seed = 11;
+    c.options.failures.max_kills = 4;
+    c.options.failures.first_kill_at_us = 500;
+    c.options.failures.mean_time_between_kills_us = 1200;
+    c.trace.models = {"squeezenet", "squeezenet", "mobilenet_v2"};
+    c.trace.num_requests = 400;
+    c.trace.mean_interarrival_us = 15;
+    c.trace.seed = 7;
+    corpus.push_back(std::move(c));
+  }
+  {  // scripted wipe-out of the only P100 mid-trace: one warm re-plan
+    FleetGoldenConfig c;
+    c.file = "fleet_class_wipeout.json";
+    c.options.topology = fleet::fleet_from_spec("node:1{p100,1080ti}");
+    c.options.batching.batch_sizes = {1};
+    c.options.workload = {WorkloadItem{"squeezenet", 1, 1.0}};
+    c.options.failures.schedule = {fleet::KillEvent{900, 0}};
+    c.trace.models = {"squeezenet"};
+    c.trace.num_requests = 60;
+    c.trace.mean_interarrival_us = 50;
+    c.trace.seed = 3;
+    c.plan = true;
+    corpus.push_back(std::move(c));
+  }
+  {  // one worker: every kill is suppressed
+    FleetGoldenConfig c;
+    c.file = "fleet_one_worker.json";
+    c.options.topology = fleet::fleet_from_spec("v100");
+    c.options.batching.batch_sizes = {1};
+    c.options.failures.seed = 1;
+    c.options.failures.max_kills = 5;
+    c.options.failures.first_kill_at_us = 0;
+    c.options.failures.mean_time_between_kills_us = 100;
+    c.trace.models = {"squeezenet"};
+    c.trace.num_requests = 20;
+    c.trace.mean_interarrival_us = 100;
+    c.trace.seed = 2;
+    corpus.push_back(std::move(c));
+  }
+  return corpus;
+}
+
+class GoldenFleetTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenFleetTest, FleetReplayIsBitIdentical) {
+  const FleetGoldenConfig config = fleet_corpus()[GetParam()];
+  fleet::FleetSimulator sim(config.options);
+  if (config.plan) sim.plan();
+  const fleet::FleetSimResult result =
+      sim.run(serve::generate_trace(config.trace));
+
+  JsonValue latencies = JsonValue::array();
+  for (const double latency : result.latencies) latencies.push_back(latency);
+  JsonValue root = JsonValue::object();
+  root.set("format", "ios-golden-fleet");
+  root.set("version", 1);
+  root.set("stats", fleet::fleet_stats_to_json(result.stats));
+  root.set("latencies", std::move(latencies));
+  const std::string dump = root.dump();
+  const std::string path = std::string(IOS_GOLDEN_DIR) + "/" + config.file;
+
+  if (regen_requested()) {
+    write_file(path, dump);
+    SUCCEED() << "regenerated " << config.file;
+    return;
+  }
+
+  const JsonValue golden = JsonValue::parse(read_file(path));
+  ASSERT_EQ(golden.at("format").as_string(), "ios-golden-fleet");
+  ASSERT_EQ(golden.at("version").as_int(), 1);
+  EXPECT_EQ(fleet::fleet_stats_to_json(result.stats).dump(),
+            golden.at("stats").dump())
+      << config.file << ": the fleet stats changed";
+  EXPECT_EQ(dump, golden.dump())
+      << config.file << ": a per-request latency changed";
+}
+
+std::string fleet_corpus_name(const ::testing::TestParamInfo<std::size_t>& i) {
+  std::string name = fleet_corpus()[i.param].file;
+  return name.substr(0, name.size() - 5);  // drop ".json"
+}
+
+INSTANTIATE_TEST_SUITE_P(FleetCorpus, GoldenFleetTest,
+                         ::testing::Range<std::size_t>(0, 3),
+                         fleet_corpus_name);
 
 // The golden files double as recipe documents: the schedule embedded in
 // each must be a valid schedule of its configuration's graph (guards
