@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -29,7 +28,7 @@ FleetSimulator::FleetSimulator(FleetSimOptions options)
     : options_(std::move(options)),
       planner_(optimizer_),
       placer_(optimizer_),
-      engine_(engine_options(options_), &clock_) {
+      server_(engine_options(options_)) {
   if (options_.topology.devices.empty()) {
     throw std::invalid_argument("fleet sim: the topology has no devices");
   }
@@ -55,10 +54,6 @@ const FleetPlan& FleetSimulator::plan() {
 
 FleetSimResult FleetSimulator::run(const serve::Trace& trace) {
   const auto wall_start = std::chrono::steady_clock::now();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  engine_.reset();
-  clock_.reset();
-
   const std::size_t n = trace.requests.size();
   if (options_.prewarm && n > 0) {
     std::vector<std::string> models;
@@ -67,168 +62,75 @@ FleetSimResult FleetSimulator::run(const serve::Trace& trace) {
         models.push_back(r.model);
       }
     }
-    engine_.prewarm(models, options_.prewarm_threads);
+    server_.prewarm(models, options_.prewarm_threads);
   }
-
   FailureInjector injector(options_.failures);
+  const serve::ServingResult served = server_.run(trace, &injector);
+
   FleetStats stats;
-
-  // Per original request id: the latest predicted completion (-1 = pending)
-  // and the kill that last requeued it (-1 = never requeued).
-  std::vector<double> completion(n, -1.0);
-  std::vector<int> requeue_event(n, -1);
-  std::vector<double> kill_times;
-
-  /// A formed batch whose predicted execution window is still open — what a
-  /// kill can interrupt. The engine forgets batch membership on return, so
-  /// the simulator is the system of record for requeueing.
-  struct Outstanding {
-    int worker = 0;
-    int batch_id = 0;
-    double start_us = 0;
-    double completion_us = 0;
-    std::vector<serve::EngineRequest> members;
-  };
-  std::vector<Outstanding> outstanding;
-
-  const auto collect = [&](std::vector<serve::EngineBatch>&& batches) {
-    for (serve::EngineBatch& b : batches) {
-      ++stats.batches;
-      for (const serve::EngineRequest& m : b.members) {
-        completion[static_cast<std::size_t>(m.id)] = b.record.completion_us;
-      }
-      outstanding.push_back(Outstanding{b.record.worker, b.record.id,
-                                        b.record.start_us,
-                                        b.record.completion_us,
-                                        std::move(b.members)});
+  stats.requests = static_cast<std::int64_t>(n);
+  stats.batches = served.stats.batches;
+  stats.failures = static_cast<std::int64_t>(served.kills.size());
+  // Replay the kills over per-class alive counts: a wiped-out class changes
+  // what the fleet can serve — re-plan the workload over the survivors.
+  // Warm Optimizer => pure cache hits.
+  std::vector<int> alive = server_.engine().class_counts();
+  std::vector<int> requeue_event(n, -1);  // the kill that last requeued it
+  for (std::size_t k = 0; k < served.kills.size(); ++k) {
+    const serve::KillRecord& kill = served.kills[k];
+    stats.killed_batches +=
+        static_cast<std::int64_t>(kill.stolen_batches.size());
+    stats.rerouted_requests += static_cast<std::int64_t>(kill.requeued.size());
+    for (const std::int64_t id : kill.requeued) {
+      requeue_event[static_cast<std::size_t>(id)] = static_cast<int>(k);
     }
-  };
-
-  // The DES loop of serve/server.cpp plus a third event kind. Order at one
-  // instant: deadlines strictly before arrivals, arrivals win exact
-  // arrival/deadline and arrival/kill ties, deadlines win deadline/kill
-  // ties, kills last — a kill never preempts work already due at its time.
-  std::size_t next = 0;
-  while (true) {
-    const double t_dl = engine_.next_deadline_us();
-    const double t_arr = next < n ? trace.requests[next].arrival_us : kInf;
-    double t_kill = injector.next_kill_us();
-    if (t_kill < kInf) {
-      // Spare the last alive worker (the lost_requests == 0 invariant), and
-      // skip kills past the end of the run: with nothing arriving, queued,
-      // or executing beyond the kill time, firing could change no outcome.
-      bool live_batch = false;
-      for (const Outstanding& o : outstanding) {
-        if (o.completion_us > t_kill) {
-          live_batch = true;
-          break;
-        }
-      }
-      const bool terminal = next >= n && engine_.queued() == 0 && !live_batch;
-      if (engine_.alive_workers() <= 1 || terminal) t_kill = kInf;
-    }
-    if (t_dl == kInf && t_arr == kInf && t_kill == kInf) break;
-
-    if (t_dl < t_arr && t_dl <= t_kill) {
-      clock_.advance_to(t_dl);
-      collect(engine_.poll());
-      continue;
-    }
-    if (t_arr <= t_kill && t_arr < kInf) {
-      clock_.advance_to(t_arr);
-      collect(engine_.submit(static_cast<std::int64_t>(next),
-                             trace.requests[next].model));
-      ++next;
-      continue;
-    }
-
-    // ---- kill ----
-    const double t = t_kill;
-    clock_.advance_to(t);
-    std::vector<int> alive;
-    const int total = options_.topology.total_devices();
-    for (int w = 0; w < total; ++w) {
-      if (engine_.worker_alive(w)) alive.push_back(w);
-    }
-    const int victim = injector.fire(alive);
-    engine_.kill_worker(victim);
-    const int kill_index = static_cast<int>(kill_times.size());
-    kill_times.push_back(t);
-    ++stats.failures;
-
-    // Retire batches that finished by now; batches open on the victim are
-    // interrupted and their members requeued in deterministic order
-    // (dispatch order, then batch id; members keep arrival order).
-    std::vector<Outstanding> interrupted;
-    std::vector<Outstanding> keep;
-    for (Outstanding& o : outstanding) {
-      if (o.completion_us <= t) continue;
-      (o.worker == victim ? interrupted : keep).push_back(std::move(o));
-    }
-    outstanding = std::move(keep);
-    std::sort(interrupted.begin(), interrupted.end(),
-              [](const Outstanding& a, const Outstanding& b) {
-                if (a.start_us != b.start_us) return a.start_us < b.start_us;
-                return a.batch_id < b.batch_id;
-              });
-    for (const Outstanding& o : interrupted) {
-      ++stats.killed_batches;
-      for (const serve::EngineRequest& m : o.members) {
-        completion[static_cast<std::size_t>(m.id)] = -1.0;
-        requeue_event[static_cast<std::size_t>(m.id)] = kill_index;
-        ++stats.rerouted_requests;
-        collect(engine_.submit(m.id, m.model));
+    const auto cls = static_cast<std::size_t>(
+        server_.engine().worker_class()[static_cast<std::size_t>(kill.worker)]);
+    if (--alive[cls] > 0) continue;
+    ++stats.replans;
+    if (options_.workload.empty()) continue;
+    PlacementRequest replan;
+    const std::vector<DeviceClass>& classes = options_.topology.pool.classes;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      if (alive[c] > 0) {
+        replan.pool.classes.push_back(DeviceClass{classes[c].spec, alive[c]});
       }
     }
-
-    // A wiped-out class changes what the fleet can serve — re-plan the
-    // workload over the survivors. Warm Optimizer => pure cache hits.
-    const std::size_t cls = static_cast<std::size_t>(
-        engine_.worker_class()[static_cast<std::size_t>(victim)]);
-    if (engine_.alive_in_class(cls) == 0) {
-      ++stats.replans;
-      if (!options_.workload.empty()) {
-        PlacementRequest replan;
-        const std::vector<DeviceClass>& classes =
-            options_.topology.pool.classes;
-        for (std::size_t c = 0; c < classes.size(); ++c) {
-          const int alive_count = engine_.alive_in_class(c);
-          if (alive_count > 0) {
-            replan.pool.classes.push_back(
-                DeviceClass{classes[c].spec, alive_count});
-          }
-        }
-        replan.workload = options_.workload;
-        replan.options = options_.scheduler;
-        replan.protocol = options_.protocol;
-        replan.profile_db = options_.profile_db;
-        replan.allow_splits = false;
-        const PlacementResult result = placer_.place(replan);
-        stats.replan_optimizations += result.optimizations;
-        stats.replan_cache_hits += result.cache_hits;
-      }
-    }
+    replan.workload = options_.workload;
+    replan.options = options_.scheduler;
+    replan.protocol = options_.protocol;
+    replan.profile_db = options_.profile_db;
+    replan.allow_splits = false;
+    const PlacementResult result = placer_.place(replan);
+    stats.replan_optimizations += result.optimizations;
+    stats.replan_cache_hits += result.cache_hits;
   }
 
   // ---- summarize (virtual-clock quantities only) ----
-  stats.requests = static_cast<std::int64_t>(n);
   FleetSimResult result;
   result.latencies.reserve(n);
-  std::vector<double> completed;
-  completed.reserve(n);
+  std::vector<double> sorted;
+  sorted.reserve(n);
+  std::vector<double> recovery(served.kills.size(), -1.0);
   for (std::size_t i = 0; i < n; ++i) {
-    if (completion[i] < 0) {
+    const serve::RequestRecord& r = served.records[i];
+    if (r.batch_size == 0) {  // never served
       ++stats.lost_requests;
       result.latencies.push_back(-1.0);
       continue;
     }
-    const double latency = completion[i] - trace.requests[i].arrival_us;
+    // Latency from the ORIGINAL arrival (the record's is the last requeue).
+    const double latency = r.completion_us - trace.requests[i].arrival_us;
     result.latencies.push_back(latency);
-    completed.push_back(latency);
-    stats.makespan_us = std::max(stats.makespan_us, completion[i]);
+    sorted.push_back(latency);
+    stats.makespan_us = std::max(stats.makespan_us, r.completion_us);
+    if (requeue_event[i] >= 0) {  // recovery: its kill's last completion
+      const auto k = static_cast<std::size_t>(requeue_event[i]);
+      recovery[k] =
+          std::max(recovery[k], r.completion_us - served.kills[k].time_us);
+    }
   }
-  if (!completed.empty()) {
-    std::vector<double> sorted = completed;
+  if (!sorted.empty()) {
     std::sort(sorted.begin(), sorted.end());
     stats.mean_latency_us = mean(sorted);
     stats.p50_latency_us = percentile_sorted(sorted, 50);
@@ -236,15 +138,8 @@ FleetSimResult FleetSimulator::run(const serve::Trace& trace) {
     stats.p99_latency_us = percentile_sorted(sorted, 99);
     stats.max_latency_us = sorted.back();
   }
-
-  std::vector<double> recoveries;
-  for (std::size_t k = 0; k < kill_times.size(); ++k) {
-    double last = -1.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (requeue_event[i] == static_cast<int>(k) && completion[i] >= 0) {
-        last = std::max(last, completion[i] - kill_times[k]);
-      }
-    }
+  std::vector<double> recoveries;  // over kills that requeued anything
+  for (const double last : recovery) {
     if (last >= 0) recoveries.push_back(last);
   }
   if (!recoveries.empty()) {

@@ -1,20 +1,22 @@
 #pragma once
 // ios::fleet::FleetSimulator — failure-injected fleet serving on the
-// virtual clock. The DES Server (serve/server.hpp) replays a trace through
-// the ServingEngine with two event kinds (arrivals, batching deadlines);
-// the fleet simulator adds a third — worker kills from a deterministic
-// FailureInjector — and owns the recovery protocol:
+// virtual clock. The fleet's devices are the workers of one DES Server
+// (serve/server.hpp); run() replays a trace through Server::run with the
+// FleetSimOptions::failures schedule as its kill source, so the recovery is
+// the ServingEngine's own:
 //
-//   * a kill interrupting an in-flight batch marks the worker dead,
-//     requeues every member of the batch (original ids, original models) at
-//     the kill time, and lets the engine re-route them to the survivors;
-//   * a kill that wipes out the last worker of a device class triggers a
-//     re-plan of the workload over the surviving pool — cheap, because the
-//     shared Optimizer's recipe cache already holds every configuration
-//     (FleetStats::replan_optimizations stays 0 after a warm plan());
+//   * a kill marks the worker dead, steals every batch still executing or
+//     queued on it, and requeues their members (original ids, original
+//     models) at the kill time for the engine to re-route to survivors;
 //   * the last alive worker is never killed, so every admitted request
 //     completes: FleetStats::lost_requests == 0 is the recovery invariant
 //     the fleet bench gates on.
+//
+// The simulator adds what only a fleet has: a kill that wipes out the last
+// worker of a device class triggers a re-plan of the workload over the
+// surviving pool — cheap, because the shared Optimizer's recipe cache
+// already holds every configuration (FleetStats::replan_optimizations
+// stays 0 after a warm plan()) — and the FleetStats summary of the run.
 //
 // Everything runs on the VirtualClock, so a fixed topology, trace, and
 // failure spec produce bit-identical FleetStats and per-request latencies
@@ -28,7 +30,7 @@
 #include "fleet/failure.hpp"
 #include "fleet/planner.hpp"
 #include "fleet/topology.hpp"
-#include "serve/engine.hpp"
+#include "serve/server.hpp"
 
 namespace ios::fleet {
 
@@ -50,7 +52,7 @@ struct FleetSimOptions {
   int replicas = 2;
   /// The failure model driving worker kills during run().
   FailureSpec failures{};
-  /// Prewarm the recipe cache for a trace's models before the event loop
+  /// Prewarm the recipe cache for a trace's models before the replay
   /// (wall-clock cost only; simulated results are identical either way).
   bool prewarm = true;
   int prewarm_threads = 1;
@@ -63,7 +65,7 @@ struct FleetStats {
   std::int64_t requests = 0;        ///< requests admitted (and completed)
   std::int64_t batches = 0;         ///< batches formed, killed ones included
   std::int64_t failures = 0;        ///< worker kills fired
-  std::int64_t killed_batches = 0;  ///< in-flight batches a kill interrupted
+  std::int64_t killed_batches = 0;  ///< batches a kill stole (run or queued)
   std::int64_t rerouted_requests = 0;  ///< request requeue events
   std::int64_t replans = 0;         ///< class wipe-outs -> workload re-plans
   std::int64_t replan_optimizations = 0;  ///< Optimizer runs those re-plans
@@ -92,9 +94,9 @@ struct FleetSimResult {
   double run_wall_ms = 0;
 };
 
-/// The failure-injected fleet front end over the shared ServingEngine (see
-/// the file comment for the event model). Single-threaded like the DES
-/// Server: plan() and run() are externally serialized.
+/// The failure-injected fleet front end over the DES Server (see the file
+/// comment). Single-threaded like the Server: plan() and run() are
+/// externally serialized.
 class FleetSimulator {
  public:
   /// Throws std::invalid_argument on an empty topology.
@@ -114,7 +116,7 @@ class FleetSimulator {
   FleetSimResult run(const serve::Trace& trace);
 
   const FleetSimOptions& options() const { return options_; }
-  serve::ServingEngine& engine() { return engine_; }
+  serve::ServingEngine& engine() { return server_.engine(); }
 
  private:
   FleetSimOptions options_;
@@ -122,8 +124,7 @@ class FleetSimulator {
   FleetPlanner planner_;
   Placer placer_;  ///< re-plans after a class wipe-out (shared Optimizer)
   std::optional<FleetPlan> plan_;
-  serve::VirtualClock clock_;
-  serve::ServingEngine engine_;
+  serve::Server server_;
 };
 
 /// Machine-readable form of a fleet run — what `ios_opt fleet --json` and

@@ -598,112 +598,49 @@ void Daemon::batcher_loop() {
 
 void Daemon::dispatch(std::vector<serve::EngineBatch> formed) {
   if (formed.empty()) return;
-  std::vector<serve::EngineRequest> orphans;
   {
     std::lock_guard<std::mutex> guard(exec_mu_);
     for (serve::EngineBatch& batch : formed) {
-      const auto w = static_cast<std::size_t>(batch.record.worker);
-      if (exec_dead_[w]) {
-        // The worker died between batch formation and this dispatch (the
-        // engine lock is not held across the gap). Its queue was already
-        // drained by the kill, so route the members back through submit.
-        orphans.insert(orphans.end(), batch.members.begin(),
-                       batch.members.end());
-        continue;
-      }
       batches_.fetch_add(1);
-      exec_queues_[w].push_back(std::move(batch));
+      exec_queues_[static_cast<std::size_t>(batch.record.worker)].push_back(
+          std::move(batch));
     }
   }
   exec_cv_.notify_all();
-  requeue(std::move(orphans));
-}
-
-void Daemon::requeue(std::vector<serve::EngineRequest> members) {
-  if (members.empty()) return;
-  std::vector<serve::EngineBatch> formed;
-  std::vector<serve::ShedRecord> sheds;
-  std::vector<std::pair<std::shared_ptr<Connection>, std::string>> failures;
-  {
-    std::lock_guard<std::mutex> guard(engine_mu_);
-    for (const serve::EngineRequest& member : members) {
-      try {
-        std::vector<serve::EngineBatch> now =
-            engine_.submit(member.id, member.model);
-        formed.insert(formed.end(), std::make_move_iterator(now.begin()),
-                      std::make_move_iterator(now.end()));
-        requeued_requests_.fetch_add(1);
-      } catch (const std::exception& e) {
-        // No capacity left (e.g. every worker dead): answer rather than
-        // lose the request. The write happens after the lock drops.
-        auto it = pending_.find(member.id);
-        if (it != pending_.end()) {
-          const Pending pending = std::move(it->second);
-          pending_.erase(it);
-          if (pending_.empty()) drain_cv_.notify_all();
-          rejected_.fetch_add(1);
-          failures.emplace_back(
-              pending.conn, format_response(error_response(
-                                pending.client_id, e.what())));
-        }
-      }
-    }
-    sheds = engine_.take_shed();
-    // During a drain the batcher is gone — nobody will flush a partial
-    // requeued batch at its deadline, so force it out now.
-    if (stopping_.load()) {
-      std::vector<serve::EngineBatch> rest = engine_.drain();
-      formed.insert(formed.end(), std::make_move_iterator(rest.begin()),
-                    std::make_move_iterator(rest.end()));
-    }
-  }
-  engine_cv_.notify_one();  // the next flush deadline may have changed
-  for (const auto& [conn, line] : failures) write_response(conn, line);
-  dispatch(std::move(formed));
-  answer_shed(std::move(sheds));
 }
 
 bool Daemon::kill_worker(int worker, std::string* error) {
+  serve::KillResult killed;
   {
     std::lock_guard<std::mutex> guard(engine_mu_);
-    if (worker < 0 ||
-        static_cast<std::size_t>(worker) >= exec_queues_.size()) {
-      if (error) *error = "worker index out of range";
+    try {
+      if (engine_.worker_alive(worker) && engine_.alive_workers() <= 1) {
+        if (error) *error = "cannot kill the last alive worker";
+        return false;
+      }
+      killed = engine_.kill_worker(worker);  // throws on a bad or dead worker
+    } catch (const std::exception& e) {
+      if (error) *error = e.what();
       return false;
     }
-    if (!engine_.worker_alive(worker)) {
-      if (error) *error = "worker already dead";
-      return false;
+    // During a drain the batcher is gone — nobody will flush a partial
+    // requeued batch at its deadline, so force it out now.
+    if (stopping_.load()) {
+      for (serve::EngineBatch& b : engine_.drain()) {
+        killed.batches.push_back(std::move(b));
+      }
     }
-    if (engine_.alive_workers() <= 1) {
-      if (error) *error = "cannot kill the last alive worker";
-      return false;
-    }
-    engine_.kill_worker(worker);
   }
-  // Steal everything the dead worker holds: the in-flight batch (its
-  // executor notices the steal on wakeup and drops it) and every batch
-  // still queued behind it.
-  std::vector<serve::EngineRequest> orphans;
-  {
-    const auto w = static_cast<std::size_t>(worker);
-    std::lock_guard<std::mutex> guard(exec_mu_);
-    exec_dead_[w] = 1;
-    if (inflight_[w].active) {
-      orphans.insert(orphans.end(), inflight_[w].members.begin(),
-                     inflight_[w].members.end());
-      inflight_[w].active = false;
-      inflight_[w].members.clear();
-    }
-    for (serve::EngineBatch& batch : exec_queues_[w]) {
-      orphans.insert(orphans.end(), batch.members.begin(),
-                     batch.members.end());
-    }
-    exec_queues_[w].clear();
-  }
-  exec_cv_.notify_all();
+  requeued_requests_.fetch_add(
+      static_cast<std::int64_t>(killed.record.requeued.size()));
   worker_deaths_.fetch_add(1);
-  requeue(std::move(orphans));
+  {
+    std::lock_guard<std::mutex> guard(exec_mu_);
+    exec_dead_[static_cast<std::size_t>(worker)] = 1;
+  }
+  exec_cv_.notify_all();    // cut the stolen in-flight batch's wait short
+  engine_cv_.notify_one();  // the next flush deadline may have changed
+  dispatch(std::move(killed.batches));
   return true;
 }
 
@@ -758,16 +695,13 @@ void Daemon::executor_loop(int worker) {
 
       // Occupy this worker for the schedule's latency: the simulated
       // device, made temporal (time_scale 0 in tests skips the sleep).
-      // The batch stays registered in inflight_ for the duration so a
-      // kill (chaos verb or watchdog) can steal its members and requeue
-      // them on the survivors; the wait wakes early when that happens.
-      // An injected stall (stall_worker) wedges the executor past its
-      // deadline_wall_us, which is what the watchdog keys on.
+      // inflight_ exposes the batch's deadline to the watchdog; an injected
+      // stall (stall_worker) wedges the executor past it. A kill wakes the
+      // wait early: the engine has already stolen the batch.
       const double stall_us = std::exchange(exec_stall_us_[w], 0.0);
       const double service_wall_us =
           batch.record.service_us * std::max(0.0, options_.time_scale);
       inflight_[w].active = true;
-      inflight_[w].members = batch.members;
       inflight_[w].deadline_wall_us = clock_.now_us() + service_wall_us;
       if (service_wall_us > 0 || stall_us > 0) {
         const auto wake = clock_.time_point_at(clock_.now_us() +
@@ -775,29 +709,36 @@ void Daemon::executor_loop(int worker) {
         exec_cv_.wait_until(lock, wake,
                             [this, w] { return exec_dead_[w] != 0; });
       }
-      if (!inflight_[w].active) continue;  // stolen by a kill: requeued
       inflight_[w].active = false;
-      inflight_[w].members.clear();
     }
 
+    // Settle the batch under one engine_mu_ acquisition. retire() fails
+    // when a kill stole the batch first: its members were requeued, and the
+    // batch they landed in answers them.
+    std::vector<Pending> answered(batch.members.size());
+    {
+      std::lock_guard<std::mutex> guard(engine_mu_);
+      if (!engine_.retire(batch.record.id)) continue;
+      for (std::size_t k = 0; k < batch.members.size(); ++k) {
+        const auto it = pending_.find(batch.members[k].id);
+        if (it == pending_.end()) continue;  // refused after formation: never
+        answered[k] = std::move(it->second);
+        pending_.erase(it);
+      }
+      if (pending_.empty()) drain_cv_.notify_all();
+    }
     const double batch_slo =
         adaptive_ ? engine_.slo_for(batch.record.model).slo_us
                   : std::numeric_limits<double>::infinity();
-    for (const serve::EngineRequest& member : batch.members) {
+    for (std::size_t k = 0; k < batch.members.size(); ++k) {
+      const serve::EngineRequest& member = batch.members[k];
       if (adaptive_) {
         adaptive_->observe_outcome(
             batch.record.model,
             batch.record.completion_us - member.arrival_us <= batch_slo);
       }
-      Pending pending;
-      {
-        std::lock_guard<std::mutex> guard(engine_mu_);
-        auto it = pending_.find(member.id);
-        if (it == pending_.end()) continue;  // refused after formation: never
-        pending = std::move(it->second);
-        pending_.erase(it);
-        if (pending_.empty()) drain_cv_.notify_all();
-      }
+      const Pending& pending = answered[k];
+      if (!pending.conn) continue;
       WireResponse response;
       response.id = pending.client_id;
       response.ok = true;

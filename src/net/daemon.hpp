@@ -168,10 +168,11 @@ class Daemon {
   /// Lifetime counters.
   DaemonStats stats() const;
 
-  /// Kills `worker`: marks it dead in the engine (the router stops
-  /// considering it), steals its in-flight and queued batches, and
-  /// resubmits their members so every admitted request is still answered —
-  /// the wall-clock twin of the fleet simulator's failure handling. Refuses
+  /// Kills `worker` through ServingEngine::kill_worker under the engine
+  /// lock — the same recovery the DES Server replays: the router stops
+  /// considering the worker, its in-flight and queued batches are stolen,
+  /// and their members are resubmitted and dispatched to the survivors, so
+  /// every admitted request is still answered exactly once. Refuses
   /// (returns false, fills *error) for a bad index, an already-dead worker,
   /// or the last alive worker. Called by the chaos verb and the watchdog;
   /// safe from any thread.
@@ -215,15 +216,10 @@ class Daemon {
   void handle_request(const std::shared_ptr<Connection>& conn,
                       const WireRequest& request);
 
-  /// Pushes formed batches onto the executor queues. A batch routed to a
-  /// worker that died between formation and dispatch is not enqueued; its
-  /// members are requeued instead.
+  /// Pushes formed batches onto their workers' executor queues. A batch
+  /// routed to a worker that died before this dispatch was already stolen
+  /// by the kill; its executor drops it when retire() fails.
   void dispatch(std::vector<serve::EngineBatch> formed);
-
-  /// Resubmits orphaned batch members (their pending entries are intact,
-  /// so each is still answered exactly once) and dispatches whatever
-  /// batches the resubmission forms. Takes engine_mu_; call unlocked.
-  void requeue(std::vector<serve::EngineRequest> members);
 
   /// Answers shed requests with {"ok":false,"error":"shed"} and settles
   /// their pending entries. Takes engine_mu_ per record; call unlocked.
@@ -274,20 +270,20 @@ class Daemon {
   std::deque<std::shared_ptr<Connection>> accepted_;
   std::vector<std::weak_ptr<Connection>> live_;  ///< for shutdown_read
 
-  // Executor queues, one per engine worker. A worker's in-flight batch
-  // stays visible in inflight_ while its executor emulates the service
-  // time, so a kill (verb or watchdog) can steal and requeue its members
-  // mid-execution; the executor notices the steal on wakeup and drops the
-  // batch. exec_dead_ mirrors the engine's liveness for the dispatch path.
+  // Executor queues, one per engine worker. The engine keeps every batch
+  // outstanding until its executor retires it, so a kill (verb or
+  // watchdog) steals and requeues a dead worker's in-flight and queued
+  // batches inside the engine; exec_dead_ then wakes the executor out of
+  // its emulated service time, and it drops each stolen batch when
+  // retire() fails.
   std::mutex exec_mu_;
   std::condition_variable exec_cv_;
   std::vector<std::deque<serve::EngineBatch>> exec_queues_;
   bool exec_stop_ = false;
 
-  /// A batch currently occupying its executor (see exec_mu_ comment).
+  /// A batch currently occupying its executor: the watchdog's view.
   struct InFlight {
     bool active = false;
-    std::vector<serve::EngineRequest> members;
     /// Wall time the batch should complete (start + service * time_scale,
     /// excluding injected stalls) — the watchdog's overdue baseline.
     double deadline_wall_us = 0;

@@ -126,7 +126,11 @@ ServingEngine::ServingEngine(ServerOptions options, TimeSource* clock,
   service_.resize(classes_.size());
 }
 
-void ServingEngine::kill_worker(int worker) {
+bool ServingEngine::retire(int batch_id) {
+  return outstanding_.erase(batch_id) > 0;
+}
+
+KillResult ServingEngine::kill_worker(int worker) {
   if (worker < 0 || worker >= options_.num_workers) {
     throw std::out_of_range("ServingEngine::kill_worker: no worker " +
                             std::to_string(worker));
@@ -136,8 +140,37 @@ void ServingEngine::kill_worker(int worker) {
     throw std::invalid_argument("ServingEngine::kill_worker: worker " +
                                 std::to_string(worker) + " is already dead");
   }
+  // Ascending id; the stable sort then yields (start_us, batch id) order.
+  // std::map iterators stay valid across the inserts submit() makes below.
+  std::vector<std::map<int, Outstanding>::iterator> stolen;
+  for (auto it = outstanding_.begin(); it != outstanding_.end(); ++it) {
+    if (it->second.worker == worker) stolen.push_back(it);
+  }
+  if (!stolen.empty() && alive_workers() == 1) {
+    throw std::runtime_error(
+        "ServingEngine::kill_worker: worker " + std::to_string(worker) +
+        " is the last alive worker; its batches would have nowhere to go");
+  }
+  std::stable_sort(stolen.begin(), stolen.end(), [](auto a, auto b) {
+    return a->second.start_us < b->second.start_us;
+  });
+
+  KillResult result;
+  result.record.time_us = advance_now();
+  result.record.worker = worker;
   worker_dead_[wi] = 1;
   --class_alive_[static_cast<std::size_t>(worker_class_[wi])];
+  for (const auto& it : stolen) {
+    result.record.stolen_batches.push_back(it->first);
+    for (const EngineRequest& member : it->second.members) {
+      result.record.requeued.push_back(member.id);
+      for (EngineBatch& b : submit(member.id, member.model)) {
+        result.batches.push_back(std::move(b));
+      }
+    }
+    outstanding_.erase(it);
+  }
+  return result;
 }
 
 bool ServingEngine::worker_alive(int worker) const {
@@ -459,6 +492,9 @@ void ServingEngine::form_batch(const std::string& model, ModelQueue& q,
     batch.members.push_back(std::move(q.pending.front()));
     q.pending.pop_front();
   }
+  outstanding_.emplace(batch.record.id, Outstanding{worker,
+                                                    batch.record.start_us,
+                                                    batch.members});
   out.push_back(std::move(batch));
 }
 
@@ -608,6 +644,7 @@ void ServingEngine::reset() {
   next_arm_seq_ = 0;
   last_now_ = 0;
   shed_.clear();
+  outstanding_.clear();
 }
 
 EngineCounters ServingEngine::counters() const {
@@ -640,6 +677,9 @@ ServingResult summarize(std::vector<EngineBatch> batches,
   ServingResult result;
   result.records.resize(num_requests);
   for (EngineBatch& b : batches) {
+    // A stolen batch never completed; its members' records come from the
+    // batches they were requeued into.
+    if (b.record.killed) b.members.clear();
     for (const EngineRequest& m : b.members) {
       if (m.id < 0 || static_cast<std::size_t>(m.id) >= num_requests) {
         throw std::out_of_range(
@@ -703,7 +743,9 @@ ServingResult summarize(std::vector<EngineBatch> batches,
   stats.slo_attainment = static_cast<double>(stats.slo_met) /
                          static_cast<double>(stats.requests);
   for (const BatchRecord& b : result.batches) {
-    stats.makespan_us = std::max(stats.makespan_us, b.completion_us);
+    if (!b.killed) {
+      stats.makespan_us = std::max(stats.makespan_us, b.completion_us);
+    }
   }
   const std::vector<double>& worker_busy = engine.worker_busy();
   if (stats.makespan_us > 0) {
@@ -740,6 +782,7 @@ ServingResult summarize(std::vector<EngineBatch> batches,
         worker_busy[w];
   }
   for (const BatchRecord& b : result.batches) {
+    if (b.killed) continue;
     ++result.device_loads[static_cast<std::size_t>(
         worker_class[static_cast<std::size_t>(b.worker)])].batches;
   }

@@ -28,6 +28,11 @@
 //              device class — FIFO list scheduling for one class,
 //              device-aware routing for a heterogeneous pool.
 //
+// It is also the system of record for routed batches: a formed batch stays
+// outstanding until its driver retire()s it, and kill_worker steals a dead
+// worker's outstanding batches and requeues their members — the one
+// worker-death recovery path, shared by the DES and the daemon.
+//
 // Threading: submit/poll/drain/reset mutate queue and worker state and must
 // be externally serialized (the DES is single-threaded; the daemon wraps
 // them in one mutex). prewarm, counters(), cache(), and options() are safe
@@ -221,6 +226,9 @@ struct BatchRecord {
   /// plain deadline flush would have formed, to meet the oldest member's
   /// SLO.
   bool degraded = false;
+  /// True when a worker death stole this batch before it completed: its
+  /// members were requeued into later batches.
+  bool killed = false;
 };
 
 /// Aggregates of one served trace, all on the engine clock.
@@ -266,12 +274,23 @@ struct DeviceLoad {
   double utilization = 0;    ///< busy / (devices * makespan)
 };
 
+/// One worker death and the recovery the engine performed for it.
+struct KillRecord {
+  double time_us = 0;  ///< engine-clock time of the kill
+  int worker = 0;      ///< the worker that died
+  std::vector<int> stolen_batches;  ///< batch ids, (start_us, id) order
+  std::vector<std::int64_t> requeued;  ///< member ids, resubmission order
+};
+
 /// Everything a served trace produced.
 struct ServingResult {
   std::vector<RequestRecord> records;  ///< per request, trace order
   std::vector<BatchRecord> batches;    ///< per batch, formation order
   ServingStats stats;                  ///< aggregates of this run
   std::vector<DeviceLoad> device_loads;  ///< per device class, pool order
+  /// Worker deaths in firing order. A requeued request's record is that of
+  /// the batch it finally rode in, with the kill time as its arrival.
+  std::vector<KillRecord> kills;
 };
 
 /// One request admitted to the engine: a single sample of `model`, carrying
@@ -313,6 +332,13 @@ struct ShedRecord {
   /// of sheds and flushes within one poll instant (the property tests
   /// replay it to check the lowest-priority-present invariant).
   int seq = 0;
+};
+
+/// What ServingEngine::kill_worker did: the recovery record plus the
+/// batches that resubmitting the stolen members formed.
+struct KillResult {
+  KillRecord record;                ///< what was stolen and requeued
+  std::vector<EngineBatch> batches; ///< batches the resubmission formed
 };
 
 /// Lifetime optimizer accounting of one engine, across resets.
@@ -377,17 +403,24 @@ class ServingEngine {
   /// like submit/poll/drain.
   std::vector<std::pair<std::string, std::size_t>> queue_depths() const;
 
-  /// Marks `worker` dead: the router stops considering it from the next
-  /// formed batch on. The engine does not retain batch membership after
-  /// returning an EngineBatch, so batches already routed to the worker are
-  /// the *driver's* to requeue — the fleet simulator (src/fleet/sim.hpp)
-  /// tracks outstanding batches and resubmits the members of any batch the
-  /// death interrupts. Throws std::out_of_range on a bad index and
-  /// std::invalid_argument when the worker is already dead. Killing the
-  /// last alive worker is allowed; the next formed batch then throws
-  /// std::runtime_error. reset() revives every worker. Mutates routing
-  /// state: externally serialized like submit/poll/drain.
-  void kill_worker(int worker);
+  /// Marks a formed batch finished (in any order), so no later kill steals
+  /// it. False when it is not outstanding: a kill stole it (its members
+  /// ride in another batch), it was retired before, or reset() forgot it.
+  bool retire(int batch_id);
+
+  /// Formed batches neither retired nor stolen since the last reset().
+  std::size_t outstanding() const { return outstanding_.size(); }
+
+  /// Marks `worker` dead now and steals its outstanding batches (in flight
+  /// or queued) in (start_us, batch id) order, resubmitting their members
+  /// through submit() at the current time. Returns the record plus the
+  /// batches the resubmission formed, for the driver to dispatch. Throws
+  /// std::out_of_range on a bad index, std::invalid_argument when the
+  /// worker is already dead, and std::runtime_error, changing no state,
+  /// when the last alive worker holds outstanding batches. Killing it with
+  /// nothing outstanding is allowed; the next formed batch then throws
+  /// std::runtime_error. reset() revives every worker.
+  KillResult kill_worker(int worker);
 
   /// True when `worker` has not been killed since construction or the last
   /// reset(). Throws std::out_of_range on a bad index.
@@ -401,9 +434,9 @@ class ServingEngine {
   /// service time no longer anchors the routing inflation penalty.
   int alive_in_class(std::size_t cls) const;
 
-  /// Forgets all queued requests and worker bookkeeping for a fresh run;
-  /// the recipe cache and lifetime counters are kept. The driver resets its
-  /// clock alongside (VirtualClock::reset).
+  /// Forgets queued requests, outstanding batches, and worker bookkeeping
+  /// for a fresh run; the recipe cache and lifetime counters are kept. The
+  /// driver resets its clock alongside (VirtualClock::reset).
   void reset();
 
   /// Optimizes every (model, configured batch size, worker device class)
@@ -446,6 +479,13 @@ class ServingEngine {
     std::string device;    ///< canonical device name
     std::string key_part;  ///< "\n<device>\nbatch=" serving-key fragment
     int count = 1;         ///< workers of this class
+  };
+
+  /// A formed batch a kill could still steal.
+  struct Outstanding {
+    int worker = 0;
+    double start_us = 0;
+    std::vector<EngineRequest> members;
   };
 
   /// One model's pending queue.
@@ -575,6 +615,7 @@ class ServingEngine {
   long next_arm_seq_ = 0;
   double last_now_ = 0;
   std::vector<ShedRecord> shed_;  ///< shed decisions since last take_shed
+  std::map<int, Outstanding> outstanding_;  ///< by batch id
   /// Scratch: per-class service times of the batch being formed (kept out
   /// of the per-dispatch hot loop).
   std::vector<double> service_;
@@ -587,10 +628,11 @@ class ServingEngine {
 /// engine batches plus the shed decisions of the run — the one
 /// summarization path shared by the DES Server and any engine driver
 /// (pinned by the DES/engine equivalence tests). Request ids must lie in
-/// [0, num_requests) and every id must appear exactly once, as a batch
-/// member or a shed; `records` come back in id order. Latency percentiles,
-/// throughput, and mean batch size are over completed (non-shed) requests;
-/// slo_attainment counts sheds as misses.
+/// [0, num_requests) and every id must appear exactly once, as a member of
+/// a batch not marked `killed` or as a shed; `records` come back in id
+/// order. Latency percentiles, throughput, and mean batch size are over
+/// completed (non-shed) requests; slo_attainment counts sheds as misses.
+/// Killed batches count in stats.batches only.
 ServingResult summarize(std::vector<EngineBatch> batches,
                         std::vector<ShedRecord> sheds,
                         const ServingEngine& engine, std::size_t num_requests);

@@ -1,11 +1,11 @@
-#include "fleet/failure.hpp"
+#include "serve/failure.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
-namespace ios::fleet {
+namespace ios::serve {
 
 FailureInjector::FailureInjector(const FailureSpec& spec) : rng_(spec.seed) {
   if (!spec.schedule.empty()) {
@@ -66,4 +66,4 @@ int FailureInjector::fire(const std::vector<int>& alive) {
   return victim;
 }
 
-}  // namespace ios::fleet
+}  // namespace ios::serve

@@ -1,7 +1,9 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -22,7 +24,8 @@ void Server::prewarm(const std::vector<std::string>& models, int threads) {
   engine_.prewarm(models, threads);
 }
 
-ServingResult Server::run(const Trace& trace) {
+ServingResult Server::run(const Trace& trace, FailureInjector* kills) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   if (trace.requests.empty()) {
     return summarize({}, engine_, 0);
   }
@@ -44,6 +47,12 @@ ServingResult Server::run(const Trace& trace) {
   }
 
   std::vector<EngineBatch> batches;
+  std::vector<KillRecord> kill_records;
+  // (predicted completion, batch id) of formed batches not yet retired,
+  // earliest first.
+  std::priority_queue<std::pair<double, int>,
+                      std::vector<std::pair<double, int>>, std::greater<>>
+      running;
   const auto collect = [&](std::vector<EngineBatch> formed) {
     // Completed batches feed the controller's attainment signal; the
     // controller never feeds back into engine decisions, so the results
@@ -58,44 +67,77 @@ ServingResult Server::run(const Trace& trace) {
         }
       }
     }
-    for (EngineBatch& b : formed) batches.push_back(std::move(b));
-  };
-  const auto maybe_replan = [&] {
-    if (adaptive_ && adaptive_->replan_due(clock_.now_us())) {
-      adaptive_->replan(clock_.now_us());
+    for (EngineBatch& b : formed) {
+      running.emplace(b.record.completion_us, b.record.id);
+      batches.push_back(std::move(b));
     }
   };
 
-  // The DES event loop: deadlines strictly before the next arrival fire
+  // The DES event loop. Deadlines strictly before the next arrival fire
   // first; an arrival coinciding with a deadline is admitted first (it may
   // complete a full batch the flush would otherwise split) — the (time,
   // seq) order of the pre-extraction event heap, where every arrival
-  // outranked every later-armed flush event at equal times.
+  // outranked every later-armed flush event at equal times. Kills lose
+  // every tie.
   // A deadline may lie in the past: growing a queue at an arrival enlarges
   // the deadline batch, whose larger service estimate pulls the SLO flush
   // time backwards — possibly behind the arrival that caused it. Such a
   // flush fires "now" (max with the current time), exactly as the
   // wall-clock daemon's already-expired wait_until does.
-  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-    const TraceRequest& request = trace.requests[i];
-    while (engine_.next_deadline_us() < request.arrival_us) {
-      clock_.advance_to(std::max(engine_.next_deadline_us(), clock_.now_us()));
-      collect(engine_.poll());
-      maybe_replan();
+  const std::size_t n = trace.requests.size();
+  std::size_t next = 0;
+  for (;;) {
+    // A kill at t can only steal batches still executing at t, so every
+    // batch predicted to finish by the pending kill retires first (with no
+    // kill pending, every batch retires as soon as it forms). The last
+    // alive worker is never killed, and neither is a worker after the run
+    // is over: nothing left to arrive, queue, or execute.
+    double t_kill = kills ? kills->next_kill_us() : kInf;
+    while (!running.empty() && running.top().first <= t_kill) {
+      engine_.retire(running.top().second);
+      running.pop();
     }
-    clock_.advance_to(request.arrival_us);
-    if (adaptive_) adaptive_->observe_arrival(request.model, clock_.now_us());
-    collect(engine_.submit(static_cast<std::int64_t>(i), request.model));
-    maybe_replan();
-  }
-  while (engine_.next_deadline_us() < std::numeric_limits<double>::infinity()) {
-    clock_.advance_to(std::max(engine_.next_deadline_us(), clock_.now_us()));
-    collect(engine_.poll());
-    maybe_replan();
+    if (t_kill < kInf &&
+        (engine_.alive_workers() <= 1 ||
+         (next >= n && engine_.queued() == 0 && engine_.outstanding() == 0))) {
+      t_kill = kInf;
+    }
+    const double t_dl = engine_.next_deadline_us();
+    const double t_arr = next < n ? trace.requests[next].arrival_us : kInf;
+    if (t_dl == kInf && t_arr == kInf && t_kill == kInf) break;
+
+    if (t_dl < t_arr && t_dl <= t_kill) {
+      clock_.advance_to(std::max(t_dl, clock_.now_us()));
+      collect(engine_.poll());
+    } else if (t_arr <= t_kill) {
+      clock_.advance_to(t_arr);
+      if (adaptive_) {
+        adaptive_->observe_arrival(trace.requests[next].model, t_arr);
+      }
+      collect(engine_.submit(static_cast<std::int64_t>(next),
+                             trace.requests[next].model));
+      ++next;
+    } else {
+      clock_.advance_to(t_kill);
+      std::vector<int> alive;
+      for (int w = 0; w < engine_.options().num_workers; ++w) {
+        if (engine_.worker_alive(w)) alive.push_back(w);
+      }
+      KillResult killed = engine_.kill_worker(kills->fire(alive));
+      for (const int id : killed.record.stolen_batches) {
+        batches[static_cast<std::size_t>(id)].record.killed = true;
+      }
+      collect(std::move(killed.batches));
+      kill_records.push_back(std::move(killed.record));
+    }
+    if (adaptive_ && adaptive_->replan_due(clock_.now_us())) {
+      adaptive_->replan(clock_.now_us());
+    }
   }
 
   ServingResult result = summarize(std::move(batches), engine_.take_shed(),
-                                   engine_, trace.requests.size());
+                                   engine_, n);
+  result.kills = std::move(kill_records);
   if (adaptive_) {
     const AdaptiveStats after = adaptive_->stats();
     result.stats.replans = after.replans - adaptive_before.replans;

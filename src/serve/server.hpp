@@ -1,21 +1,25 @@
 #pragma once
 // ios::serve::Server — the deterministic, simulated-clock front end over
 // the clock-agnostic ServingEngine (serve/engine.hpp). The engine makes
-// every batching, schedule-resolution, and routing decision; the Server is
-// a thin discrete-event driver that owns a VirtualClock and advances it
-// through the two event kinds of a served trace:
+// every batching, schedule-resolution, routing, and recovery decision; the
+// Server is the repo's one discrete-event loop. It owns a VirtualClock and
+// advances it through the event kinds of a served trace:
 //
 //   * request arrival    -> clock to the arrival time, engine.submit()
 //                           (greedy full-batch formation)
 //   * batching deadline  -> clock to engine.next_deadline_us(),
 //                           engine.poll() (deadline flush)
+//   * worker kill        -> (only with a FailureInjector) clock to the kill
+//                           time, engine.kill_worker() (steal + requeue)
 //
 // with deadlines strictly before an arrival processed first and arrivals
 // winning ties — the exact (time, seq) order of the event heap the DES used
 // before the engine was extracted, pinned bit-for-bit by the equivalence
-// suite in tests/engine_test.cpp. The network daemon (net/daemon.hpp)
-// drives the same engine with a WallClock, which is what makes this Server
-// the deterministic test harness for the production data path.
+// suite in tests/engine_test.cpp — and kills last. The fleet simulator
+// replays its failure schedules through this loop. The network daemon
+// (net/daemon.hpp) drives the same engine with a WallClock, which is what
+// makes this Server the deterministic test harness for the production
+// data path.
 //
 // Everything the server reports — per-request latency, batch timelines,
 // throughput and tail percentiles — is derived from the virtual clock, so a
@@ -32,6 +36,7 @@
 
 #include "serve/adaptive.hpp"
 #include "serve/engine.hpp"
+#include "serve/failure.hpp"
 
 namespace ios::serve {
 
@@ -63,7 +68,11 @@ class Server {
   /// options always yield identical results. Requests must arrive in
   /// non-decreasing time order (throws std::invalid_argument otherwise);
   /// unknown model or device names throw from the underlying registries.
-  ServingResult run(const Trace& trace);
+  /// With `kills`, its schedule fires as worker deaths listed in
+  /// ServingResult::kills; a kill that would take the last alive worker or
+  /// land past the end of the run (nothing left to arrive, queue, or
+  /// execute) stays pending and never fires.
+  ServingResult run(const Trace& trace, FailureInjector* kills = nullptr);
 
   /// Optimizes every (model, configured batch size, worker device class)
   /// triple into the recipe cache up front, fanning the misses out over

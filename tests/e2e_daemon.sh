@@ -15,7 +15,9 @@
 #      while one worker is wedged mid-trace (stall_worker). Require zero
 #      lost admitted requests (every request answered, finite p99), the
 #      watchdog to kill and route around the stuck worker, and the drained
-#      daemon to write a valid stats JSON artifact.
+#      daemon to balance (completed == admitted, nothing shed or rejected,
+#      at least one request requeued) and write a valid stats JSON
+#      artifact.
 #
 # Registered with CTest under the `integration` label; also runnable by
 # hand:
@@ -201,11 +203,21 @@ wait "$DAEMON_PID" || DAEMON_STATUS=$?
 grep -q "drained" "$DAEMON_LOG" || fail "no drain summary in chaos daemon log"
 grep -q "1 worker deaths" "$DAEMON_LOG" \
   || fail "drain summary missing the worker death"
+# Client retries may admit a request twice; each admission is answered.
+ADMITTED=$(sed -n 's/.* \([0-9][0-9]*\) admitted, .*/\1/p' "$DAEMON_LOG" \
+  | head -n 1)
+[[ -n "$ADMITTED" && "$ADMITTED" -ge 150 ]] \
+  || fail "chaos drain summary admitted '$ADMITTED' < 150"
+grep -q "$ADMITTED admitted, $ADMITTED completed, 0 shed, 0 rejected" \
+  "$DAEMON_LOG" || fail "chaos drain summary does not balance admitted"
 [[ -s "$STATS_JSON" ]] || fail "daemon stats JSON was not written"
 grep -q '"worker_deaths":1' "$STATS_JSON" \
   || fail "stats JSON missing worker_deaths: $(cat "$STATS_JSON")"
-grep -q '"requeued_requests"' "$STATS_JSON" \
-  || fail "stats JSON missing requeued_requests"
+REQUEUED=$(sed -n 's/.*"requeued_requests":\([0-9][0-9]*\).*/\1/p' \
+  "$STATS_JSON")
+[[ -n "$REQUEUED" && "$REQUEUED" -ge 1 ]] \
+  || fail "stats JSON requeued_requests '$REQUEUED' < 1: $(cat "$STATS_JSON")"
+echo "e2e_daemon: chaos drain $ADMITTED admitted = completed, $REQUEUED requeued"
 # Export the artifact for CI upload when a destination is provided.
 if [[ -n "${E2E_STATS_OUT:-}" ]]; then
   cp "$STATS_JSON" "$E2E_STATS_OUT"

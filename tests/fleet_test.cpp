@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "fleet/topology.hpp"
 #include "serve/engine.hpp"
 #include "serve/trace.hpp"
+#include "util/rng.hpp"
 
 namespace ios::fleet {
 namespace {
@@ -270,6 +273,186 @@ TEST(EngineKill, WipedOutClassStopsAnchoringRouting) {
   ASSERT_EQ(batches.size(), 1u);
   EXPECT_EQ(batches[0].record.worker, 1);
   EXPECT_EQ(batches[0].record.device, "GTX 1080Ti");
+}
+
+// ---------------------------------------------------------------------------
+// ServingEngine worker-death recovery: outstanding batches, retire, steal
+// ---------------------------------------------------------------------------
+
+/// Submits `n` squeezenet requests (ids first..first+n-1) at the clock's
+/// current time and returns the batches they form.
+std::vector<serve::EngineBatch> submit_n(serve::ServingEngine& engine,
+                                         int first, int n) {
+  std::vector<serve::EngineBatch> formed;
+  for (int i = first; i < first + n; ++i) {
+    for (serve::EngineBatch& b : engine.submit(i, "squeezenet")) {
+      formed.push_back(std::move(b));
+    }
+  }
+  return formed;
+}
+
+TEST(EngineKill, StealsInFlightAndQueuedBatchesInStartOrder) {
+  serve::VirtualClock clock;
+  serve::ServingEngine engine(tiny_engine_options("p100x2"), &clock);
+  // Six requests at t = 0 alternate between the two workers: worker 0 runs
+  // batch 0 and queues batches 2 and 4 behind it.
+  const std::vector<serve::EngineBatch> formed = submit_n(engine, 0, 6);
+  ASSERT_EQ(formed.size(), 6u);
+  for (const serve::EngineBatch& b : formed) {
+    EXPECT_EQ(b.record.worker, b.record.id % 2);
+  }
+  EXPECT_EQ(engine.outstanding(), 6u);
+
+  const double t = formed[0].record.service_us / 2;  // batch 0 in flight
+  clock.advance_to(t);
+  const serve::KillResult killed = engine.kill_worker(0);
+  EXPECT_EQ(killed.record.worker, 0);
+  EXPECT_EQ(killed.record.time_us, t);
+  EXPECT_EQ(killed.record.stolen_batches, (std::vector<int>{0, 2, 4}));
+  EXPECT_EQ(killed.record.requeued, (std::vector<std::int64_t>{0, 2, 4}));
+  ASSERT_EQ(killed.batches.size(), 3u);
+  for (std::size_t k = 0; k < killed.batches.size(); ++k) {
+    const serve::EngineBatch& b = killed.batches[k];
+    EXPECT_EQ(b.record.worker, 1);
+    EXPECT_EQ(b.record.id, 6 + static_cast<int>(k));
+    ASSERT_EQ(b.members.size(), 1u);
+    EXPECT_EQ(b.members[0].id, killed.record.requeued[k]);
+    EXPECT_EQ(b.members[0].arrival_us, t);  // requeued at the kill time
+  }
+  EXPECT_EQ(engine.outstanding(), 6u);  // 1, 3, 5 and the three requeued
+}
+
+TEST(EngineKill, RetireFailsForStolenAndAlreadyRetiredBatches) {
+  serve::VirtualClock clock;
+  serve::ServingEngine engine(tiny_engine_options("p100x2"), &clock);
+  ASSERT_EQ(submit_n(engine, 0, 4).size(), 4u);  // 0, 2 on w0; 1, 3 on w1
+  EXPECT_TRUE(engine.retire(3));  // out of formation order
+  EXPECT_FALSE(engine.retire(3));
+  EXPECT_TRUE(engine.retire(0));  // worker 0's first batch finished
+
+  const serve::KillResult killed = engine.kill_worker(0);
+  EXPECT_EQ(killed.record.stolen_batches, std::vector<int>{2});
+  EXPECT_FALSE(engine.retire(2));  // stolen: its member rides elsewhere
+  ASSERT_EQ(killed.batches.size(), 1u);
+  EXPECT_TRUE(engine.retire(killed.batches[0].record.id));
+  EXPECT_FALSE(engine.retire(killed.batches[0].record.id));
+  EXPECT_TRUE(engine.retire(1));
+  EXPECT_EQ(engine.outstanding(), 0u);
+  EXPECT_FALSE(engine.retire(99));  // never formed
+}
+
+TEST(EngineKill, ResetForgetsOutstandingBatches) {
+  serve::VirtualClock clock;
+  serve::ServingEngine engine(tiny_engine_options("p100x2"), &clock);
+  ASSERT_EQ(submit_n(engine, 0, 3).size(), 3u);
+  EXPECT_EQ(engine.outstanding(), 3u);
+  engine.reset();
+  clock.reset();
+  EXPECT_EQ(engine.outstanding(), 0u);
+  EXPECT_FALSE(engine.retire(0));
+  const serve::KillResult killed = engine.kill_worker(0);
+  EXPECT_TRUE(killed.record.stolen_batches.empty());
+  EXPECT_TRUE(killed.record.requeued.empty());
+  EXPECT_TRUE(killed.batches.empty());
+}
+
+TEST(EngineKill, KillThatWouldStrandRequestsThrowsAndChangesNothing) {
+  serve::VirtualClock clock;
+  serve::ServingEngine engine(tiny_engine_options("p100x2"), &clock);
+  engine.kill_worker(0);  // nothing outstanding anywhere: allowed
+  const std::vector<serve::EngineBatch> formed = submit_n(engine, 0, 2);
+  ASSERT_EQ(formed.size(), 2u);
+
+  // Worker 1 is the last alive one and holds both batches: killing it
+  // would leave their members nowhere to go.
+  clock.advance_to(1.0);
+  EXPECT_THROW(engine.kill_worker(1), std::runtime_error);
+  EXPECT_TRUE(engine.worker_alive(1));
+  EXPECT_EQ(engine.alive_workers(), 1);
+  EXPECT_EQ(engine.alive_in_class(0), 1);
+  EXPECT_EQ(engine.outstanding(), 2u);
+  EXPECT_EQ(engine.queued(), 0u);
+  const std::vector<serve::EngineBatch> after = submit_n(engine, 2, 1);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].record.id, 2);  // no batch id was consumed
+  EXPECT_EQ(after[0].record.worker, 1);
+
+  // With nothing outstanding the last worker may die.
+  for (int id = 0; id < 3; ++id) EXPECT_TRUE(engine.retire(id));
+  EXPECT_TRUE(engine.kill_worker(1).batches.empty());
+  EXPECT_EQ(engine.alive_workers(), 0);
+}
+
+TEST(EngineKill, SeededKillSweepEndsEveryIdInExactlyOneBatch) {
+  // Random arrivals, deadline flushes, out-of-order retires, and seeded
+  // kill schedules: whatever interleaving, every request ends in exactly
+  // one batch that was not stolen, and retire() succeeds exactly for the
+  // batches neither stolen nor retired before.
+  const char* const models[] = {"squeezenet", "mobilenet_v2"};
+  std::size_t total_stolen = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    serve::ServerOptions options;
+    options.pool = pool_from_spec("p100x2,1080tix2");
+    options.batching.batch_sizes = {1, 2, 4};
+    options.batching.max_queue_delay_us = 400;
+    serve::VirtualClock clock;
+    serve::ServingEngine engine(options, &clock);
+    FailureSpec spec;
+    spec.seed = seed;
+    spec.max_kills = 3;
+    spec.first_kill_at_us = 200;
+    spec.mean_time_between_kills_us = 1500;
+    FailureInjector injector(spec);
+    Rng rng(seed * 7919);
+
+    std::vector<serve::EngineBatch> batches;
+    std::set<int> stolen, retired;
+    const auto keep = [&](std::vector<serve::EngineBatch> formed) {
+      for (serve::EngineBatch& b : formed) batches.push_back(std::move(b));
+    };
+    std::int64_t next_id = 0;
+    for (int step = 0; step < 150; ++step) {
+      clock.advance_to(clock.now_us() + rng.uniform() * 60);
+      keep(engine.poll());
+      while (injector.next_kill_us() <= clock.now_us() &&
+             engine.alive_workers() > 1) {
+        std::vector<int> alive;
+        for (int w = 0; w < engine.options().num_workers; ++w) {
+          if (engine.worker_alive(w)) alive.push_back(w);
+        }
+        serve::KillResult killed = engine.kill_worker(injector.fire(alive));
+        stolen.insert(killed.record.stolen_batches.begin(),
+                      killed.record.stolen_batches.end());
+        keep(std::move(killed.batches));
+      }
+      if (rng.uniform() < 0.8) {
+        keep(engine.submit(next_id++, models[rng.uniform_int(2)]));
+      } else if (!batches.empty()) {
+        const int id = batches[static_cast<std::size_t>(rng.uniform_int(
+                                   static_cast<int>(batches.size())))]
+                           .record.id;
+        const bool expected = stolen.count(id) == 0 && retired.count(id) == 0;
+        EXPECT_EQ(engine.retire(id), expected) << "batch " << id;
+        retired.insert(id);
+      }
+    }
+    keep(engine.drain());
+    total_stolen += stolen.size();
+
+    std::vector<int> rides(static_cast<std::size_t>(next_id), 0);
+    for (const serve::EngineBatch& b : batches) {
+      if (stolen.count(b.record.id) != 0) continue;
+      for (const serve::EngineRequest& m : b.members) {
+        ++rides[static_cast<std::size_t>(m.id)];
+      }
+    }
+    for (std::int64_t id = 0; id < next_id; ++id) {
+      EXPECT_EQ(rides[static_cast<std::size_t>(id)], 1) << "request " << id;
+    }
+  }
+  EXPECT_GT(total_stolen, 0u);  // the sweep really exercised the steal path
 }
 
 // ---------------------------------------------------------------------------

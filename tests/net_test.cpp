@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -692,6 +693,65 @@ TEST(DaemonTest, WatchdogKillsStalledWorkerAndRequeuesItsBatch) {
   EXPECT_EQ(daemon.stats().worker_deaths, 1);
   EXPECT_GE(daemon.stats().requeued_requests, 1);
   EXPECT_EQ(daemon.stats().completed, 8);
+}
+
+TEST(DaemonTest, KillStealsBatchesQueuedBehindAWedgedWorker) {
+  DaemonOptions options = test_daemon_options();
+  options.serving.batching.batch_sizes = {1};  // one batch per request
+  options.prewarm_models = {"fig3"};  // no search on the request path
+  options.time_scale = 0.05;  // executors occupy wall time
+  options.chaos = true;       // stall_worker; no watchdog
+  Daemon daemon(options);
+  daemon.start();
+
+  Socket client = Socket::connect_to("127.0.0.1", daemon.port());
+  std::string line;
+  client.write_all(R"({"id":1,"cmd":"stall_worker","worker":0,)"
+                   R"("stall_us":10e6})" "\n");
+  ASSERT_TRUE(client.read_line(line));
+  ASSERT_TRUE(JsonValue::parse(line).at("ok").as_bool()) << line;
+
+  // Pipelined requests alternate between the two workers (the router's
+  // predicted backlogs stay equal): worker 0 wedges on its first batch and
+  // queues the rest of its share behind it; worker 1 answers its share.
+  constexpr int kRequests = 8;
+  std::string burst;
+  for (int i = 0; i < kRequests; ++i) {
+    WireRequest request;
+    request.id = 100 + i;
+    request.model = "fig3";
+    burst += format_request(request) + "\n";
+  }
+  client.write_all(burst);
+  std::set<std::int64_t> answered;
+  const auto answer = [&](const std::string& response_line) {
+    const WireResponse response = parse_response(response_line);
+    EXPECT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.worker, 1);
+    EXPECT_TRUE(answered.insert(response.id).second)
+        << "request " << response.id << " answered twice";
+  };
+  // Once worker 1 goes quiet, every unanswered request sits on worker 0.
+  while (client.read_line_deadline(line, 500e3) == ReadStatus::kLine) {
+    answer(line);
+  }
+  const int stuck = kRequests - static_cast<int>(answered.size());
+  ASSERT_GE(stuck, 2);  // the wedged batch and at least one queued behind
+
+  std::string error;
+  ASSERT_TRUE(daemon.kill_worker(0, &error)) << error;
+  for (int i = 0; i < stuck; ++i) {
+    ASSERT_EQ(client.read_line_deadline(line, 10e6), ReadStatus::kLine);
+    answer(line);
+  }
+  EXPECT_EQ(answered.size(), static_cast<std::size_t>(kRequests));
+  EXPECT_EQ(client.read_line_deadline(line, 100e3), ReadStatus::kTimeout);
+  daemon.stop();
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.admitted, kRequests);
+  EXPECT_EQ(stats.completed, stats.admitted);
+  EXPECT_EQ(stats.worker_deaths, 1);
+  EXPECT_GE(stats.requeued_requests, stuck);
 }
 
 }  // namespace
