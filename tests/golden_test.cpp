@@ -21,9 +21,12 @@
 #include "api/optimizer.hpp"
 #include "fleet/sim.hpp"
 #include "models/models.hpp"
+#include "runtime/executor.hpp"
+#include "schedule/merge.hpp"
 #include "schedule/serialize.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 #ifndef IOS_GOLDEN_DIR
 #error "IOS_GOLDEN_DIR must be defined (see CMakeLists.txt)"
@@ -462,6 +465,156 @@ std::string fleet_corpus_name(const ::testing::TestParamInfo<std::size_t>& i) {
 INSTANTIATE_TEST_SUITE_P(FleetCorpus, GoldenFleetTest,
                          ::testing::Range<std::size_t>(0, 3),
                          fleet_corpus_name);
+
+// ---------------------------------------------------------------------------
+// Stage-latency golden: tests/golden/stage_latencies.json pins
+// Executor::stage_latency_us, doubles at full precision, for a seeded sample
+// of multi-group, single-group and merge stages of four zoo models on four
+// devices at batch 1 and 8. The schedule corpus above pins only the summed
+// latency of each found schedule; this pins the simulator stage by stage.
+// Verification re-measures the stages stored in the file, so the sampler
+// below only matters when regenerating (IOS_GOLDEN_REGEN=1).
+
+constexpr const char* kStageModels[] = {"squeezenet", "inception_v3", "nasnet",
+                                        "randwire"};
+constexpr const char* kStageDevices[] = {"v100", "k80", "p100", "2080ti"};
+constexpr int kStageBatches[] = {1, 8};
+
+std::string stage_golden_path() {
+  return std::string(IOS_GOLDEN_DIR) + "/stage_latencies.json";
+}
+
+/// Seeded stage sample of one graph: concurrent stages over random subsets
+/// of a window of consecutive block ops (grouped by partition_groups) until
+/// four multi-group and two single-group stages are found, then two merge
+/// stages drawn from the graph's mergeable sibling convolutions.
+std::vector<Stage> sample_stages(const Graph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Stage> stages;
+  const std::vector<std::vector<OpId>> blocks = g.blocks();
+  int multi = 0;
+  int single = 0;
+  for (int attempt = 0; attempt < 400 && (multi < 4 || single < 2);
+       ++attempt) {
+    const std::vector<OpId>& block =
+        blocks[static_cast<std::size_t>(
+            rng.uniform_int(static_cast<int>(blocks.size())))];
+    const int len = 1 + rng.uniform_int(16);
+    const int begin = rng.uniform_int(static_cast<int>(block.size()));
+    std::vector<OpId> ops;
+    for (int i = begin; i < begin + len && i < static_cast<int>(block.size());
+         ++i) {
+      if (rng.bernoulli(0.6)) ops.push_back(block[static_cast<std::size_t>(i)]);
+    }
+    if (ops.empty()) continue;
+    Stage stage;
+    stage.groups = partition_groups(g, ops);
+    int& found = stage.groups.size() > 1 ? multi : single;
+    if (found >= (stage.groups.size() > 1 ? 4 : 2)) continue;
+    ++found;
+    stages.push_back(std::move(stage));
+  }
+
+  std::vector<std::vector<OpId>> mergeable;
+  for (const Op& producer : g.ops()) {
+    std::vector<OpId> convs;
+    for (OpId c : g.succs(producer.id)) {
+      if (g.op(c).kind == OpKind::kConv2d) convs.push_back(c);
+    }
+    if (convs.size() >= 2 && analyze_merge(g, convs)) {
+      mergeable.push_back(std::move(convs));
+    }
+  }
+  for (int i = 0; i < 2 && !mergeable.empty(); ++i) {
+    const std::size_t pick = static_cast<std::size_t>(
+        rng.uniform_int(static_cast<int>(mergeable.size())));
+    Stage stage;
+    stage.strategy = StageStrategy::kMerge;
+    stage.groups.push_back(Group{mergeable[pick]});
+    stages.push_back(std::move(stage));
+    mergeable.erase(mergeable.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return stages;
+}
+
+JsonValue stage_latency_corpus() {
+  JsonValue configs = JsonValue::array();
+  std::uint64_t seed = 0;
+  for (const char* model : kStageModels) {
+    for (const char* device : kStageDevices) {
+      for (const int batch : kStageBatches) {
+        const Graph g = models::build_model(model, batch);
+        const Executor executor(
+            g, ExecConfig{device_by_name(device), KernelModelParams{}});
+        Schedule sample;
+        sample.stages = sample_stages(g, ++seed);
+        JsonValue latencies = JsonValue::array();
+        for (const Stage& stage : sample.stages) {
+          latencies.push_back(executor.stage_latency_us(stage));
+        }
+        JsonValue entry = JsonValue::object();
+        entry.set("model", model);
+        entry.set("device", device);
+        entry.set("batch", batch);
+        entry.set("stages", schedule_to_json(sample).at("stages"));
+        entry.set("latencies_us", std::move(latencies));
+        configs.push_back(std::move(entry));
+      }
+    }
+  }
+  JsonValue root = JsonValue::object();
+  root.set("format", "ios-golden-stage-latencies");
+  root.set("version", 1);
+  root.set("configs", std::move(configs));
+  return root;
+}
+
+TEST(GoldenStageLatencies, StageLatencyIsBitIdentical) {
+  if (regen_requested()) {
+    write_file(stage_golden_path(), stage_latency_corpus().dump());
+    SUCCEED() << "regenerated stage_latencies.json";
+    return;
+  }
+
+  const JsonValue golden = JsonValue::parse(read_file(stage_golden_path()));
+  ASSERT_EQ(golden.at("format").as_string(), "ios-golden-stage-latencies");
+  ASSERT_EQ(golden.at("version").as_int(), 1);
+  const auto& configs = golden.at("configs").as_array();
+  ASSERT_EQ(configs.size(), std::size(kStageModels) *
+                                std::size(kStageDevices) *
+                                std::size(kStageBatches));
+
+  int multi = 0;
+  int single = 0;
+  int merge = 0;
+  for (const JsonValue& entry : configs) {
+    const std::string model = entry.at("model").as_string();
+    const std::string device = entry.at("device").as_string();
+    const int batch = static_cast<int>(entry.at("batch").as_int());
+    SCOPED_TRACE(model + " on " + device + " at batch " +
+                 std::to_string(batch));
+    const Graph g = models::build_model(model, batch);
+    const Executor executor(
+        g, ExecConfig{device_by_name(device), KernelModelParams{}});
+    const Schedule sample = schedule_from_json(entry);
+    const auto& latencies = entry.at("latencies_us").as_array();
+    ASSERT_EQ(sample.stages.size(), latencies.size());
+    for (std::size_t i = 0; i < sample.stages.size(); ++i) {
+      const Stage& stage = sample.stages[i];
+      EXPECT_EQ(executor.stage_latency_us(stage), latencies[i].as_number())
+          << "stage " << i << ": the simulated stage latency changed";
+      if (stage.strategy == StageStrategy::kMerge) {
+        ++merge;
+      } else {
+        ++(stage.groups.size() > 1 ? multi : single);
+      }
+    }
+  }
+  // The sample must keep exercising every kind of stage.
+  EXPECT_GT(multi, 0);
+  EXPECT_GT(single, 0);
+  EXPECT_GT(merge, 0);
+}
 
 // The golden files double as recipe documents: the schedule embedded in
 // each must be a valid schedule of its configuration's graph (guards
