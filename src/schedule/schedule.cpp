@@ -126,6 +126,11 @@ void validate_schedule(const Graph& g, const Schedule& q) {
       }
       for (std::size_t pi = 0; pi < grp.ops.size(); ++pi) {
         const OpId id = grp.ops[pi];
+        if (id < 0 || id >= g.num_ops()) {
+          throw std::runtime_error("op id out of range: " +
+                                   std::to_string(id) + " (graph has " +
+                                   std::to_string(g.num_ops()) + " ops)");
+        }
         if (!g.op(id).schedulable()) {
           throw std::runtime_error("input op scheduled: " + g.op(id).name);
         }

@@ -1,5 +1,6 @@
 #include "schedule/serialize.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace ios {
@@ -226,6 +227,12 @@ Schedule schedule_from_json(const JsonValue& v) {
     for (const JsonValue& grp : s.at("groups").as_array()) {
       Group group;
       for (const JsonValue& id : grp.as_array()) {
+        // Range-check before narrowing: an id beyond OpId would wrap onto
+        // a real op.
+        const double value = id.as_number();
+        if (!(value >= 0 && value <= std::numeric_limits<OpId>::max())) {
+          throw std::runtime_error("op id out of range: " + id.dump());
+        }
         group.ops.push_back(static_cast<OpId>(id.as_int()));
       }
       stage.groups.push_back(std::move(group));

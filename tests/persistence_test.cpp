@@ -133,6 +133,39 @@ TEST(Persistence, CorruptRecipeIsRejectedMissingFileIsNot) {
   }
 }
 
+// Recipes name ops by id. An id outside the graph must fail evaluation
+// with an error naming it, whether it exceeds OpId (rejected while parsing,
+// where it used to wrap onto op 0) or only the graph (rejected by
+// validate_schedule, where it used to be read out of bounds).
+TEST(Persistence, OutOfRangeOpIdsInARecipeAreRejectedByName) {
+  Optimizer opt;
+  OptimizationRequest request = OptimizationRequest::for_model("squeezenet");
+  request.baselines.clear();
+  // A legacy recipe without a checksum, so only the id checks can object.
+  const std::string text = recipe_to_json(opt.optimize(request).recipe).dump();
+  const std::string marker = "\"groups\":[[";
+  const std::size_t at = text.find(marker);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t begin = at + marker.size();
+  const std::size_t end = text.find_first_of(",]", begin);
+
+  const std::string path = temp_path("persist_op_id.json");
+  for (const std::string id : {"100000000", "-5", "4294967296"}) {
+    SCOPED_TRACE("first op id " + id);
+    std::string edited = text;
+    edited.replace(begin, end - begin, id);
+    write_file(path, edited);
+    try {
+      opt.evaluate(Optimizer::load(path));
+      FAIL() << "a recipe with op id " << id << " evaluated";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("op id out of range: " + id),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Persistence, OptimizerColdStartsOverACorruptProfileDb) {
   const std::string path = temp_path("persist_cold_start.json");
   write_file(path, R"({"format":"ios-profile-db")");  // torn header
