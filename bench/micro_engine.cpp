@@ -1,7 +1,8 @@
 // Micro-benchmarks of the infrastructure itself: simulator event-loop
-// throughput, ending enumeration, width computation, and a full network
-// scheduling pass. These guard the optimization cost claims (Figure 9's
-// wall-clock column) against regressions.
+// throughput, ending enumeration, width computation, a full network
+// scheduling pass, and the cost of one cost-model miss. These guard the
+// optimization cost claims (Figure 9's wall-clock column) against
+// regressions.
 
 #include <benchmark/benchmark.h>
 
@@ -90,6 +91,24 @@ void BM_StageLatencyMeasurement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StageLatencyMeasurement);
+
+// One cost-model miss without the cache around it: Executor::stage_latency_us
+// on a fixed multi-group RandWire stage (the greedy schedule's widest).
+void BM_StageLatencyRandWireMiss(benchmark::State& state) {
+  const Graph g = models::randwire(1);
+  const Executor ex(g, bench::config_for(tesla_v100()));
+  const Schedule greedy = greedy_schedule(g);
+  const Stage* stage = &greedy.stages.front();
+  for (const Stage& s : greedy.stages) {
+    if (s.groups.size() > stage->groups.size()) stage = &s;
+  }
+  state.counters["groups"] = static_cast<double>(stage->groups.size());
+  state.counters["ops"] = stage->num_ops();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ex.stage_latency_us(*stage));
+  }
+}
+BENCHMARK(BM_StageLatencyRandWireMiss);
 
 }  // namespace
 

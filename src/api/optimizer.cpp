@@ -259,8 +259,11 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
     }
   }
 
+  // The cost model's executor serves the whole call on a miss; a hit
+  // builds one only when a baseline needs it.
+  std::optional<CostModel> cost_model;
   if (!result.cache_hit) {
-    CostModel cost(g, config, request.protocol);
+    CostModel& cost = cost_model.emplace(g, config, request.protocol);
     SchedulerOptions options = request.options;
     if (request.cross_reuse) {
       // Throws under a noisy protocol — reused latencies must equal what
@@ -300,19 +303,22 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
         profile_db->on_disk.store(true);
       }
     }
-    result.latency_us =
-        Executor(g, config).schedule_latency_us(result.schedule);
+    result.latency_us = cost.executor().schedule_latency_us(result.schedule);
     std::lock_guard<std::mutex> lock(mu_);
     total_measurements_ += result.new_measurements;
     cache_.put(key, CacheEntry{result.schedule, result.stats,
                                result.latency_us});
   }
 
-  const Executor executor(g, config);
-  for (Baseline b : request.baselines) {
-    const double latency = run_baseline(b, g, device, executor);
-    result.baselines.push_back(
-        {baseline_name(b), latency, latency / result.latency_us});
+  if (!request.baselines.empty()) {
+    std::optional<Executor> hit_executor;
+    const Executor& executor = cost_model ? cost_model->executor()
+                                          : hit_executor.emplace(g, config);
+    for (Baseline b : request.baselines) {
+      const double latency = run_baseline(b, g, device, executor);
+      result.baselines.push_back(
+          {baseline_name(b), latency, latency / result.latency_us});
+    }
   }
 
   result.recipe.model = request.graph ? g.name() : request.model;

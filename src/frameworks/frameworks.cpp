@@ -91,8 +91,9 @@ std::vector<MergeInfo> find_profitable_merges(const Graph& g,
         for (OpId id : candidates) {
           sequential += engine.kernel_latency_us(kernel_for_op(g, id, params));
         }
-        const double merged =
-            engine.run({merged_stage_stream(g, *info, params)}).makespan_us;
+        const KernelStream merged_stream =
+            merged_stage_stream(g, *info, params);
+        const double merged = engine.makespan_us({&merged_stream, 1});
         if (merged < sequential) {
           merges.push_back(*info);
           for (OpId id : candidates) taken.insert(id);
@@ -150,7 +151,7 @@ FrameworkResult run_framework(const Graph& g, const DeviceSpec& device,
     stream.push_back(kernel_for_op(g, op.id, params));
   }
 
-  result.latency_us = engine.run({stream}).makespan_us;
+  result.latency_us = engine.makespan_us({&stream, 1});
 
   // Optimization cost model: autotuning measures `tuning_trials` candidate
   // tensor programs per kernel; each trial pays a compile+deploy overhead

@@ -60,6 +60,19 @@ KernelStream merged_stage_stream(const Graph& g, const MergeInfo& info,
   return stream;
 }
 
+Executor::Executor(const Graph& g, ExecConfig cfg)
+    : graph_(g),
+      engine_(std::move(cfg.device)),
+      kparams_(cfg.kernel_params),
+      kernels_(static_cast<std::size_t>(g.num_ops())) {
+  for (const Op& op : g.ops()) {
+    if (op.schedulable()) {
+      kernels_[static_cast<std::size_t>(op.id)] =
+          kernel_for_op(g, op.id, kparams_);
+    }
+  }
+}
+
 std::vector<KernelStream> Executor::stage_streams(const Stage& stage) const {
   std::vector<KernelStream> streams;
   if (stage.strategy == StageStrategy::kMerge) {
@@ -76,7 +89,7 @@ std::vector<KernelStream> Executor::stage_streams(const Stage& stage) const {
     KernelStream stream;
     stream.reserve(grp.ops.size());
     for (OpId id : grp.ops) {
-      stream.push_back(kernel_for_op(graph_, id, kparams_));
+      stream.push_back(kernels_[static_cast<std::size_t>(id)]);
     }
     streams.push_back(std::move(stream));
   }
@@ -84,12 +97,21 @@ std::vector<KernelStream> Executor::stage_streams(const Stage& stage) const {
 }
 
 double Executor::stage_latency_us(const Stage& stage) const {
-  const auto streams = stage_streams(stage);
-  double latency = engine_.run(streams).makespan_us;
-  if (streams.size() > 1) {
+  if (stage.strategy == StageStrategy::kMerge) {
+    // One stream: the stacked conv and its splits, never synchronized.
+    return engine_.makespan_us(stage_streams(stage));
+  }
+  const std::size_t num_streams = stage.groups.size();
+  double latency =
+      engine_.makespan_us(static_cast<int>(num_streams), [&](int s) {
+        const Group& grp = stage.groups[static_cast<std::size_t>(s)];
+        return StreamView{kernels_.data(), grp.ops.data(),
+                          static_cast<int>(grp.ops.size())};
+      });
+  if (num_streams > 1) {
     const DeviceSpec& dev = engine_.device();
     latency += dev.stage_sync_us +
-               dev.stream_sync_us * static_cast<double>(streams.size() - 1);
+               dev.stream_sync_us * static_cast<double>(num_streams - 1);
   }
   return latency;
 }

@@ -19,17 +19,22 @@ struct ExecConfig {
   KernelModelParams kernel_params;
 };
 
+/// The constructor builds each op's KernelDesc once, into a table indexed
+/// by op id that every stage simulation reads. The graph must therefore not
+/// change after construction: ops added later have no kernel, and kernels
+/// of changed ops are stale.
 class Executor {
  public:
-  Executor(const Graph& g, ExecConfig cfg)
-      : graph_(g), engine_(cfg.device), kparams_(cfg.kernel_params) {}
+  Executor(const Graph& g, ExecConfig cfg);
 
   const Graph& graph() const { return graph_; }
   const DeviceSpec& device() const { return engine_.device(); }
   const KernelModelParams& kernel_params() const { return kparams_; }
 
   /// Latency of one stage in microseconds, including the closing
-  /// synchronization when the stage ran more than one stream.
+  /// synchronization when the stage ran more than one stream. Simulates
+  /// through Engine::makespan_us: a concurrent stage of up to
+  /// Engine::kInlineStreams groups makes no heap allocation.
   double stage_latency_us(const Stage& stage) const;
 
   /// End-to-end latency of the schedule (sum of stage latencies).
@@ -46,6 +51,8 @@ class Executor {
   const Graph& graph_;
   Engine engine_;
   KernelModelParams kparams_;
+  /// kernels_[id]: kernel_for_op(graph_, id); default for input ops.
+  std::vector<KernelDesc> kernels_;
 };
 
 /// Kernel for a merged convolution stage: one stacked conv reading the

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ios {
 
@@ -28,12 +30,43 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kTimeEps = 1e-9;  // microsecond-scale epsilon
 
+// The per-call state below is trivially constructible on purpose: the
+// inline arrays of PerStream are left uninitialized and only the first
+// `n` slots are ever written, so a call pays for its own streams only.
+
+struct StreamState {
+  StreamView kernels;
+  int next;            // index of the stream's next kernel
+  double next_launch;  // when that kernel activates; kInf while its
+                       // predecessor runs or once the stream is exhausted
+};
+
 struct ActiveKernel {
-  int stream = 0;
-  int index = 0;            // position within its stream
-  double start_us = 0;      // activation time
-  double remaining = 1.0;   // fraction of the kernel's work left
-  double rate = 0;          // fraction per microsecond (recomputed per epoch)
+  const KernelDesc* kernel;
+  int stream;
+  int index;         // position within its stream
+  double start_us;   // activation time
+  double remaining;  // fraction of the kernel's work left
+  double rate;       // fraction per microsecond (recomputed per epoch)
+};
+
+/// `n` slots of per-call state: on the stack up to Engine::kInlineStreams,
+/// on the heap beyond.
+template <typename T>
+class PerStream {
+  static_assert(std::is_trivially_default_constructible_v<T>);
+
+ public:
+  explicit PerStream(int n) {
+    if (n > Engine::kInlineStreams) {
+      heap_ = std::make_unique_for_overwrite<T[]>(static_cast<std::size_t>(n));
+    }
+  }
+  T* data() { return heap_ ? heap_.get() : inline_; }
+
+ private:
+  T inline_[Engine::kInlineStreams];
+  std::unique_ptr<T[]> heap_;
 };
 
 double saturation(double warps, double slots, double frac) {
@@ -41,57 +74,70 @@ double saturation(double warps, double slots, double frac) {
   return 1.0 - std::exp(-warps / (slots * frac));
 }
 
-}  // namespace
-
-double Engine::kernel_latency_us(const KernelDesc& k) const {
-  std::vector<KernelStream> streams(1);
-  streams[0].push_back(k);
-  return run(streams).makespan_us;
+/// Stream s of `streams`, read in place.
+auto views_of(std::span<const KernelStream> streams) {
+  return [streams](int s) {
+    const KernelStream& k = streams[static_cast<std::size_t>(s)];
+    return StreamView{k.data(), nullptr, static_cast<int>(k.size())};
+  };
 }
+
+}  // namespace
 
 SimResult Engine::run(const std::vector<KernelStream>& streams) const {
   SimResult result;
+  const auto view = views_of(streams);
+  result.makespan_us =
+      simulate(source_of(static_cast<int>(streams.size()), view), &result);
+  return result;
+}
 
+double Engine::makespan_us(std::span<const KernelStream> streams) const {
+  return makespan_us(static_cast<int>(streams.size()), views_of(streams));
+}
+
+double Engine::kernel_latency_us(const KernelDesc& k) const {
+  return makespan_us(1, [&](int) { return StreamView{&k, nullptr, 1}; });
+}
+
+double Engine::simulate(StreamSource source, SimResult* trace) const {
   const double slots = spec_.total_warp_slots();
   const double peak = spec_.peak_flops_per_us();
   const double bw = spec_.bytes_per_us();
 
-  const int num_streams = static_cast<int>(streams.size());
-  // next_launch[s]: time at which stream s's next kernel becomes active,
-  // or kInf if the stream is exhausted / its next kernel not yet scheduled.
-  std::vector<int> next_index(static_cast<std::size_t>(num_streams), 0);
-  std::vector<double> next_launch(static_cast<std::size_t>(num_streams), kInf);
+  const int num_streams = source.count;
+  PerStream<StreamState> stream_state(num_streams);
+  StreamState* streams = stream_state.data();
+  int total_kernels = 0;
   for (int s = 0; s < num_streams; ++s) {
-    if (!streams[static_cast<std::size_t>(s)].empty()) {
-      next_launch[static_cast<std::size_t>(s)] = spec_.kernel_launch_us;
-    }
+    StreamState& st = streams[s];
+    st.kernels = source.get(source.ctx, s);
+    st.next = 0;
+    st.next_launch = st.kernels.size > 0 ? spec_.kernel_launch_us : kInf;
+    total_kernels += st.kernels.size;
   }
 
-  std::vector<ActiveKernel> active;
+  // At most one kernel per stream is active at a time.
+  PerStream<ActiveKernel> active_state(num_streams);
+  ActiveKernel* active = active_state.data();
+  int num_active = 0;
   double now = 0;
-
-  auto kernel_of = [&](const ActiveKernel& a) -> const KernelDesc& {
-    return streams[static_cast<std::size_t>(a.stream)]
-                  [static_cast<std::size_t>(a.index)];
-  };
 
   auto record_warp_segment = [&](double t) {
     double warps = 0;
-    for (const ActiveKernel& a : active) {
-      warps += kernel_of(a).warps;
-    }
+    for (int i = 0; i < num_active; ++i) warps += active[i].kernel->warps;
     warps = std::min(warps, slots);
-    if (!result.warp_trace.empty() &&
-        result.warp_trace.back().active_warps == warps) {
+    std::vector<WarpTraceEntry>& segments = trace->warp_trace;
+    if (!segments.empty() && segments.back().active_warps == warps) {
       return;  // merge identical adjacent segments
     }
-    result.warp_trace.push_back({t, warps});
+    segments.push_back({t, warps});
   };
 
   auto recompute_rates = [&]() {
     // Proportional warp allocation under the slot cap.
     double demand = 0;
-    for (const ActiveKernel& a : active) demand += kernel_of(a).warps;
+    for (int i = 0; i < num_active; ++i) demand += active[i].kernel->warps;
     const double scale = demand > slots ? slots / demand : 1.0;
     const double total_alloc = std::min(demand, slots);
     const double eff_c =
@@ -101,12 +147,13 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
     // of the paper): grows with occupancy, so concurrency is nearly free on
     // an under-utilized device but costly when the batch already fills it.
     const double occupancy = total_alloc / slots;
-    const double n_active = static_cast<double>(active.size());
+    const double n_active = static_cast<double>(num_active);
     const double contention =
         1.0 + spec_.mem_contention_coef * (n_active - 1.0) * occupancy *
                   occupancy;
-    for (ActiveKernel& a : active) {
-      const KernelDesc& k = kernel_of(a);
+    for (int i = 0; i < num_active; ++i) {
+      ActiveKernel& a = active[i];
+      const KernelDesc& k = *a.kernel;
       const double alloc = k.warps * scale;
       const double share = total_alloc > 0 ? alloc / total_alloc : 0;
       double rate = kInf;
@@ -120,50 +167,54 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
     }
   };
 
-  int total_kernels = 0;
-  for (const KernelStream& s : streams) {
-    total_kernels += static_cast<int>(s.size());
-  }
+  // Retires active[i] at `now` (swap-remove, so the survivors' order is the
+  // one every rate sum above depends on) and schedules its stream's next
+  // launch.
   int completed = 0;
+  auto retire = [&](int i) {
+    const ActiveKernel& a = active[i];
+    if (trace != nullptr) {
+      trace->timeline.push_back(
+          {a.kernel->op, a.kernel->name, a.stream, a.start_us, now});
+    }
+    StreamState& st = streams[a.stream];
+    st.next = a.index + 1;
+    if (st.next < st.kernels.size) {
+      st.next_launch = now + spec_.kernel_launch_us;
+    }
+    active[i] = active[--num_active];
+    ++completed;
+  };
 
   while (completed < total_kernels) {
     // Next event: earliest kernel completion or stream launch.
     double next_event = kInf;
-    for (const ActiveKernel& a : active) {
+    for (int i = 0; i < num_active; ++i) {
+      const ActiveKernel& a = active[i];
       if (a.rate <= 0) {
         throw std::runtime_error("simulator stall: kernel has zero rate");
       }
       next_event = std::min(next_event, now + a.remaining / a.rate);
     }
     for (int s = 0; s < num_streams; ++s) {
-      next_event = std::min(next_event, next_launch[static_cast<std::size_t>(s)]);
+      next_event = std::min(next_event, streams[s].next_launch);
     }
     assert(next_event < kInf && next_event >= now - kTimeEps);
     next_event = std::max(next_event, now);
 
     // Advance active kernels to the event time.
     const double dt = next_event - now;
-    for (ActiveKernel& a : active) {
-      a.remaining -= a.rate * dt;
+    for (int i = 0; i < num_active; ++i) {
+      active[i].remaining -= active[i].rate * dt;
     }
     now = next_event;
 
     // Retire finished kernels and schedule their stream's next launch.
     bool changed = false;
-    for (std::size_t i = 0; i < active.size();) {
-      ActiveKernel& a = active[i];
+    for (int i = 0; i < num_active;) {
+      const ActiveKernel& a = active[i];
       if (a.remaining <= a.rate * kTimeEps + 1e-12) {
-        const KernelDesc& k = kernel_of(a);
-        result.timeline.push_back({k.op, k.name, a.stream, a.start_us, now});
-        const std::size_t si = static_cast<std::size_t>(a.stream);
-        next_index[si] = a.index + 1;
-        if (next_index[si] <
-            static_cast<int>(streams[si].size())) {
-          next_launch[si] = now + spec_.kernel_launch_us;
-        }
-        ++completed;
-        active[i] = active.back();
-        active.pop_back();
+        retire(i);
         changed = true;
       } else {
         ++i;
@@ -172,50 +223,36 @@ SimResult Engine::run(const std::vector<KernelStream>& streams) const {
 
     // Activate newly launched kernels.
     for (int s = 0; s < num_streams; ++s) {
-      const std::size_t si = static_cast<std::size_t>(s);
-      if (next_launch[si] <= now + kTimeEps) {
-        const KernelDesc& k = streams[si][static_cast<std::size_t>(next_index[si])];
-        ActiveKernel a;
-        a.stream = s;
-        a.index = next_index[si];
-        a.start_us = now;
-        // Zero-work kernels (pure bookkeeping) complete instantly; give them
-        // an epsilon of work so the loop retires them on the next iteration.
-        a.remaining = (k.flops <= 0 && k.bytes <= 0) ? 0.0 : 1.0;
-        active.push_back(a);
-        next_launch[si] = kInf;
+      StreamState& st = streams[s];
+      if (st.next_launch <= now + kTimeEps) {
+        const KernelDesc& k = st.kernels[st.next];
+        // Zero-work kernels (pure bookkeeping) complete instantly: they
+        // start with no work left and are retired just below.
+        active[num_active++] = ActiveKernel{
+            &k, s, st.next, now, (k.flops <= 0 && k.bytes <= 0) ? 0.0 : 1.0,
+            0};
+        st.next_launch = kInf;
         changed = true;
       }
     }
 
     if (changed) {
-      recompute_rates();
-      record_warp_segment(now);
+      // Rates are computed once, after the zero-work retirements below:
+      // nothing before that reads them.
+      if (trace != nullptr) record_warp_segment(now);
       // Instantly retire zero-work kernels activated above.
-      for (std::size_t i = 0; i < active.size();) {
+      for (int i = 0; i < num_active;) {
         if (active[i].remaining <= 0) {
-          const ActiveKernel& a = active[i];
-          const KernelDesc& k = kernel_of(a);
-          result.timeline.push_back({k.op, k.name, a.stream, a.start_us, now});
-          const std::size_t si = static_cast<std::size_t>(a.stream);
-          next_index[si] = a.index + 1;
-          if (next_index[si] < static_cast<int>(streams[si].size())) {
-            next_launch[si] = now + spec_.kernel_launch_us;
-          }
-          ++completed;
-          active[i] = active.back();
-          active.pop_back();
+          retire(i);
         } else {
           ++i;
         }
       }
       recompute_rates();
-      record_warp_segment(now);
+      if (trace != nullptr) record_warp_segment(now);
     }
   }
-
-  result.makespan_us = now;
-  return result;
+  return now;
 }
 
 }  // namespace ios

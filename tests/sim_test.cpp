@@ -1,12 +1,62 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <new>
+
+#include "graph/graph.hpp"
+#include "models/models.hpp"
+#include "runtime/executor.hpp"
+#include "schedule/baselines.hpp"
 #include "sim/device.hpp"
 #include "sim/engine.hpp"
 #include "sim/kernel_model.hpp"
-#include "graph/graph.hpp"
+#include "util/rng.hpp"
+
+// Heap-allocation counter for the allocation-free tests below: replacement
+// global operator new / new[] that count calls made on this thread while
+// `count_allocations` is set. Both forms are replaced because a sanitizer
+// runtime may supply its own new[] that bypasses operator new. noinline
+// keeps GCC from inlining free() into new-expression call sites and then
+// reporting a new/free mismatch.
+namespace {
+thread_local bool count_allocations = false;
+thread_local long allocations = 0;
+
+void* counted_malloc(std::size_t size) {
+  if (count_allocations) ++allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ios {
 namespace {
+
+/// Heap allocations `fn` makes on this thread.
+template <typename Fn>
+long allocations_during(Fn&& fn) {
+  allocations = 0;
+  count_allocations = true;
+  fn();
+  count_allocations = false;
+  return allocations;
+}
 
 KernelDesc kernel(double flops, double bytes, double warps,
                   double efficiency = 1.0) {
@@ -124,6 +174,176 @@ TEST_F(EngineTest, ZeroWorkKernelCompletes) {
   const SimResult r = engine_.run({{kernel(0, 0, 1)}});
   EXPECT_EQ(r.timeline.size(), 1u);
   EXPECT_NEAR(r.makespan_us, engine_.device().kernel_launch_us, 1e-6);
+}
+
+// The makespan-only entry runs the same event loop as run() without the
+// trace, so it must agree with run().makespan_us bit for bit, through the
+// span overload and through the gather form over a kernel table. The sets
+// include empty streams, zero-work kernels, single streams and more streams
+// than the inline capacity.
+TEST(EngineMakespan, MatchesTracedRunBitForBit) {
+  Rng rng(14);
+  int empty_streams = 0, zero_work = 0, single = 0, beyond_inline = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const Engine engine(trial % 2 == 0 ? tesla_v100() : tesla_k80());
+    int num_streams = 1 + rng.uniform_int(8);
+    if (trial % 25 == 0) {
+      num_streams = Engine::kInlineStreams + 1 + rng.uniform_int(16);
+    } else if (trial % 40 == 1) {
+      num_streams = 0;
+    }
+    std::vector<KernelStream> streams(static_cast<std::size_t>(num_streams));
+    for (KernelStream& stream : streams) {
+      const int len = rng.uniform_int(6);
+      if (len == 0) ++empty_streams;
+      for (int i = 0; i < len; ++i) {
+        KernelDesc k;
+        if (rng.bernoulli(0.1)) {
+          ++zero_work;  // bookkeeping kernel: no flops, no bytes
+        } else {
+          if (rng.bernoulli(0.8)) {
+            k.flops = std::pow(10.0, 5 + 5 * rng.uniform());
+          }
+          k.bytes = std::pow(10.0, 3 + 6 * rng.uniform());
+        }
+        // Fractional, like real kernels': sums of warps then round, so the
+        // order the loop keeps active kernels in shows in the result.
+        k.warps = 1 + 8000 * rng.uniform();
+        k.efficiency = 0.1 + 0.9 * rng.uniform();
+        stream.push_back(k);
+      }
+    }
+    if (num_streams == 1) ++single;
+    if (num_streams > Engine::kInlineStreams) ++beyond_inline;
+
+    // The same streams as index lists into one flattened kernel table.
+    std::vector<KernelDesc> table;
+    std::vector<std::vector<int>> index(streams.size());
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      for (const KernelDesc& k : streams[s]) {
+        index[s].push_back(static_cast<int>(table.size()));
+        table.push_back(k);
+      }
+    }
+
+    const double traced = engine.run(streams).makespan_us;
+    EXPECT_EQ(engine.makespan_us(streams), traced) << "trial " << trial;
+    EXPECT_EQ(engine.makespan_us(num_streams,
+                                 [&](int s) {
+                                   const auto& ids =
+                                       index[static_cast<std::size_t>(s)];
+                                   return StreamView{
+                                       table.data(), ids.data(),
+                                       static_cast<int>(ids.size())};
+                                 }),
+              traced)
+        << "trial " << trial;
+  }
+  EXPECT_GT(empty_streams, 0);
+  EXPECT_GT(zero_work, 0);
+  EXPECT_GT(single, 0);
+  EXPECT_GT(beyond_inline, 0);
+}
+
+// Executor::stage_latency_us reads the kernel table through the
+// makespan-only entry; per stage it must equal the traced simulation of
+// stage_streams() plus the closing synchronization.
+TEST(ExecutorStageLatency, MatchesTracedStreams) {
+  for (const char* model : {"squeezenet", "inception_v3", "nasnet",
+                            "randwire"}) {
+    const Graph g = models::build_model(model, 1);
+    for (const DeviceSpec& device : {tesla_v100(), tesla_k80()}) {
+      const Executor executor(g, ExecConfig{device, KernelModelParams{}});
+      const Engine engine(device);
+      for (const Schedule& q : {greedy_schedule(g), sequential_schedule(g)}) {
+        for (const Stage& stage : q.stages) {
+          const auto streams = executor.stage_streams(stage);
+          double traced = engine.run(streams).makespan_us;
+          if (streams.size() > 1) {
+            traced += device.stage_sync_us +
+                      device.stream_sync_us *
+                          static_cast<double>(streams.size() - 1);
+          }
+          EXPECT_EQ(executor.stage_latency_us(stage), traced)
+              << model << " on " << device.name;
+        }
+      }
+    }
+  }
+}
+
+/// A concurrent stage of `n` independent convolutions on one input: `n`
+/// groups of one op each.
+Stage independent_convs(Graph& g, int n) {
+  const OpId in = g.input(32, 14, 14);
+  Stage stage;
+  for (int i = 0; i < n; ++i) {
+    stage.groups.push_back(Group{{g.conv2d(
+        in, Conv2dAttrs{.out_channels = 16 + i, .kh = 3, .kw = 3, .ph = 1,
+                        .pw = 1})}});
+  }
+  return stage;
+}
+
+// The profiling path makes no heap allocation for a concurrent stage of at
+// most 64 ops (a block's limit): the kernels come from the executor's table
+// and the engine's per-call state lives on the stack.
+TEST(ExecutorStageLatency, ConcurrentStageMakesNoHeapAllocation) {
+  Graph wide(1);
+  const Stage widest = independent_convs(wide, Engine::kInlineStreams);
+  const Executor wide_exec(wide, ExecConfig{tesla_v100(), {}});
+  double latency = 0;
+  EXPECT_EQ(allocations_during(
+                [&] { latency = wide_exec.stage_latency_us(widest); }),
+            0);
+  EXPECT_GT(latency, 0);
+
+  // A multi-group RandWire stage: the largest stage of its greedy schedule.
+  const Graph g = models::build_model("randwire", 1);
+  const Executor executor(g, ExecConfig{tesla_v100(), {}});
+  const Schedule greedy = greedy_schedule(g);
+  const Stage* largest = &greedy.stages.front();
+  for (const Stage& stage : greedy.stages) {
+    if (stage.groups.size() > largest->groups.size()) largest = &stage;
+  }
+  ASSERT_GT(largest->groups.size(), 1u);
+  ASSERT_LE(largest->num_ops(), 64);
+  EXPECT_EQ(allocations_during(
+                [&] { latency = executor.stage_latency_us(*largest); }),
+            0);
+  EXPECT_GT(latency, 0);
+
+  // Long groups: every op of the largest RandWire block in one stage.
+  std::vector<OpId> block;
+  for (const std::vector<OpId>& b : g.blocks()) {
+    if (b.size() > block.size()) block = b;
+  }
+  Stage whole;
+  whole.groups = partition_groups(g, block);
+  ASSERT_LE(whole.num_ops(), 64);
+  EXPECT_EQ(allocations_during(
+                [&] { latency = executor.stage_latency_us(whole); }),
+            0);
+  EXPECT_GT(latency, 0);
+}
+
+// Beyond the inline capacity the engine falls back to the heap; this also
+// shows that the counter above sees the allocations it is meant to catch.
+TEST(ExecutorStageLatency, WiderStageFallsBackToTheHeap) {
+  Graph g(1);
+  const Stage stage = independent_convs(g, Engine::kInlineStreams + 1);
+  const Executor executor(g, ExecConfig{tesla_v100(), {}});
+  double latency = 0;
+  EXPECT_GT(allocations_during(
+                [&] { latency = executor.stage_latency_us(stage); }),
+            0);
+  // Same result as the traced path.
+  const Engine engine(tesla_v100());
+  const auto streams = executor.stage_streams(stage);
+  EXPECT_EQ(latency, engine.run(streams).makespan_us +
+                         tesla_v100().stage_sync_us +
+                         tesla_v100().stream_sync_us *
+                             static_cast<double>(streams.size() - 1));
 }
 
 TEST(DeviceSpec, Presets) {
