@@ -54,14 +54,15 @@ int main() {
   }
 
   // Beyond P(r, s): the optimization cost of a *fleet* of models also drops
-  // when requests share the canonical stage cache — stages whose expanded
-  // kernel streams coincide are simulated once per process, not once per
+  // when requests share a canonical stage cache — stages whose expanded
+  // kernel streams coincide are simulated once per cache, not once per
   // model. ResNet-50 after ResNet-34 answers part of its profiling from the
   // earlier model's measurements (cross-model hits), on top of the
   // within-model canonical collapses.
   std::printf("cross-request reuse (shared canonical stage cache, "
               "ResNet-34 then ResNet-50)\n");
   CanonicalStageCache cache;
+  BlockTemplateCache templates;
   TablePrinter reuse({"model", "#measurements", "canonical hits",
                       "cross-model hits", "block-schedule hits"});
   const bench::NamedModel fleet[] = {
@@ -72,10 +73,8 @@ int main() {
     const Graph g = m.build(1);
     CostModel cost(g, bench::config_for(dev));
     cost.enable_canonical_reuse(&cache);
-    SchedulerOptions options;
-    options.cross_block_reuse = true;
     SchedulerStats stats;
-    IosScheduler(cost, options).schedule_graph(&stats);
+    IosScheduler(cost, SchedulerOptions{}, &templates).schedule_graph(&stats);
     reuse.add_row({m.name, std::to_string(stats.measurements),
                    std::to_string(stats.canonical_hits),
                    std::to_string(stats.cross_model_hits),

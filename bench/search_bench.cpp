@@ -1,8 +1,7 @@
 // Search-engine benchmark: pins the DP search core's constant factors. Per
-// model it runs the serial recursive reference, the previous wave solver
-// (SearchEngine::kWaveLegacy, kept verbatim as the in-tree baseline), the
-// arena-backed wave engine at 1/2/4 threads, the dominance pruner, and a
-// beam-width frontier — and gates the ratios, not just correctness.
+// model it runs the serial recursive reference, the arena-backed wave
+// engine at 1/2/4 threads, the dominance pruner, and a beam-width frontier
+// — and gates the ratios, not just correctness.
 //
 // Measurement protocol: every timed run shares ONE CostModel per model that
 // a single untimed exact pass has already warmed. Exact enumeration visits
@@ -13,20 +12,22 @@
 // reproducible on loaded or single-core CI hosts, where cold multi-thread
 // walls are dominated by simulator time and scheduler jitter.
 //
-// Peak RSS is measured in forked children (getrusage RUSAGE_SELF), forked
-// BEFORE any in-process search so the legacy and arena children inherit an
-// identical parent image and their ru_maxrss deltas are attributable to the
-// engines' own state (per-state transition vectors + node heap vs arena
-// waves).
+// Peak RSS is measured in a forked child (getrusage RUSAGE_SELF), forked
+// BEFORE any in-process search so the child inherits a pristine parent
+// image and its ru_maxrss is the wave engine's own cold search state plus
+// that fixed image.
 //
 // Like bench_optimizer this is a plain main() (no google-benchmark) that
 // writes machine-readable JSON for the perf trajectory:
 //
 //   $ ./bench_search [out.json] [repeats]     # default: BENCH_search.json, 2
 //
+// The output JSON also records the host (nproc, uname, CPU model), so a
+// committed copy can be compared against a later run on the same machine.
+//
 // Exit status is the CI gate; any of these fail the run:
-//   - exactness: wave@{1,2,4} and legacy@4 bit-identical to serial
-//     (latency, stages, states, transitions) — divergence is fatal;
+//   - exactness: wave@{1,2,4} bit-identical to serial (latency, stages,
+//     states, transitions) — divergence is fatal;
 //   - dominance: the exact optimum latency (tie-broken schedules may
 //     differ), latency_gap_bound_us == 0, strictly fewer distinct stage
 //     profiles than exact (cold, deterministic), and lower aggregate COLD
@@ -34,12 +35,14 @@
 //     stage simulations;
 //   - beam: found latency never below exact, and the certified bound holds
 //     (found - gap_bound <= exact) at every width;
-//   - throughput: aggregate warm states/sec of the arena wave engine @4
-//     threads >= 1.3x the legacy baseline @4 threads;
-//   - memory: the arena engine's cold peak RSS on randwire (largest search)
-//     below the legacy engine's.
+//   - throughput (aggregate warm states/sec, each side the best of >= 3
+//     interleaved runs): wave@1 >= 1.0x serial@1 on every host, and
+//     wave@4 >= 2.5x serial@1 on hosts with at least 4 hardware threads;
+//   - memory: the wave engine's cold peak RSS at 4 threads on randwire
+//     (largest search), forked, at most 148,480 KiB (145 MiB).
 
 #include <sys/resource.h>
+#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -47,6 +50,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
@@ -62,8 +66,12 @@ namespace {
 
 using namespace ios;
 
-constexpr double kStatesPerSecGate = 1.3;  // arena wave@4 vs legacy@4, warm
+// Warm aggregate states/sec ratios to serial@1.
+constexpr double kWave1VsSerialGate = 1.0;  // every host
+constexpr double kWave4VsSerialGate = 2.5;  // hosts with >= kGateThreads
 constexpr int kGateThreads = 4;
+// Cold forked peak RSS of wave@4 on randwire.
+constexpr long kPeakRssLimitKb = 148480;
 
 ExecConfig bench_config() {
   return ExecConfig{device_by_name("v100"), KernelModelParams{}};
@@ -80,24 +88,31 @@ struct RunResult {
   }
 };
 
-/// One timed search against the shared warm cost model. Repeats re-run the
-/// whole search (the per-block DP memo is per-run; only stage latencies are
-/// shared) and keep the best wall time.
-RunResult run_warm(const Graph& g, CostModel& cost,
-                   const SchedulerOptions& options, int repeats) {
-  RunResult out;
-  out.wall_ms = std::numeric_limits<double>::infinity();
+/// Timed searches against the shared warm cost model, one result per
+/// option set. Repeats re-run every search (the per-block DP memo is
+/// per-run; only stage latencies are shared) round-robin and keep each
+/// set's best wall time, so the sides of a ratio gate sample the same host
+/// conditions instead of consecutive time windows.
+std::vector<RunResult> run_warm(const Graph& g, CostModel& cost,
+                                const std::vector<SchedulerOptions>& configs,
+                                int repeats) {
+  std::vector<RunResult> out(configs.size());
+  for (RunResult& r : out) r.wall_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < repeats; ++rep) {
-    SchedulerStats stats;
-    const auto t0 = std::chrono::steady_clock::now();
-    const Schedule q = IosScheduler(cost, options).schedule_graph(&stats);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (ms < out.wall_ms) out.wall_ms = ms;
-    out.latency_us = Executor(g, bench_config()).schedule_latency_us(q);
-    out.stages = q.stages.size();
-    out.stats = stats;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SchedulerStats stats;
+      const auto t0 = std::chrono::steady_clock::now();
+      const Schedule q =
+          IosScheduler(cost, configs[i]).schedule_graph(&stats);
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      RunResult& r = out[i];
+      if (ms < r.wall_ms) r.wall_ms = ms;
+      r.latency_us = Executor(g, bench_config()).schedule_latency_us(q);
+      r.stages = q.stages.size();
+      r.stats = stats;
+    }
   }
   return out;
 }
@@ -155,6 +170,34 @@ long forked_peak_rss_kb(const std::string& model, SearchEngine engine,
   return kb;
 }
 
+/// The "model name" of the first processor in /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// Where the numbers came from: online processors, uname, and CPU model.
+JsonValue host_info() {
+  JsonValue host = JsonValue::object();
+  host.set("nproc",
+           static_cast<std::int64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+  struct utsname u {};
+  if (uname(&u) == 0) {
+    host.set("uname", std::string(u.sysname) + " " + u.release + " " +
+                          u.version + " " + u.machine);
+  }
+  host.set("cpu_model", cpu_model());
+  return host;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -173,14 +216,13 @@ int main(int argc, char** argv) {
   // Peak RSS first: fork while this process has run no search, spawned no
   // pool threads, and touched no heap beyond argv handling.
   const std::string rss_model = "randwire";
-  const long rss_legacy_kb =
-      forked_peak_rss_kb(rss_model, SearchEngine::kWaveLegacy, kGateThreads);
   const long rss_wave_kb =
       forked_peak_rss_kb(rss_model, SearchEngine::kWave, kGateThreads);
 
   bool ok = true;
-  double agg_legacy_states = 0, agg_legacy_sec = 0;
-  double agg_wave_states = 0, agg_wave_sec = 0;
+  // Aggregate warm states and seconds per gated configuration.
+  double agg_states = 0;
+  double agg_serial_sec = 0, agg_wave1_sec = 0, agg_wave4_sec = 0;
   double agg_exact_cold_ms = 0, agg_dominance_cold_ms = 0;
   JsonValue results = JsonValue::array();
 
@@ -219,8 +261,17 @@ int main(int argc, char** argv) {
     agg_exact_cold_ms += exact_cold_ms;
     agg_dominance_cold_ms += dominance_cold_ms;
 
-    const RunResult serial =
-        run_warm(g, cost, make_options(SearchEngine::kSerial, 1), repeats);
+    // Serial and every wave thread count run interleaved, each best of at
+    // least three: best-of-N keeps a stray scheduler hiccup on a loaded
+    // host from deciding a states/sec ratio.
+    std::vector<SchedulerOptions> engines{
+        make_options(SearchEngine::kSerial, 1)};
+    for (const int threads : wave_threads) {
+      engines.push_back(make_options(SearchEngine::kWave, threads));
+    }
+    const std::vector<RunResult> runs =
+        run_warm(g, cost, engines, std::max(repeats, 3));
+    const RunResult& serial = runs[0];
     std::printf("%-14s serial   %9.2f ms  (%lld states, %lld transitions, "
                 "%lld profiles)\n",
                 model.c_str(), serial.wall_ms,
@@ -244,18 +295,8 @@ int main(int argc, char** argv) {
       return identical;
     };
 
-    // The two sides of the states/sec gate always get at least three
-    // repeats: best-of-N keeps a stray scheduler hiccup on a loaded host
-    // from deciding the ratio.
-    const int gate_repeats = std::max(repeats, 3);
-    const RunResult legacy = run_warm(
-        g, cost, make_options(SearchEngine::kWaveLegacy, kGateThreads),
-        gate_repeats);
-    check_identical("legacy@4", legacy);
-    std::printf("               legacy@%d %9.2f ms  (%.0f states/s)\n",
-                kGateThreads, legacy.wall_ms, legacy.states_per_sec());
-    agg_legacy_states += static_cast<double>(legacy.stats.states);
-    agg_legacy_sec += legacy.wall_ms / 1000.0;
+    agg_states += static_cast<double>(serial.stats.states);
+    agg_serial_sec += serial.wall_ms / 1000.0;
 
     JsonValue entry = JsonValue::object();
     entry.set("model", model);
@@ -265,40 +306,36 @@ int main(int argc, char** argv) {
     entry.set("latency_us", serial.latency_us);
     entry.set("serial_wall_ms", serial.wall_ms);
     entry.set("exact_profiles", exact_profiles);
-    entry.set("legacy4_wall_ms", legacy.wall_ms);
-    entry.set("legacy4_states_per_sec", legacy.states_per_sec());
 
     JsonValue waves = JsonValue::object();
-    RunResult wave4;
-    for (const int threads : wave_threads) {
-      const RunResult wave = run_warm(
-          g, cost, make_options(SearchEngine::kWave, threads),
-          threads == kGateThreads ? gate_repeats : repeats);
+    for (std::size_t i = 0; i < wave_threads.size(); ++i) {
+      const int threads = wave_threads[i];
+      const RunResult& wave = runs[i + 1];
       const bool identical =
           check_identical(("wave@" + std::to_string(threads)).c_str(), wave);
       std::printf("               wave@%d   %9.2f ms  (%.0f states/s, "
-                  "%.2fx legacy)%s\n",
+                  "%.2fx serial)%s\n",
                   threads, wave.wall_ms, wave.states_per_sec(),
-                  legacy.wall_ms / wave.wall_ms,
+                  serial.wall_ms / wave.wall_ms,
                   identical ? "" : "  [MISMATCH]");
       JsonValue w = JsonValue::object();
       w.set("wall_ms", wave.wall_ms);
       w.set("states_per_sec", wave.states_per_sec());
+      w.set("ratio_vs_serial", serial.wall_ms / wave.wall_ms);
       waves.set(std::to_string(threads), std::move(w));
-      if (threads == kGateThreads) wave4 = wave;
+      if (threads == 1) agg_wave1_sec += wave.wall_ms / 1000.0;
+      if (threads == kGateThreads) agg_wave4_sec += wave.wall_ms / 1000.0;
     }
     entry.set("wave", std::move(waves));
-    entry.set("ratio_wave4_vs_legacy4",
-              wave4.states_per_sec() / legacy.states_per_sec());
-    agg_wave_states += static_cast<double>(wave4.stats.states);
-    agg_wave_sec += wave4.wall_ms / 1000.0;
 
     // Dominance: the exact optimum latency (equal-latency tie-breaks may
     // pick a different partition), certified zero gap, fewer profiles.
-    const RunResult dom = run_warm(
-        g, cost,
-        make_options(SearchEngine::kAuto, kGateThreads, PruneMode::kDominance),
-        repeats);
+    const RunResult dom =
+        run_warm(g, cost,
+                 {make_options(SearchEngine::kAuto, kGateThreads,
+                               PruneMode::kDominance)},
+                 repeats)
+            .front();
     if (dom.latency_us != serial.latency_us) {
       std::fprintf(stderr,
                    "FAIL: %s dominance missed the optimum "
@@ -339,11 +376,12 @@ int main(int argc, char** argv) {
     // Beam frontier: latency vs certified gap bound per width.
     JsonValue beams = JsonValue::array();
     for (const int width : beam_widths) {
-      const RunResult beam = run_warm(
-          g, cost,
-          make_options(SearchEngine::kAuto, kGateThreads, PruneMode::kBeam,
-                       width),
-          repeats);
+      const RunResult beam =
+          run_warm(g, cost,
+                   {make_options(SearchEngine::kAuto, kGateThreads,
+                                 PruneMode::kBeam, width)},
+                   repeats)
+              .front();
       const double eps = 1e-6 * serial.latency_us;
       if (beam.latency_us + eps < serial.latency_us) {
         std::fprintf(stderr,
@@ -381,15 +419,24 @@ int main(int argc, char** argv) {
   }
 
   // Aggregate gates — summed over the model zoo so the verdict rides the
-  // largest searches instead of per-model timer noise.
-  const double legacy_sps = agg_legacy_states / agg_legacy_sec;
-  const double wave_sps = agg_wave_states / agg_wave_sec;
-  const double sps_ratio = wave_sps / legacy_sps;
-  if (sps_ratio < kStatesPerSecGate) {
+  // largest searches instead of per-model timer noise. Every engine solves
+  // the same states, so a states/sec ratio is a wall-time ratio.
+  const double serial_sps = agg_states / agg_serial_sec;
+  const double wave1_ratio = agg_serial_sec / agg_wave1_sec;
+  const double wave4_ratio = agg_serial_sec / agg_wave4_sec;
+  const bool wave4_gated = hw >= static_cast<unsigned>(kGateThreads);
+  if (wave1_ratio < kWave1VsSerialGate) {
     std::fprintf(stderr,
-                 "FAIL: aggregate wave@%d states/sec only %.2fx legacy@%d "
+                 "FAIL: aggregate wave@1 states/sec only %.2fx serial@1 "
                  "(gate %.2fx)\n",
-                 kGateThreads, sps_ratio, kGateThreads, kStatesPerSecGate);
+                 wave1_ratio, kWave1VsSerialGate);
+    ok = false;
+  }
+  if (wave4_gated && wave4_ratio < kWave4VsSerialGate) {
+    std::fprintf(stderr,
+                 "FAIL: aggregate wave@%d states/sec only %.2fx serial@1 "
+                 "(gate %.2fx)\n",
+                 kGateThreads, wave4_ratio, kWave4VsSerialGate);
     ok = false;
   }
   if (agg_dominance_cold_ms >= agg_exact_cold_ms) {
@@ -399,43 +446,47 @@ int main(int argc, char** argv) {
                  agg_dominance_cold_ms, agg_exact_cold_ms);
     ok = false;
   }
-  const bool rss_measured = rss_legacy_kb > 0 && rss_wave_kb > 0;
-  if (!rss_measured) {
-    std::fprintf(stderr, "FAIL: peak-RSS fork measurement failed "
-                 "(legacy %ld KiB, wave %ld KiB)\n",
-                 rss_legacy_kb, rss_wave_kb);
+  if (rss_wave_kb <= 0) {
+    std::fprintf(stderr, "FAIL: peak-RSS fork measurement failed\n");
     ok = false;
-  } else if (rss_wave_kb >= rss_legacy_kb) {
+  } else if (rss_wave_kb > kPeakRssLimitKb) {
     std::fprintf(stderr,
-                 "FAIL: wave peak RSS %ld KiB not below legacy %ld KiB on "
+                 "FAIL: wave@%d peak RSS %ld KiB above the %ld KiB limit on "
                  "%s\n",
-                 rss_wave_kb, rss_legacy_kb, rss_model.c_str());
+                 kGateThreads, rss_wave_kb, kPeakRssLimitKb,
+                 rss_model.c_str());
     ok = false;
   }
-  std::printf("aggregate: wave@%d %.0f states/s vs legacy@%d %.0f states/s "
-              "(%.2fx, gate %.1fx)\n",
-              kGateThreads, wave_sps, kGateThreads, legacy_sps, sps_ratio,
-              kStatesPerSecGate);
+  std::printf("aggregate: serial@1 %.0f states/s; wave@1 %.2fx (gate %.1fx), "
+              "wave@%d %.2fx (gate %.1fx%s)\n",
+              serial_sps, wave1_ratio, kWave1VsSerialGate, kGateThreads,
+              wave4_ratio, kWave4VsSerialGate,
+              wave4_gated ? "" : ", skipped: too few hardware threads");
   std::printf("aggregate: dominance %.2f ms vs exact %.2f ms (cold)\n",
               agg_dominance_cold_ms, agg_exact_cold_ms);
-  std::printf("peak RSS (%s, cold, forked): wave %ld KiB vs legacy %ld KiB\n",
-              rss_model.c_str(), rss_wave_kb, rss_legacy_kb);
+  std::printf("peak RSS (%s, cold, forked): wave@%d %ld KiB (limit %ld KiB)\n",
+              rss_model.c_str(), kGateThreads, rss_wave_kb, kPeakRssLimitKb);
 
   JsonValue gates = JsonValue::object();
   gates.set("protocol", "warm-cache");
-  gates.set("states_per_sec_ratio", sps_ratio);
-  gates.set("states_per_sec_gate", kStatesPerSecGate);
+  gates.set("serial1_states_per_sec", serial_sps);
+  gates.set("wave1_vs_serial1", wave1_ratio);
+  gates.set("wave1_vs_serial1_gate", kWave1VsSerialGate);
+  gates.set("wave4_vs_serial1", wave4_ratio);
+  gates.set("wave4_vs_serial1_gate", kWave4VsSerialGate);
+  gates.set("wave4_vs_serial1_gated", wave4_gated);
   gates.set("dominance_cold_wall_ms", agg_dominance_cold_ms);
   gates.set("exact_cold_wall_ms", agg_exact_cold_ms);
   JsonValue rss = JsonValue::object();
   rss.set("model", rss_model);
-  rss.set("legacy_kb", static_cast<std::int64_t>(rss_legacy_kb));
-  rss.set("wave_kb", static_cast<std::int64_t>(rss_wave_kb));
+  rss.set("wave4_kb", static_cast<std::int64_t>(rss_wave_kb));
+  rss.set("limit_kb", static_cast<std::int64_t>(kPeakRssLimitKb));
   gates.set("peak_rss", std::move(rss));
 
   JsonValue root = JsonValue::object();
   root.set("bench", "search");
   root.set("unit", "ms");
+  root.set("host", host_info());
   root.set("hardware_threads", static_cast<std::int64_t>(hw));
   root.set("repeats", static_cast<std::int64_t>(repeats));
   root.set("gates", std::move(gates));

@@ -9,7 +9,6 @@
 
 #include "frameworks/frameworks.hpp"
 #include "models/models.hpp"
-#include "runtime/canonical_cache.hpp"
 #include "runtime/profile_db.hpp"
 #include "schedule/baselines.hpp"
 #include "util/hash.hpp"
@@ -196,7 +195,7 @@ std::string scheduler_config_key(const SchedulerOptions& options,
   key += ";seed=" + std::to_string(protocol.noise_seed);
   // Pruned-mode fields are appended only when active so every key minted
   // before the pruning knob existed stays byte-identical (pinned golden
-  // recipes and serving cache keys must not churn). cross_block_reuse is
+  // recipes and serving cache keys must not churn). Cross-request reuse is
   // deliberately excluded: replayed block templates reproduce the search's
   // own schedule bit for bit.
   if (options.prune != PruneMode::kExact) {
@@ -264,12 +263,10 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
   std::optional<CostModel> cost_model;
   if (!result.cache_hit) {
     CostModel& cost = cost_model.emplace(g, config, request.protocol);
-    SchedulerOptions options = request.options;
     if (request.cross_reuse) {
       // Throws under a noisy protocol — reused latencies must equal what
       // profiling would have measured, or the found schedule would change.
-      cost.enable_canonical_reuse(&shared_canonical_stage_cache());
-      options.cross_block_reuse = true;
+      cost.enable_canonical_reuse(&canonical_);
     }
     std::shared_ptr<OpenProfileDb> profile_db;
     if (!request.profile_db.empty()) {
@@ -281,7 +278,9 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
       }
     }
     result.schedule =
-        IosScheduler(cost, options).schedule_graph(&result.stats);
+        IosScheduler(cost, request.options,
+                     request.cross_reuse ? &templates_ : nullptr)
+            .schedule_graph(&result.stats);
     validate_schedule(g, result.schedule);
     result.new_measurements = cost.num_measurements();
     result.canonical_hits = result.stats.canonical_hits;

@@ -26,6 +26,7 @@
 
 #include "core/scheduler.hpp"
 #include "place/pool.hpp"
+#include "runtime/canonical_cache.hpp"
 #include "runtime/cost_model.hpp"
 #include "schedule/serialize.hpp"
 #include "sim/device.hpp"
@@ -97,15 +98,18 @@ struct OptimizationRequest {
   /// therefore not part of the recipe cache key.
   std::string profile_db;
   /// Cross-request reuse (opt-in). When set, a cache miss attaches the
-  /// process-wide canonical stage cache (runtime/canonical_cache.hpp) — so
-  /// stages with identical kernel streams are simulated once across models,
-  /// blocks, and batch sizes — and turns on the scheduler's cross-block
-  /// template reuse (SchedulerOptions::cross_block_reuse). When profile_db
+  /// Optimizer's own canonical stage cache (runtime/canonical_cache.hpp) —
+  /// so stages with identical kernel streams are simulated once across the
+  /// models, blocks, and batch sizes this Optimizer searches — and its
+  /// block template cache (BlockTemplateCache), so structurally identical
+  /// blocks are solved once. Both live as long as the Optimizer: a fresh
+  /// Optimizer starts cold, whatever else the process ran. When profile_db
   /// is also set, the canonical cache is loaded from / merged into the
-  /// database's canonical bucket, extending reuse across processes. Reused
-  /// latencies equal what profiling would have measured, so the found
-  /// schedule is unchanged and this flag is not part of the recipe cache
-  /// key. Requires a noise-free protocol (optimize() throws otherwise).
+  /// database's canonical bucket, extending stage reuse across Optimizers
+  /// and processes. Reused latencies equal what profiling would have
+  /// measured, so the found schedule is unchanged and this flag is not part
+  /// of the recipe cache key. Requires a noise-free protocol (optimize()
+  /// throws std::invalid_argument otherwise).
   bool cross_reuse = false;
 
   /// Shorthand for a zoo-model request.
@@ -151,9 +155,9 @@ struct OptimizationResult {
   std::int64_t profile_entries_saved = 0;
   /// Cross-request reuse counters of *this* call (all 0 unless
   /// request.cross_reuse was set and the recipe cache missed): stage
-  /// measurements answered by the canonical stage cache, how many of those
-  /// were recorded by a different model (or an earlier process), and blocks
-  /// replayed from the cross-request block template cache.
+  /// measurements answered by the Optimizer's canonical stage cache, how
+  /// many of those were recorded by a different model (or loaded from the
+  /// profile db), and blocks replayed from its block template cache.
   std::int64_t canonical_hits = 0;
   std::int64_t cross_model_hits = 0;
   std::int64_t block_cache_hits = 0;
@@ -182,7 +186,8 @@ struct OptimizerCacheStats {
 };
 
 /// The single-call facade over the paper's whole pipeline: build graph →
-/// profile → DP search → execute, with a bounded LRU recipe cache in front.
+/// profile → DP search → execute, with a bounded LRU recipe cache in front
+/// and, for cross_reuse requests, the stage and block caches they share.
 /// Thread-safe; one instance can serve concurrent optimize() calls.
 class Optimizer {
  public:
@@ -249,6 +254,9 @@ class Optimizer {
   std::int64_t cache_hits_ = 0;
   std::int64_t cache_misses_ = 0;
   std::int64_t total_measurements_ = 0;
+  /// Cross-request reuse state (request.cross_reuse); both thread-safe.
+  CanonicalStageCache canonical_;
+  BlockTemplateCache templates_;
 };
 
 /// The recipe-cache key material: the serialized graph (which covers batch,
@@ -263,7 +271,7 @@ std::string request_cache_key(const Graph& g, const std::string& device,
 
 /// The options/protocol suffix of every recipe-cache key: each
 /// SchedulerOptions and ProfilingProtocol field that can change the found
-/// schedule (num_threads, engine, and cross_block_reuse excluded, see
+/// schedule (num_threads and engine excluded, see
 /// request_cache_key; prune/beam_width appended only when prune != kExact so
 /// pre-existing keys stay byte-identical).
 /// Shared by

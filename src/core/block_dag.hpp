@@ -61,7 +61,7 @@ class BlockDag {
   /// partition components(ending) would compute (in enumeration order, not
   /// smallest-member order), so evaluators can skip the per-ending flood
   /// fill entirely. This is the wave engine's hot path; for_each_ending is
-  /// kept as the reference (and as the legacy engine's unchanged code path).
+  /// kept as the reference (and as the serial engine's code path).
   template <typename F>
   void visit_endings(Set64 s, int max_ops, int max_group_ops, F&& f) const {
     int rev_topo[64];

@@ -10,7 +10,6 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "sim/kernel_model.hpp"
@@ -33,7 +32,6 @@ const char* search_engine_name(SearchEngine e) {
     case SearchEngine::kAuto: return "auto";
     case SearchEngine::kSerial: return "serial";
     case SearchEngine::kWave: return "wave";
-    case SearchEngine::kWaveLegacy: return "wave-legacy";
   }
   return "?";
 }
@@ -88,10 +86,9 @@ void SchedulerOptions::validate() const {
   if (beam_width < 1) {
     throw std::invalid_argument("beam_width must be >= 1");
   }
-  if ((engine == SearchEngine::kWave || engine == SearchEngine::kWaveLegacy) &&
-      !memoize) {
+  if (engine == SearchEngine::kWave && !memoize) {
     throw std::invalid_argument(
-        "the wave engines memoize by construction; use engine=kSerial for "
+        "the wave engine memoizes by construction; use engine=kSerial for "
         "the memoize=false ablation");
   }
   if (prune != PruneMode::kExact) {
@@ -100,7 +97,7 @@ void SchedulerOptions::validate() const {
           "pruned search modes require memoization (the bounds are relaxed "
           "over the memoized state graph)");
     }
-    if (engine == SearchEngine::kSerial || engine == SearchEngine::kWaveLegacy) {
+    if (engine == SearchEngine::kSerial) {
       throw std::invalid_argument(
           "pruned search modes require the wave engine (engine=kAuto or "
           "kWave)");
@@ -108,10 +105,24 @@ void SchedulerOptions::validate() const {
   }
 }
 
-IosScheduler::IosScheduler(CostModel& cost, SchedulerOptions options)
-    : cost_(cost), options_(options) {
+std::optional<BlockTemplateCache::Template> BlockTemplateCache::get(
+    const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second;
+}
+
+void BlockTemplateCache::put(const std::string& key, Template value) {
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.try_emplace(key, std::move(value));
+}
+
+IosScheduler::IosScheduler(CostModel& cost, SchedulerOptions options,
+                           BlockTemplateCache* templates)
+    : cost_(cost), options_(options), templates_(templates) {
   options_.validate();
-  if (options_.cross_block_reuse && cost_.protocol().noise_frac > 0) {
+  if (templates_ != nullptr && cost_.protocol().noise_frac > 0) {
     throw std::invalid_argument(
         "cross-block reuse requires a noise-free protocol: noisy "
         "measurements are seeded per op-id stage fingerprint, so replaying "
@@ -362,8 +373,7 @@ double IosScheduler::solve(BlockContext& ctx, Set64 s, SchedulerStats* stats) {
 /// around the fresh-table lookup/insert, never across the measurement, so
 /// stripes stay available while stages simulate; two threads racing on the
 /// same uncached ending both evaluate it (deterministically) and the first
-/// insert wins. The legacy solver never drains, so its lookups all take
-/// the locked striped path — the PR 4 baseline behavior.
+/// insert wins.
 struct IosScheduler::EndingStripes {
   static constexpr std::size_t kStripes = 32;  // power of two
 
@@ -475,143 +485,13 @@ struct IosScheduler::EndingStripes {
   }
 };
 
-void IosScheduler::solve_wave_legacy(BlockContext& ctx, SchedulerStats* stats) {
-  const BlockDag& dag = ctx.dag;
-  const int n = dag.size();
-  const int max_ops = options_.pruning.unrestricted()
-                          ? 64
-                          : options_.pruning.r * options_.pruning.s;
-  const int max_group_ops =
-      options_.pruning.unrestricted() ? 64 : options_.pruning.r;
-  const int threads = options_.num_threads;
-  const int workers =
-      threads <= 0 ? ThreadPool::hardware_threads() : threads;
-
-  EndingStripes endings(/*locked=*/workers > 1);
-  // Reachable DP states bucketed by popcount, each with its surviving
-  // (non-pruned) transitions in enumeration order. A state's endings only
-  // lead to strictly smaller states, so popcount levels are a topological
-  // order of the DP dependency graph in both directions. Recording each
-  // transition's evaluation during discovery lets the cost pass replay it
-  // without re-running the (expensive) ending enumeration or re-probing the
-  // (large) ending cache.
-  struct Transition {
-    std::uint64_t ending = 0;
-    double latency_us = 0;
-    StageBuild build = StageBuild::kConcurrentGroups;
-  };
-  struct WaveLevel {
-    std::vector<std::uint64_t> states;
-    std::vector<std::vector<Transition>> transitions;  // per state
-  };
-  std::vector<WaveLevel> levels(static_cast<std::size_t>(n) + 1);
-  levels[static_cast<std::size_t>(n)].states.push_back(dag.all().bits());
-  FlatSet64 seen;
-  seen.insert(dag.all().bits());
-
-  std::int64_t states = 0;
-  std::int64_t enumerated = 0;     // (S, S') pairs visited, pruned included
-  std::int64_t pruned_calls = 0;   // of which pruned
-
-  // ---- Discovery pass (popcount descending) ----------------------------
-  // Finds every state the pruned transition relation reaches from the full
-  // set, and evaluates every visited ending — all measurements happen here,
-  // fanned out across the wave's states. Successor dedup is merged serially
-  // between waves, so the level contents (and all statistics) are
-  // deterministic regardless of thread count.
-  for (int p = n; p >= 1; --p) {
-    WaveLevel& wave = levels[static_cast<std::size_t>(p)];
-    if (wave.states.empty()) continue;
-    states += static_cast<std::int64_t>(wave.states.size());
-    wave.transitions.resize(wave.states.size());
-    std::vector<std::int64_t> pruned_per_state(wave.states.size(), 0);
-    parallel_for(wave.states.size(), threads, [&](std::size_t i) {
-      const Set64 s{wave.states[i]};
-      std::vector<Transition>& out = wave.transitions[i];
-      dag.for_each_ending(s, max_ops, max_group_ops, [&](Set64 ending) {
-        const EndingEval eval = endings.get_or_eval(*this, dag, ending);
-        if (eval.pruned) {
-          ++pruned_per_state[i];
-          return;
-        }
-        out.push_back({ending.bits(), eval.latency_us, eval.build});
-      });
-    });
-    for (std::size_t i = 0; i < wave.states.size(); ++i) {
-      enumerated += pruned_per_state[i] +
-                    static_cast<std::int64_t>(wave.transitions[i].size());
-      pruned_calls += pruned_per_state[i];
-      for (const Transition& t : wave.transitions[i]) {
-        const std::uint64_t sub = wave.states[i] & ~t.ending;
-        if (sub != 0 && seen.insert(sub)) {
-          levels[static_cast<std::size_t>(std::popcount(sub))]
-              .states.push_back(sub);
-        }
-      }
-    }
-  }
-
-  // ---- Cost pass (popcount ascending) ----------------------------------
-  // Every transition is recorded with its evaluation now, so this pass is
-  // measurement-free and cache-probe-free: each state replays its recorded
-  // transitions, reads sub-state costs from strictly lower levels (frozen
-  // during the wave), and takes the argmin in enumeration order — the same
-  // tie-breaking as the recursive engine, hence bit-identical choices.
-  ctx.memo.reserve(static_cast<std::size_t>(states));
-  for (int p = 1; p <= n; ++p) {
-    WaveLevel& wave = levels[static_cast<std::size_t>(p)];
-    if (wave.states.empty()) continue;
-    std::vector<Entry> entries(wave.states.size());
-    parallel_for(wave.states.size(), threads, [&](std::size_t i) {
-      const std::uint64_t s = wave.states[i];
-      Entry best;
-      best.cost = std::numeric_limits<double>::infinity();
-      for (const Transition& t : wave.transitions[i]) {
-        const std::uint64_t sub = s & ~t.ending;
-        double total = t.latency_us;
-        if (sub != 0) total += ctx.memo.find(sub)->cost;
-        if (total < best.cost) {
-          best.cost = total;
-          best.choice = t.ending;
-          best.build = t.build;
-        }
-      }
-      if (!std::isfinite(best.cost)) {
-        throw std::logic_error(
-            "no feasible ending found for a non-empty state");
-      }
-      entries[i] = best;
-    });
-    for (std::size_t i = 0; i < wave.states.size(); ++i) {
-      ctx.memo.try_emplace(wave.states[i], entries[i]);
-    }
-    // The recorded transitions are dead once the level's costs are in the
-    // memo.
-    std::vector<std::vector<Transition>>().swap(wave.transitions);
-  }
-
-  if (stats) {
-    // Identical to the serial engine's counting by construction: the same
-    // multiset of (S, S') pairs is visited exactly once per solved state,
-    // and repeat ending lookups split into cache_hits / pruned_endings by
-    // verdict — computed analytically here because the racing stripe
-    // lookups must not influence the (deterministic) statistics.
-    const std::int64_t transitions = enumerated - pruned_calls;
-    stats->states += states;
-    stats->transitions += transitions;
-    stats->pruned_endings += pruned_calls;
-    stats->cache_hits += transitions - endings.distinct_unpruned();
-  }
-}
-
 namespace {
 
-/// A recorded DP transition of the arena wave engine: 16 bytes, down from
-/// the legacy engine's 24 (the stage build is not stored — the cost pass
-/// re-reads it from the frozen ending stripes for the one argmin choice per
-/// state). Transitions live in exact-fit arena spans, so there is no
-/// per-state vector header or capacity slack either; together that roughly
-/// halves the engine's peak memory, which the bench's RSS gate pins.
+/// A recorded DP transition of the arena wave engine: 16 bytes. The stage
+/// build is not stored — the cost pass re-reads it from the frozen ending
+/// stripes for the one argmin choice per state. Transitions live in
+/// exact-fit arena spans, so there is no per-state vector header or
+/// capacity slack either; the bench's peak-RSS limit pins the result.
 struct WaveTransition {
   std::uint64_t ending = 0;
   double latency_us = 0;
@@ -807,35 +687,6 @@ bool scan_ending(const PruningStrategy& pruning, const PruneFloor& floor,
   return false;
 }
 
-/// Process-wide cache of solved block stage layouts, keyed by the canonical
-/// block descriptor (IosScheduler::canonical_block_key). Values are the
-/// chosen stages first-to-last as (ending mask, stage build) pairs in block-
-/// local indices, so a hit replays the schedule onto any structurally
-/// identical block without running the DP. Insert-only, first writer wins.
-struct BlockTemplateCache {
-  using Templates = std::vector<std::pair<std::uint64_t, int>>;
-
-  std::optional<Templates> get(const std::string& key) const {
-    std::lock_guard<std::mutex> lock(mu);
-    const auto it = map.find(key);
-    if (it == map.end()) return std::nullopt;
-    return it->second;
-  }
-
-  void put(const std::string& key, Templates value) {
-    std::lock_guard<std::mutex> lock(mu);
-    map.try_emplace(key, std::move(value));
-  }
-
-  mutable std::mutex mu;
-  std::unordered_map<std::string, Templates> map;
-};
-
-BlockTemplateCache& block_template_cache() {
-  static BlockTemplateCache cache;
-  return cache;
-}
-
 /// Chunk-claiming fan-out for the wave engine's level loops. Semantically
 /// parallel_for_indexed, but workers grab contiguous index chunks from one
 /// atomic cursor and report completion once per chunk, so the done-counting
@@ -920,10 +771,12 @@ constexpr std::size_t kSerialLevelCutoff = 24;
 
 }  // namespace
 
-double IosScheduler::wave_pass(const BlockDag& dag, EndingStripes& endings,
-                               FlatMap64<Entry>& memo, PruneMode mode,
-                               int beam_width, SchedulerStats* stats) {
+double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const BlockDag& dag = ctx.dag;
+  FlatMap64<Entry>& memo = ctx.memo;
+  const PruneMode mode = options_.prune;
+  const int beam_width = options_.beam_width;  // read in kBeam only
   const int n = dag.size();
   if (n == 0) return 0;
   const int max_ops = options_.pruning.unrestricted()
@@ -934,6 +787,7 @@ double IosScheduler::wave_pass(const BlockDag& dag, EndingStripes& endings,
   const int threads = options_.num_threads;
   const int workers =
       threads <= 0 ? ThreadPool::hardware_threads() : threads;
+  EndingStripes endings(/*locked=*/workers > 1);
 
   // Reachable DP states bucketed by popcount, each with an exact-fit span of
   // surviving transitions in arena memory (leased per worker, returned when
@@ -962,7 +816,7 @@ double IosScheduler::wave_pass(const BlockDag& dag, EndingStripes& endings,
   // latency_gap_bound_us. Dominance mode needs no prefix bookkeeping — its
   // trims are local argmin dominance in the cost pass (see below) and never
   // lose a schedule, so its gap is structurally zero.
-  const bool track_bounds = mode == PruneMode::kBeam && stats != nullptr;
+  const bool track_bounds = mode == PruneMode::kBeam;
   PruneFloor floor;
   FlatMap64<double> fcost;
   if (mode != PruneMode::kExact) {
@@ -1317,7 +1171,6 @@ double IosScheduler::wave_pass(const BlockDag& dag, EndingStripes& endings,
   if (!root) {
     throw std::logic_error("wave search found no feasible schedule");
   }
-  const double found = root->cost;
 
   if (stats) {
     stats->states += states_expanded;
@@ -1336,34 +1189,13 @@ double IosScheduler::wave_pass(const BlockDag& dag, EndingStripes& endings,
     }
     stats->pruned_states += pruned_states;
     stats->beam_trimmed += trimmed;
-    // Certified bound: every schedule the trims could have lost costs at
-    // least min_cut, so the optimum is >= min(found, min_cut). Dominance
-    // never trims a candidate that could beat or tie the best, so nothing
-    // feeds min_cut there and the gap is exactly zero.
-    const double lower = std::min(found, min_cut);
-    stats->latency_gap_bound_us += std::max(0.0, found - lower);
   }
-  return found;
-}
-
-void IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
-  const int threads = options_.num_threads;
-  const int workers =
-      threads <= 0 ? ThreadPool::hardware_threads() : threads;
-  EndingStripes endings(/*locked=*/workers > 1);
-
-  switch (options_.prune) {
-    case PruneMode::kExact:
-      wave_pass(ctx.dag, endings, ctx.memo, PruneMode::kExact, 0, stats);
-      break;
-    case PruneMode::kBeam:
-      wave_pass(ctx.dag, endings, ctx.memo, PruneMode::kBeam,
-                options_.beam_width, stats);
-      break;
-    case PruneMode::kDominance:
-      wave_pass(ctx.dag, endings, ctx.memo, PruneMode::kDominance, 0, stats);
-      break;
-  }
+  // Certified bound: every schedule the trims could have lost costs at
+  // least min_cut, so the optimum is >= min(found, min_cut). Dominance
+  // never trims a candidate that could beat or tie the best, so nothing
+  // feeds min_cut there and the gap is exactly zero.
+  const double found = root->cost;
+  return std::max(0.0, found - std::min(found, min_cut));
 }
 
 std::string IosScheduler::canonical_block_key(const BlockDag& dag) const {
@@ -1499,53 +1331,55 @@ Schedule IosScheduler::schedule_block(std::span<const OpId> block_ops,
   BlockDag dag(cost_.graph(), block_ops);
 
   std::string block_key;
-  if (options_.cross_block_reuse) {
+  if (templates_ != nullptr) {
     block_key = canonical_block_key(dag);
-    if (const auto tpl = block_template_cache().get(block_key)) {
-      // A structurally identical block was already solved (by this or any
-      // other graph this process scheduled): replay its stage layout.
+    if (const auto tpl = templates_->get(block_key)) {
+      // A structurally identical block was already solved against this
+      // cache: replay its stage layout and the gap bound its search owed.
       Schedule q;
-      for (const auto& [ending, build] : *tpl) {
+      for (const auto& [ending, build] : tpl->stages) {
         q.stages.push_back(
             build_stage(dag, Set64{ending}, static_cast<StageBuild>(build)));
       }
-      if (stats) ++stats->block_cache_hits;
+      if (stats) {
+        ++stats->block_cache_hits;
+        stats->latency_gap_bound_us += tpl->latency_gap_bound_us;
+      }
       finish(stats);
       return q;
     }
   }
 
   BlockContext ctx{dag, {}, {}};
-  const SearchEngine engine = resolved_engine();
-  if (engine == SearchEngine::kWave) {
-    solve_wave(ctx, stats);
-  } else if (engine == SearchEngine::kWaveLegacy) {
-    solve_wave_legacy(ctx, stats);
+  double gap_bound_us = 0;
+  if (resolved_engine() == SearchEngine::kWave) {
+    gap_bound_us = solve_wave(ctx, stats);
   } else {
     solve(ctx, dag.all(), stats);
   }
+  if (stats) stats->latency_gap_bound_us += gap_bound_us;
 
   // Schedule construction (Algorithm 1 L6-11): walk choice[] from the full
   // set back to the empty set; the walk yields stages last-to-first, so
   // append and reverse once instead of inserting at the front (O(n) vs the
   // quadratic element shifting of repeated begin() inserts).
   Schedule q;
-  BlockTemplateCache::Templates templates;
+  BlockTemplateCache::Template tpl{{}, gap_bound_us};
   Set64 s = dag.all();
   while (!s.empty()) {
     const Entry& e = *ctx.memo.find(s.bits());
     const Set64 ending{e.choice};
     q.stages.push_back(build_stage(dag, ending, e.build));
-    if (options_.cross_block_reuse) {
-      templates.emplace_back(e.choice, static_cast<int>(e.build));
+    if (templates_ != nullptr) {
+      tpl.stages.emplace_back(e.choice, static_cast<int>(e.build));
     }
     s -= ending;
   }
   std::reverse(q.stages.begin(), q.stages.end());
 
-  if (options_.cross_block_reuse) {
-    std::reverse(templates.begin(), templates.end());
-    block_template_cache().put(block_key, std::move(templates));
+  if (templates_ != nullptr) {
+    std::reverse(tpl.stages.begin(), tpl.stages.end());
+    templates_->put(block_key, std::move(tpl));
   }
 
   finish(stats);

@@ -18,7 +18,13 @@
 // Memo and ending caches are flat open-addressing tables (util/flat_map.hpp)
 // keyed by Set64::bits().
 
+#include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/block_dag.hpp"
 #include "runtime/cost_model.hpp"
@@ -47,23 +53,19 @@ enum class IosVariant {
 
 const char* ios_variant_name(IosVariant v);
 
-/// Which DP solver runs the per-block search. In exact mode every engine
-/// explores exactly the same states and produces bit-identical schedules,
+/// Which DP solver runs the per-block search. In exact mode both engines
+/// explore exactly the same states and produce bit-identical schedules,
 /// latencies, and statistics; they differ only in wall-clock and memory
-/// behavior (the wave engines record every surviving transition between
-/// their two passes — O(transitions) peak memory, which search time bounds
+/// behavior (the wave engine records every surviving transition between
+/// its two passes — O(transitions) peak memory, which search time bounds
 /// long before it becomes the binding constraint).
 enum class SearchEngine {
-  kAuto,        ///< kWave when memoization is on and either pruning or more
-                ///< than one worker is requested, kSerial otherwise
-  kSerial,      ///< reference recursive top-down solver (always one thread)
-  kWave,        ///< arena-backed bottom-up solver, wave-parallel on the
-                ///< thread pool; the only engine supporting PruneMode
-  kWaveLegacy,  ///< the previous wave solver, kept verbatim as the in-tree
-                ///< performance baseline for the states/sec and peak-RSS
-                ///< bench gates and as the exactness reference in
-                ///< prune_property_test; exact mode only, never picked by
-                ///< kAuto
+  kAuto,    ///< kWave when memoization is on and either pruning or more
+            ///< than one worker is requested, kSerial otherwise
+  kSerial,  ///< reference recursive top-down solver (always one thread);
+            ///< the exactness reference for the wave engine
+  kWave,    ///< arena-backed bottom-up solver, wave-parallel on the
+            ///< thread pool; the only engine supporting PruneMode
 };
 
 const char* search_engine_name(SearchEngine e);
@@ -120,22 +122,14 @@ struct SchedulerOptions {
   /// schedule is identical regardless of the count.
   int num_threads = 1;
   /// State-space pruning beyond P(r, s). Non-exact modes require the wave
-  /// engine (kAuto resolves there; kSerial / kWaveLegacy throw) and
-  /// memoization. Results stay bit-identical across thread counts in every
-  /// mode.
+  /// engine (kAuto resolves there; kSerial throws) and memoization.
+  /// Results stay bit-identical across thread counts in every mode.
   PruneMode prune = PruneMode::kExact;
   /// Endings each state evaluates under PruneMode::kBeam (>= 1; the
   /// always-feasible safety-valve singleton is added on top). Larger widths
   /// are monotone non-worsening; a width >= the state's ending count is
   /// exact.
   int beam_width = 8;
-  /// Cross-request reuse: when set, blocks whose canonical descriptor
-  /// (operator kinds, attributes, shapes, internal wiring, device, kernel
-  /// params, protocol, and scheduler config) was already solved — in this
-  /// or any other graph this process scheduled — reuse the cached stage
-  /// layout instead of re-running the DP. Off by default because hits make
-  /// SchedulerStats depend on what the process scheduled before.
-  bool cross_block_reuse = false;
 
   /// Throws std::invalid_argument on inconsistent settings (pruning bounds
   /// < 1, wave engine with memoization disabled). Called by the
@@ -171,11 +165,12 @@ struct SchedulerStats {
   /// optimum, summed over blocks. Always 0 for kExact and kDominance; a
   /// beam search reports the bound its cut states imply.
   double latency_gap_bound_us = 0;
-  /// Blocks whose schedule came from the cross-request block cache instead
-  /// of a DP run (cross_block_reuse only).
+  /// Blocks whose schedule was replayed from the scheduler's
+  /// BlockTemplateCache instead of a DP run (0 without one).
   std::int64_t block_cache_hits = 0;
-  /// Stage measurements answered by the canonical stage cache (cross-request
-  /// reuse only), and how many of those were recorded by a different graph.
+  /// Stage measurements answered by the cost model's canonical stage cache
+  /// (0 unless one is attached), and how many of those were recorded by a
+  /// different graph or loaded from a ProfileDb.
   std::int64_t canonical_hits = 0;
   std::int64_t cross_model_hits = 0;
   double profiling_cost_us = 0;  ///< simulated device time spent profiling
@@ -201,9 +196,44 @@ struct SchedulerStats {
   }
 };
 
+/// Cross-request block reuse: solved block stage layouts keyed by the
+/// canonical block descriptor (operator kinds, attributes, shapes, internal
+/// wiring, device, kernel params, protocol, and scheduler config; see
+/// IosScheduler::canonical_block_key). A scheduler given a cache replays a
+/// hit onto any structurally identical block — in this graph or another one
+/// scheduled against the same cache — instead of running the DP. Hits make
+/// SchedulerStats depend on what the cache's owner scheduled before, so
+/// reuse is scoped to whoever owns the cache (an Optimizer owns one for its
+/// lifetime). Thread-safe; insert-only, first writer wins.
+class BlockTemplateCache {
+ public:
+  /// A solved block: its stages first-to-last as (ending mask, stage build)
+  /// pairs in block-local indices, plus the block's contribution to
+  /// SchedulerStats::latency_gap_bound_us, re-added on every replay.
+  struct Template {
+    std::vector<std::pair<std::uint64_t, int>> stages;
+    double latency_gap_bound_us = 0;
+  };
+
+  /// The template solved under `key`; empty when none was stored.
+  std::optional<Template> get(const std::string& key) const;
+  /// Stores `value` under `key` unless the key is already present.
+  void put(const std::string& key, Template value);
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Template> map_;
+};
+
 class IosScheduler {
  public:
-  IosScheduler(CostModel& cost, SchedulerOptions options = {});
+  /// `templates` turns on cross-request block reuse against that cache
+  /// (nullptr = off). Throws std::invalid_argument on invalid options, and
+  /// when `templates` is set under a noisy protocol: noisy measurements are
+  /// seeded per op-id stage fingerprint, so replaying another block's stage
+  /// layout would change the schedules found.
+  IosScheduler(CostModel& cost, SchedulerOptions options = {},
+               BlockTemplateCache* templates = nullptr);
 
   /// Schedules every block of the cost model's graph and concatenates the
   /// per-block schedules (Section 4.2: blocks are optimized separately).
@@ -276,35 +306,23 @@ class IosScheduler {
   double solve(BlockContext& ctx, Set64 s, SchedulerStats* stats);
 
   /// The wave engine: discovers the reachable states level-by-level
-  /// (popcount descending, evaluating every ending in parallel on the way)
-  /// and then fills ctx.memo level-by-level popcount ascending. In exact
-  /// mode it produces bit-identical memo entries and statistics to
-  /// solve(ctx, dag.all()); kDominance / kBeam run their pruned searches
-  /// here too (see WavePass in scheduler.cpp).
-  void solve_wave(BlockContext& ctx, SchedulerStats* stats);
-
-  /// The PR 4 wave solver, kept verbatim (own transition vectors, own
-  /// ending-cache accounting) as the states/sec and peak-RSS baseline the
-  /// bench gates compare against, and as the independent exactness
-  /// reference for prune_property_test. Exact mode only.
-  void solve_wave_legacy(BlockContext& ctx, SchedulerStats* stats);
-
-  /// One bottom-up wave search over `dag` into `memo` under `mode`.
-  /// kExact and kBeam evaluate endings during discovery (kBeam only the
-  /// `beam_width` selected per state); kDominance discovers structurally
-  /// and evaluates lazily in the cost pass, skipping every transition
-  /// whose floor-plus-exact-sub-cost bound cannot beat the state's running
-  /// best — bit-identical results with fewer simulations. Returns the root
-  /// cost. See scheduler.cpp for the machinery.
-  double wave_pass(const BlockDag& dag, EndingStripes& endings,
-                   FlatMap64<Entry>& memo, PruneMode mode, int beam_width,
-                   SchedulerStats* stats);
+  /// (popcount descending, evaluating endings in parallel on the way) and
+  /// then fills ctx.memo level-by-level popcount ascending. In exact mode
+  /// it produces bit-identical memo entries and statistics to
+  /// solve(ctx, dag.all()). kBeam evaluates only the `beam_width` endings
+  /// selected per state; kDominance discovers structurally and evaluates
+  /// lazily in the cost pass, skipping every transition whose
+  /// floor-plus-exact-sub-cost bound cannot beat the state's running best
+  /// — bit-identical results with fewer simulations. Returns the block's
+  /// certified latency gap bound (0 outside kBeam), computed whether or not
+  /// `stats` is given. See scheduler.cpp for the machinery.
+  double solve_wave(BlockContext& ctx, SchedulerStats* stats);
 
   /// The cross-request identity of a block: operator kinds, attributes, and
   /// shapes by local index, internal wiring, external-input sharing
   /// structure and shapes, the scheduler config, and the measurement
   /// environment. Equal keys get bit-identical DP outcomes, so the block
-  /// template cache can replay the stage layout (cross_block_reuse).
+  /// template cache can replay the stage layout.
   std::string canonical_block_key(const BlockDag& dag) const;
 
   Stage build_stage(const BlockDag& dag, Set64 ending, StageBuild build) const;
@@ -316,6 +334,7 @@ class IosScheduler {
 
   CostModel& cost_;
   SchedulerOptions options_;
+  BlockTemplateCache* templates_;  ///< null = no cross-request block reuse
 };
 
 }  // namespace ios

@@ -14,7 +14,8 @@
 // Entries carry the fingerprint of the graph that recorded them, letting
 // the cost model count same-model vs cross-model reuse separately. Reuse is
 // strictly opt-in (CostModel::enable_canonical_reuse) because hits make
-// measurement statistics depend on what the process profiled before.
+// measurement statistics depend on what the cache's owner profiled before;
+// an ios::Optimizer owns one cache for its lifetime (cross_reuse requests).
 
 #include <cstdint>
 #include <mutex>
@@ -26,13 +27,13 @@
 namespace ios {
 
 /// Thread-safe (lock-striped) map from canonical stage keys to simulated
-/// latencies, shared across cost models and requests. Insert-only: the
+/// latencies, shared by every cost model attached to it. Insert-only: the
 /// first value stored for a key wins, which keeps concurrent warm-ups
 /// deterministic (every writer computes the same latency for a key).
 class CanonicalStageCache {
  public:
   /// A cached latency plus the fingerprint of the graph that recorded it
-  /// (0 when installed from a ProfileDb, i.e. by some earlier process).
+  /// (0 when installed from a ProfileDb).
   struct Entry {
     double latency_us = 0;     ///< simulated latency of the canonical stage
     std::uint64_t origin = 0;  ///< recording graph's fingerprint (0 = db)
@@ -91,13 +92,5 @@ class CanonicalStageCache {
 
   Shard shards_[kShards];
 };
-
-/// The process-wide canonical stage cache every cross-reuse-enabled request
-/// shares (the Optimizer facade wires it in when
-/// OptimizationRequest::cross_reuse is set).
-inline CanonicalStageCache& shared_canonical_stage_cache() {
-  static CanonicalStageCache cache;
-  return cache;
-}
 
 }  // namespace ios

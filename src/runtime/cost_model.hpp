@@ -139,8 +139,8 @@ class CostModel {
 
   // -- Cross-request canonical reuse (opt-in) ------------------------------
 
-  /// Turns on canonical stage reuse against `cache` (usually
-  /// shared_canonical_stage_cache()). On an id-keyed cache miss, measure()
+  /// Turns on canonical stage reuse against `cache` (the Optimizer attaches
+  /// its own for cross_reuse requests). On an id-keyed cache miss, measure()
   /// first probes the canonical cache by canonical_stage_key(); a hit is
   /// installed locally without bumping the measurement counters, and every
   /// fresh simulation is published back. Pass nullptr to turn reuse off.
@@ -152,7 +152,7 @@ class CostModel {
 
   /// Measurements answered by the canonical cache since construction, and
   /// how many of those were recorded by a different graph (or loaded from a
-  /// ProfileDb by an earlier process). Lock-free reads.
+  /// ProfileDb). Lock-free reads.
   std::int64_t canonical_hits() const {
     return canonical_hits_.load(std::memory_order_relaxed);
   }
@@ -180,7 +180,7 @@ class CostModel {
   int save_canonical(ProfileDb& db) const;
 
   /// Installs `db`'s canonical bucket into the attached cache (origin 0 =
-  /// recorded by an earlier process, so hits count as cross-model); returns
+  /// loaded from a database, so hits count as cross-model); returns
   /// entries newly installed. No-op (0) when reuse is off.
   int load_canonical(const ProfileDb& db);
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <stdexcept>
+#include <string>
 
 #include "api/optimizer.hpp"
 #include "frameworks/frameworks.hpp"
@@ -379,6 +380,104 @@ TEST(Optimizer, InvalidOptionsRejectedEvenOnCachedRequests) {
   OptimizationRequest invalid = valid;
   invalid.options.engine = SearchEngine::kWave;
   EXPECT_THROW(opt.optimize(invalid), std::invalid_argument);
+}
+
+void expect_same_counters(const SchedulerStats& a, const SchedulerStats& b) {
+  EXPECT_EQ(a.states, b.states);
+  EXPECT_EQ(a.transitions, b.transitions);
+  EXPECT_EQ(a.measurements, b.measurements);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.pruned_endings, b.pruned_endings);
+  EXPECT_EQ(a.pruned_states, b.pruned_states);
+  EXPECT_EQ(a.beam_trimmed, b.beam_trimmed);
+  EXPECT_DOUBLE_EQ(a.latency_gap_bound_us, b.latency_gap_bound_us);
+  EXPECT_EQ(a.block_cache_hits, b.block_cache_hits);
+  EXPECT_EQ(a.canonical_hits, b.canonical_hits);
+  EXPECT_EQ(a.cross_model_hits, b.cross_model_hits);
+  EXPECT_DOUBLE_EQ(a.profiling_cost_us, b.profiling_cost_us);
+}
+
+// Cross-request reuse changes where stage latencies and block layouts come
+// from, never what the search finds. The reuse side answers ResNet-50 partly
+// from ResNet-34's stages and replays Inception V3's repeated blocks. The
+// default single search thread keeps the hit counters deterministic: with
+// concurrent blocks, which of two identical blocks is replayed depends on
+// thread timing.
+TEST(Optimizer, CrossReuseKeepsSchedulesAcrossModels) {
+  Optimizer with_reuse;
+  Optimizer without_reuse;
+  for (const std::string model : {"resnet34", "resnet50", "inception_v3"}) {
+    SCOPED_TRACE(model);
+    OptimizationRequest request = OptimizationRequest::for_model(model);
+    request.baselines.clear();
+    const OptimizationResult off = without_reuse.optimize(request);
+    request.cross_reuse = true;
+    const OptimizationResult on = with_reuse.optimize(request);
+
+    EXPECT_EQ(dump(on.schedule), dump(off.schedule));
+    EXPECT_DOUBLE_EQ(on.latency_us, off.latency_us);
+    EXPECT_EQ(off.canonical_hits, 0);
+    EXPECT_EQ(off.block_cache_hits, 0);
+    if (model == "resnet50") {
+      EXPECT_GT(on.cross_model_hits, 0);
+    }
+    if (model == "inception_v3") {
+      EXPECT_GT(on.block_cache_hits, 0);
+    }
+  }
+}
+
+// Reuse is a property of one Optimizer: a fresh Optimizer starts cold no
+// matter what other Optimizers in the process searched, while a repeat
+// search on the same Optimizer replays every block.
+TEST(Optimizer, CrossReuseIsScopedToOneOptimizer) {
+  OptimizationRequest request = OptimizationRequest::for_model("resnet34");
+  request.baselines.clear();
+  request.cross_reuse = true;
+
+  Optimizer first;
+  const OptimizationResult a = first.optimize(request);
+  const OptimizationResult b = Optimizer().optimize(request);
+  EXPECT_GT(a.stats.states, 0);
+  EXPECT_GT(a.new_measurements, 0);
+  expect_same_counters(b.stats, a.stats);
+  EXPECT_EQ(b.new_measurements, a.new_measurements);
+
+  first.clear_cache();  // force a second search on the same Optimizer
+  const OptimizationResult again = first.optimize(request);
+  EXPECT_FALSE(again.cache_hit);
+  EXPECT_EQ(again.stats.states, 0);
+  EXPECT_EQ(again.new_measurements, 0);
+  EXPECT_GT(again.block_cache_hits, 0);
+  EXPECT_EQ(dump(again.schedule), dump(a.schedule));
+}
+
+// A block replayed from the template cache owes the same beam gap bound as
+// the search that solved it, so reuse on and off report identical bounds
+// (and found minus bound stays a sound lower bound on the optimum).
+TEST(Optimizer, CrossReuseKeepsTheBeamGapBound) {
+  OptimizationRequest request = OptimizationRequest::for_model("inception_v3");
+  request.baselines.clear();
+  const double optimum = Optimizer().optimize(request).latency_us;
+  apply_prune_spec(request.options, "beam:2");
+  const OptimizationResult off = Optimizer().optimize(request);
+  request.cross_reuse = true;
+  const OptimizationResult on = Optimizer().optimize(request);
+
+  EXPECT_GT(on.block_cache_hits, 0);
+  EXPECT_GT(off.stats.latency_gap_bound_us, 0);
+  EXPECT_DOUBLE_EQ(on.stats.latency_gap_bound_us,
+                   off.stats.latency_gap_bound_us);
+  EXPECT_EQ(dump(on.schedule), dump(off.schedule));
+  EXPECT_LE(on.latency_us - on.stats.latency_gap_bound_us, optimum + 1e-6);
+}
+
+TEST(Optimizer, CrossReuseRejectsNoisyProtocol) {
+  Optimizer opt;
+  OptimizationRequest request = OptimizationRequest::for_graph(small_graph());
+  request.protocol.noise_frac = 0.05;
+  request.cross_reuse = true;
+  EXPECT_THROW(opt.optimize(request), std::invalid_argument);
 }
 
 TEST(Optimizer, RegistryEnumerationMatchesLookup) {

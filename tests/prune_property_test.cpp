@@ -1,6 +1,6 @@
 // Pruning exactness harness. The pruning knob must never silently change
 // what the search finds:
-//  * kExact is bit-identical to the PR-4 wave engine (kWaveLegacy) —
+//  * kExact is bit-identical to the serial reference engine (kSerial) —
 //    schedules, latencies, and every SchedulerStats counter;
 //  * kDominance is provably exact: its admissible-floor cut can only remove
 //    states no optimal chain passes through, so it must reproduce the exact
@@ -121,20 +121,21 @@ Graph random_block_graph(std::uint64_t seed) {
 
 class PruneProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-// (a) The rebuilt arena wave engine in exact mode is the PR-4 wave engine,
+// (a) The arena wave engine in exact mode is the serial reference engine,
 // bit for bit — same schedules, latencies, and every counter, for default,
-// disabled, and tight pruning strategies.
+// disabled, and tight pruning strategies. (The test name predates kSerial
+// being the reference; it is kept so the test's id stays stable.)
 TEST_P(PruneProperty, ExactModeMatchesLegacyWaveBitForBit) {
   const Graph g = random_block_graph(GetParam());
   for (const PruningStrategy pruning :
        {PruningStrategy{}, PruningStrategy::none(), PruningStrategy{2, 2}}) {
-    SchedulerOptions legacy;
-    legacy.engine = SearchEngine::kWaveLegacy;
-    legacy.pruning = pruning;
-    legacy.num_threads = 4;
-    const SearchRun ref = run(g, legacy);
+    SchedulerOptions serial;
+    serial.engine = SearchEngine::kSerial;
+    serial.pruning = pruning;
+    serial.num_threads = 4;
+    const SearchRun ref = run(g, serial);
 
-    SchedulerOptions exact = legacy;
+    SchedulerOptions exact = serial;
     exact.engine = SearchEngine::kWave;
     exact.prune = PruneMode::kExact;
     const SearchRun got = run(g, exact);

@@ -160,6 +160,39 @@ TEST(SearchEngine, CachedPrunedVisitsCountAsPruned) {
   EXPECT_GE(stats.transitions, stats.cache_hits);
 }
 
+// A block template stores the beam gap bound its search owed even when that
+// search collected no stats, so replaying every block reports the same bound
+// as a fresh search.
+TEST(BlockTemplateCache, ReplayReAddsGapBoundRecordedWithoutStats) {
+  const Graph g = models::squeezenet(1);
+  CostModel cost(g, v100_config());
+  SchedulerOptions beam;
+  beam.prune = PruneMode::kBeam;
+  beam.beam_width = 2;
+  SchedulerStats fresh;
+  const Schedule searched = IosScheduler(cost, beam).schedule_graph(&fresh);
+  ASSERT_GT(fresh.latency_gap_bound_us, 0);
+
+  BlockTemplateCache templates;
+  IosScheduler(cost, beam, &templates).schedule_graph(nullptr);
+  SchedulerStats replayed;
+  const Schedule q =
+      IosScheduler(cost, beam, &templates).schedule_graph(&replayed);
+  EXPECT_EQ(replayed.states, 0);
+  EXPECT_EQ(replayed.block_cache_hits,
+            static_cast<std::int64_t>(g.blocks().size()));
+  EXPECT_DOUBLE_EQ(replayed.latency_gap_bound_us, fresh.latency_gap_bound_us);
+  expect_same_schedule(q, searched);
+}
+
+TEST(BlockTemplateCache, RejectsNoisyProtocol) {
+  const Graph g = models::fig5_graph(1);
+  CostModel cost(g, v100_config(), ProfilingProtocol{.noise_frac = 0.05});
+  BlockTemplateCache templates;
+  EXPECT_THROW(IosScheduler(cost, {}, &templates), std::invalid_argument);
+  EXPECT_NO_THROW(IosScheduler(cost, {}, nullptr));
+}
+
 // ---------------------------------------------------------------------------
 // Counter invariants on random graphs (property tests)
 // ---------------------------------------------------------------------------
