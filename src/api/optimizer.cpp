@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -208,6 +209,19 @@ std::string scheduler_config_key(const SchedulerOptions& options,
   return key;
 }
 
+std::string serving_cache_key(const std::string& model,
+                              const std::string& device, int batch,
+                              const SchedulerOptions& options,
+                              const ProfilingProtocol& protocol) {
+  std::string key = model;
+  key += '\n';
+  key += device;
+  key += "\nbatch=" + std::to_string(batch);
+  key += '\n';
+  key += scheduler_config_key(options, protocol);
+  return key;
+}
+
 std::string request_cache_key(const Graph& g, const std::string& device,
                               const SchedulerOptions& options,
                               const ProfilingProtocol& protocol) {
@@ -226,13 +240,14 @@ Graph graph_with_batch(const Graph& g, int batch) {
   return graph_from_json(doc);
 }
 
-OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
-  // Before the cache lookup: an invalid option combination must throw even
-  // when an equivalent request (the key excludes the engine) is cached.
+OptimizationResult Optimizer::run(const OptimizationRequest& request,
+                                  bool use_store) {
+  // Before the store lookup: an invalid option combination must throw even
+  // when an equivalent request (the key excludes the engine) is stored.
   request.options.validate();
   const DeviceSpec device = device_by_name(request.device);
   // Bind the graph by reference: a for_graph request must not deep-copy the
-  // graph on the cache-hit serving path.
+  // graph on the store-hit serving path.
   std::optional<Graph> built;
   const Graph& g =
       request.graph
@@ -240,28 +255,21 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
           : built.emplace(models::build_model(request.model, request.batch));
   const ExecConfig config{device, KernelModelParams{}};
 
-  OptimizationResult result;
+  // A zoo request shares the serving engine's key, so the engine's lookups
+  // and a planner optimizing through the engine's Optimizer fill one entry.
   const std::string key =
-      request_cache_key(g, device.name, request.options, request.protocol);
+      request.graph ? request_cache_key(g, device.name, request.options,
+                                        request.protocol)
+                    : serving_cache_key(request.model, device.name,
+                                        request.batch, request.options,
+                                        request.protocol);
+  OptimizationResult result;
   result.fingerprint = hash_bytes(key);
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const CacheEntry* entry = cache_.get(key)) {
-      result.schedule = entry->schedule;
-      result.stats = entry->stats;
-      result.latency_us = entry->latency_us;
-      result.cache_hit = true;
-      ++cache_hits_;
-    } else {
-      ++cache_misses_;
-    }
-  }
 
   // The cost model's executor serves the whole call on a miss; a hit
   // builds one only when a baseline needs it.
   std::optional<CostModel> cost_model;
-  if (!result.cache_hit) {
+  const auto search_graph = [&] {
     CostModel& cost = cost_model.emplace(g, config, request.protocol);
     if (request.cross_reuse) {
       // Throws under a noisy protocol — reused latencies must equal what
@@ -303,10 +311,21 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
       }
     }
     result.latency_us = cost.executor().schedule_latency_us(result.schedule);
-    std::lock_guard<std::mutex> lock(mu_);
     total_measurements_ += result.new_measurements;
-    cache_.put(key, CacheEntry{result.schedule, result.stats,
-                               result.latency_us});
+    return CachedRecipe{result.schedule, result.latency_us, result.stats,
+                        result.new_measurements};
+  };
+  if (!use_store) {
+    search_graph();
+  } else {
+    bool searched = false;
+    CachedRecipe entry = store_->get_or_compute(key, search_graph, &searched);
+    if (!searched) {
+      result.schedule = std::move(entry.schedule);
+      result.stats = entry.stats;
+      result.latency_us = entry.latency_us;
+      result.cache_hit = true;
+    }
   }
 
   if (!request.baselines.empty()) {
@@ -358,30 +377,5 @@ void Optimizer::save(const OptimizationResult& result,
 }
 
 Recipe Optimizer::load(const std::string& path) { return load_recipe(path); }
-
-std::size_t Optimizer::cache_size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.size();
-}
-
-std::size_t Optimizer::cache_capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_.capacity();
-}
-
-OptimizerCacheStats Optimizer::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {cache_hits_, cache_misses_, cache_.evictions(), cache_.size()};
-}
-
-void Optimizer::clear_cache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-}
-
-std::int64_t Optimizer::total_measurements() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_measurements_;
-}
 
 }  // namespace ios

@@ -5,25 +5,26 @@
 // in an OptimizationRequest (a zoo model by name, or an in-memory Graph) and
 // get everything the pipeline produces back in one OptimizationResult.
 //
-// The facade keeps an in-process, thread-safe *recipe cache* keyed by
-// (graph fingerprint, device, scheduler options, profiling protocol): a
+// The facade owns a thread-safe *recipe store* (api/recipe_cache.hpp): a
 // repeated request — the serving scenario, where the same deployment
 // configuration is optimized over and over — skips the DP search and all
-// cost-model profiling entirely. The cache is bounded: entries are evicted
-// strictly least-recently-used once the configurable capacity is reached
-// (see Optimizer::Optimizer), so a long-running server churning through
-// many configurations keeps a fixed memory footprint. Results can also be
-// persisted as recipe JSON (save/load) and re-evaluated later, possibly on
-// a different device or batch size.
+// cost-model profiling entirely. Zoo requests are keyed by
+// serving_cache_key, the key of the serving engine's own lookups, and
+// in-memory graphs by request_cache_key. A miss searches under its key's
+// shard lock, so misses on one shard run one at a time; a standalone
+// Optimizer has one shard, a strict LRU of configurable capacity (see
+// Optimizer::Optimizer). Results can also be persisted as recipe JSON
+// (save/load) and re-evaluated later, possibly on a different device or
+// batch size.
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "util/lru_cache.hpp"
-
+#include "api/recipe_cache.hpp"
 #include "core/scheduler.hpp"
 #include "place/pool.hpp"
 #include "runtime/canonical_cache.hpp"
@@ -140,9 +141,9 @@ struct OptimizationResult {
   SchedulerStats stats;
   /// Persistable recipe; pass to Optimizer::save / Optimizer::evaluate. For
   /// for_graph requests this embeds a copy of the graph — on every call,
-  /// cache hit or not, so a result is always save()-able.
+  /// store hit or not, so a result is always save()-able.
   Recipe recipe;
-  /// True when the schedule came from the recipe cache.
+  /// True when the schedule came from the recipe store.
   bool cache_hit = false;
   /// Cost-model profiles run by *this* call — 0 on a cache hit, and 0 on a
   /// profile-db-warmed miss whose stages were all measured in an earlier
@@ -161,7 +162,7 @@ struct OptimizationResult {
   std::int64_t canonical_hits = 0;
   std::int64_t cross_model_hits = 0;
   std::int64_t block_cache_hits = 0;
-  /// The cache key the request mapped to.
+  /// Hash of the recipe-store key the request mapped to.
   std::uint64_t fingerprint = 0;
 
   /// The entry for a named baseline, or nullptr if it was not requested.
@@ -177,38 +178,50 @@ struct EvaluationResult {
   double speedup = 0;                ///< sequential / recipe
 };
 
-/// Recipe-cache counters (see Optimizer::cache_stats).
-struct OptimizerCacheStats {
-  std::int64_t hits = 0;       ///< optimize() calls served from the cache
-  std::int64_t misses = 0;     ///< optimize() calls that ran the DP search
-  std::int64_t evictions = 0;  ///< entries dropped by LRU eviction
-  std::size_t size = 0;        ///< resident entries
-};
+/// Recipe-store counters (see Optimizer::cache_stats).
+using OptimizerCacheStats = RecipeCacheStats;
 
 /// The single-call facade over the paper's whole pipeline: build graph →
-/// profile → DP search → execute, with a bounded LRU recipe cache in front
-/// and, for cross_reuse requests, the stage and block caches they share.
+/// profile → DP search → execute, with a recipe store in front and, for
+/// cross_reuse requests, the stage and block caches they share.
 /// Thread-safe; one instance can serve concurrent optimize() calls.
 class Optimizer {
  public:
-  /// Default recipe-cache capacity (entries), plenty for every
+  /// Default recipe-store capacity (entries), plenty for every
   /// (model, device, batch) combination of the paper's experiments.
   static constexpr std::size_t kDefaultCacheCapacity = 256;
 
-  /// Creates an optimizer whose recipe cache holds at most `cache_capacity`
-  /// entries (clamped to >= 1). Eviction policy: strict least-recently-used
-  /// — every optimize() lookup (hit or insert) marks its entry as
-  /// most-recently-used, and the insert that exceeds the capacity evicts
-  /// the entry whose last use is oldest.
+  /// Creates an optimizer with its own one-shard recipe store holding at
+  /// most `cache_capacity` entries (clamped to >= 1). Eviction policy:
+  /// strict least-recently-used — every optimize() lookup (hit or insert)
+  /// marks its entry as most-recently-used, and the insert that exceeds the
+  /// capacity evicts the entry whose last use is oldest.
   explicit Optimizer(std::size_t cache_capacity = kDefaultCacheCapacity)
-      : cache_(cache_capacity) {}
+      : Optimizer(std::make_shared<ShardedRecipeCache>(
+            RecipeCacheOptions{1, cache_capacity})) {}
+
+  /// Creates an optimizer around a caller's (possibly shared) store: the
+  /// serving engine builds its Optimizer this way, so its per-batch lookups
+  /// read the entries optimize() fills. `store` must not be null.
+  explicit Optimizer(std::shared_ptr<ShardedRecipeCache> store)
+      : store_(std::move(store)) {}
 
   /// Runs the full pipeline for the request, or serves the schedule from the
-  /// recipe cache when an equivalent request was optimized before. Baseline
-  /// latencies are (re)computed per call — they only need the executor, never
-  /// the profiling cost model. Thread-safe; concurrent identical misses may
-  /// both search, but insert identical entries.
-  OptimizationResult optimize(const OptimizationRequest& request);
+  /// recipe store when an equivalent request was optimized before. Baseline
+  /// latencies are (re)computed per call — they only need the executor,
+  /// never the profiling cost model. Thread-safe; a miss searches under its
+  /// key's shard lock, so it never runs twice for one key.
+  OptimizationResult optimize(const OptimizationRequest& request) {
+    return run(request, /*use_store=*/true);
+  }
+
+  /// optimize() without the store: always searches, and neither reads nor
+  /// fills the recipe store. The compute function of a caller's own store
+  /// lookup, which holds the key's shard lock and must not re-enter the
+  /// store. Thread-safe; concurrent calls search concurrently.
+  OptimizationResult search(const OptimizationRequest& request) {
+    return run(request, /*use_store=*/false);
+  }
 
   /// Executes a recipe's schedule and the sequential baseline. Empty device /
   /// non-positive batch mean "as recorded in the recipe". Zoo recipes are
@@ -223,49 +236,58 @@ class Optimizer {
   /// Loads a recipe persisted with save().
   static Recipe load(const std::string& path);
 
-  /// Resident recipe-cache entries.
-  std::size_t cache_size() const;
+  /// The recipe store optimize() reads and fills.
+  ShardedRecipeCache& store() { return *store_; }
+  const ShardedRecipeCache& store() const { return *store_; }
 
-  /// Max recipe-cache entries before LRU eviction kicks in.
-  std::size_t cache_capacity() const;
+  /// Resident recipe-store entries.
+  std::size_t cache_size() const { return store_->size(); }
 
-  /// Hit/miss/eviction counters of the recipe cache (counters survive
+  /// Max recipe-store entries before LRU eviction kicks in.
+  std::size_t cache_capacity() const {
+    return store_->num_shards() * store_->shard_capacity();
+  }
+
+  /// Hit/miss/eviction counters of the recipe store (counters survive
   /// clear_cache()).
-  OptimizerCacheStats cache_stats() const;
+  OptimizerCacheStats cache_stats() const { return store_->stats(); }
 
-  /// Drops every cached recipe (capacity and counters are kept).
-  void clear_cache();
+  /// Drops every stored recipe (capacity and counters are kept).
+  void clear_cache() { store_->clear(); }
 
-  /// Cost-model profiles run by all optimize() calls on this Optimizer.
-  std::int64_t total_measurements() const;
+  /// Cost-model profiles run by all optimize() and search() calls on this
+  /// Optimizer.
+  std::int64_t total_measurements() const {
+    return total_measurements_.load();
+  }
 
  private:
-  struct CacheEntry {
-    Schedule schedule;
-    SchedulerStats stats;
-    double latency_us = 0;
-  };
+  /// optimize() when `use_store`, search() otherwise.
+  OptimizationResult run(const OptimizationRequest& request, bool use_store);
 
-  mutable std::mutex mu_;
-  /// Bounded LRU, keyed by the full key material (graph JSON + device +
-  /// options), not its hash — a fingerprint collision must not serve
-  /// another request's schedule.
-  LruCache<CacheEntry> cache_;
-  std::int64_t cache_hits_ = 0;
-  std::int64_t cache_misses_ = 0;
-  std::int64_t total_measurements_ = 0;
+  std::shared_ptr<ShardedRecipeCache> store_;
+  std::atomic<std::int64_t> total_measurements_{0};
   /// Cross-request reuse state (request.cross_reuse); both thread-safe.
   CanonicalStageCache canonical_;
   BlockTemplateCache templates_;
 };
 
-/// The recipe-cache key material: the serialized graph (which covers batch,
-/// topology, and every attribute), the canonical device name, and the
-/// options that can change the found schedule. SchedulerOptions::num_threads
-/// and ::engine are deliberately excluded — the schedule is identical for
-/// every thread count and search engine. OptimizationResult::fingerprint is
-/// the hash of this string.
+/// The recipe-store key of an in-memory graph request: the serialized graph
+/// (which covers batch, topology, and every attribute), the canonical device
+/// name, and the options that can change the found schedule.
+/// SchedulerOptions::num_threads and ::engine are deliberately excluded —
+/// the schedule is identical for every thread count and search engine.
+/// OptimizationResult::fingerprint is the hash of the key.
 std::string request_cache_key(const Graph& g, const std::string& device,
+                              const SchedulerOptions& options,
+                              const ProfilingProtocol& protocol);
+
+/// The recipe-store key of a zoo request and of every serving lookup: model
+/// name, canonical device name, batch size, and the scheduler/profiling
+/// settings that can change the found schedule. Cheap to build (no graph
+/// serialization) — suitable for the per-batch hot path.
+std::string serving_cache_key(const std::string& model,
+                              const std::string& device, int batch,
                               const SchedulerOptions& options,
                               const ProfilingProtocol& protocol);
 
@@ -273,10 +295,9 @@ std::string request_cache_key(const Graph& g, const std::string& device,
 /// SchedulerOptions and ProfilingProtocol field that can change the found
 /// schedule (num_threads and engine excluded, see
 /// request_cache_key; prune/beam_width appended only when prune != kExact so
-/// pre-existing keys stay byte-identical).
-/// Shared by
-/// request_cache_key and the serving layer's serving_cache_key, so the two
-/// key schemes can never drift apart on these fields.
+/// pre-existing keys stay byte-identical). Shared by request_cache_key and
+/// serving_cache_key, so the two key schemes can never drift apart on these
+/// fields.
 std::string scheduler_config_key(const SchedulerOptions& options,
                                  const ProfilingProtocol& protocol);
 

@@ -1,8 +1,8 @@
-#include "serve/recipe_cache.hpp"
+#include "api/recipe_cache.hpp"
 
 #include "util/hash.hpp"
 
-namespace ios::serve {
+namespace ios {
 
 ShardedRecipeCache::ShardedRecipeCache(RecipeCacheOptions options)
     : shard_capacity_(options.shard_capacity < 1 ? 1
@@ -82,4 +82,4 @@ void ShardedRecipeCache::clear() {
   }
 }
 
-}  // namespace ios::serve
+}  // namespace ios

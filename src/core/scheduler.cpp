@@ -687,11 +687,12 @@ bool scan_ending(const PruningStrategy& pruning, const PruneFloor& floor,
   return false;
 }
 
-/// Chunk-claiming fan-out for the wave engine's level loops. Semantically
-/// parallel_for_indexed, but workers grab contiguous index chunks from one
-/// atomic cursor and report completion once per chunk, so the done-counting
-/// mutex is touched O(n / chunk) times instead of O(n) — on a 100k-state
-/// level that is the difference between 100k lock round-trips and ~32.
+/// Chunk-claiming fan-out for the wave engine's level loops: a parallel_for
+/// that also hands each participating worker a dense slot id, and whose
+/// workers grab contiguous index chunks from one atomic cursor and report
+/// completion once per chunk, so the done-counting mutex is touched
+/// O(n / chunk) times instead of O(n) — on a 100k-state level that is the
+/// difference between 100k lock round-trips and ~32.
 /// Small levels (`n` below `serial_below`) run inline on the caller: the
 /// fixed cost of queueing pool helpers exceeds the whole level's work on
 /// the many tiny levels of shallow blocks. Iterations write per-index

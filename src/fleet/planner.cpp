@@ -7,10 +7,6 @@
 
 namespace ios::fleet {
 
-FleetPlanner::FleetPlanner() : placer_(own_) {}
-
-FleetPlanner::FleetPlanner(Optimizer& optimizer) : placer_(optimizer) {}
-
 FleetPlan FleetPlanner::plan(const FleetPlanRequest& request) {
   const auto wall_start = std::chrono::steady_clock::now();
   if (request.topology.devices.empty()) {

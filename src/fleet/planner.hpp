@@ -62,10 +62,11 @@ struct FleetPlan {
 /// Optimizer it reuses, so repeated plans re-search nothing.
 class FleetPlanner {
  public:
-  /// A planner with its own Optimizer (default recipe-cache capacity).
-  FleetPlanner();
-  /// A planner reusing a caller-owned Optimizer (and its recipe cache).
-  explicit FleetPlanner(Optimizer& optimizer);
+  /// A planner with its own Optimizer (default recipe-store capacity).
+  FleetPlanner() = default;
+  /// A planner reusing a caller-owned Optimizer (and its recipe store); it
+  /// builds none of its own. The optimizer must outlive the planner.
+  explicit FleetPlanner(Optimizer& optimizer) : placer_(optimizer) {}
 
   /// Places the workload over the fleet: Placer::place on the flattened
   /// pool, then a deterministic greedy that pins each item's replicas to
@@ -77,7 +78,6 @@ class FleetPlanner {
   FleetPlan plan(const FleetPlanRequest& request);
 
  private:
-  Optimizer own_;
   Placer placer_;
 };
 

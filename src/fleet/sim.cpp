@@ -26,9 +26,9 @@ serve::ServerOptions engine_options(const FleetSimOptions& options) {
 
 FleetSimulator::FleetSimulator(FleetSimOptions options)
     : options_(std::move(options)),
-      planner_(optimizer_),
-      placer_(optimizer_),
-      server_(engine_options(options_)) {
+      server_(engine_options(options_)),
+      planner_(server_.engine().optimizer()),
+      placer_(server_.engine().optimizer()) {
   if (options_.topology.devices.empty()) {
     throw std::invalid_argument("fleet sim: the topology has no devices");
   }

@@ -14,9 +14,10 @@
 //
 // The simulator adds what only a fleet has: a kill that wipes out the last
 // worker of a device class triggers a re-plan of the workload over the
-// surviving pool — cheap, because the shared Optimizer's recipe cache
-// already holds every configuration (FleetStats::replan_optimizations
-// stays 0 after a warm plan()) — and the FleetStats summary of the run.
+// surviving pool — cheap, because plan(), run() and the re-plans all search
+// through the serving engine's Optimizer, whose recipe store already holds
+// every configuration (FleetStats::replan_optimizations stays 0 after a
+// warm plan()) — and the FleetStats summary of the run.
 //
 // Everything runs on the VirtualClock, so a fixed topology, trace, and
 // failure spec produce bit-identical FleetStats and per-request latencies
@@ -103,9 +104,9 @@ class FleetSimulator {
   explicit FleetSimulator(FleetSimOptions options);
 
   /// The fleet plan for `options.workload`, computed on first use through
-  /// the simulator's own Optimizer (so run()'s recipe resolutions and any
-  /// re-plans reuse its cache). Throws std::invalid_argument when the
-  /// workload is empty.
+  /// the serving engine's Optimizer, so run()'s prewarm and recipe
+  /// resolutions, and any re-plans, hit the recipes it searched. Throws
+  /// std::invalid_argument when the workload is empty.
   const FleetPlan& plan();
 
   /// Replays the trace with the configured failure schedule and returns
@@ -120,11 +121,11 @@ class FleetSimulator {
 
  private:
   FleetSimOptions options_;
-  Optimizer optimizer_;
-  FleetPlanner planner_;
-  Placer placer_;  ///< re-plans after a class wipe-out (shared Optimizer)
-  std::optional<FleetPlan> plan_;
+  /// Declared before the planners, which hold its engine's Optimizer.
   serve::Server server_;
+  FleetPlanner planner_;
+  Placer placer_;  ///< re-plans after a class wipe-out
+  std::optional<FleetPlan> plan_;
 };
 
 /// Machine-readable form of a fleet run — what `ios_opt fleet --json` and

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -39,6 +40,20 @@ void make_pipe(int fds[2], const char* what) {
   }
 }
 
+// A config integer in [lo, hi], checked before any narrowing cast can wrap
+// it: the bounds the matching ios_opt daemon flags enforce.
+std::int64_t config_int(const std::string& key, const JsonValue& value,
+                        std::int64_t lo,
+                        std::int64_t hi = std::numeric_limits<int>::max()) {
+  const std::int64_t v = value.as_int();
+  if (v < lo || v > hi) {
+    throw std::runtime_error("daemon config: " + key + " must be in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "], got " + std::to_string(v));
+  }
+  return v;
+}
+
 void close_pipe(int fds[2]) {
   for (int i = 0; i < 2; ++i) {
     if (fds[i] >= 0) {
@@ -57,13 +72,13 @@ DaemonOptions daemon_options_from_json(const JsonValue& config) {
   DaemonOptions options;
   for (const auto& [key, value] : config.as_object()) {
     if (key == "port") {
-      options.port = static_cast<int>(value.as_int());
+      options.port = static_cast<int>(config_int(key, value, 0, 65535));
     } else if (key == "device") {
       options.serving.device = value.as_string();
     } else if (key == "devices") {
       options.serving.pool = pool_from_spec(value.as_string());
     } else if (key == "workers") {
-      options.serving.num_workers = static_cast<int>(value.as_int());
+      options.serving.num_workers = static_cast<int>(config_int(key, value, 1));
     } else if (key == "batch_sizes") {
       options.serving.batching.batch_sizes.clear();
       for (const JsonValue& b : value.as_array()) {
@@ -74,10 +89,10 @@ DaemonOptions daemon_options_from_json(const JsonValue& config) {
       options.serving.batching.max_queue_delay_us = value.as_number();
     } else if (key == "shards") {
       options.serving.cache.num_shards =
-          static_cast<std::size_t>(value.as_int());
+          static_cast<std::size_t>(config_int(key, value, 1));
     } else if (key == "capacity") {
       options.serving.cache.shard_capacity =
-          static_cast<std::size_t>(value.as_int());
+          static_cast<std::size_t>(config_int(key, value, 1));
     } else if (key == "profile_db") {
       options.serving.profile_db = value.as_string();
     } else if (key == "prewarm") {
@@ -87,11 +102,14 @@ DaemonOptions daemon_options_from_json(const JsonValue& config) {
     } else if (key == "prewarm_threads") {
       options.prewarm_threads = static_cast<int>(value.as_int());
     } else if (key == "max_pending") {
-      options.max_pending = static_cast<std::size_t>(value.as_int());
+      options.max_pending = static_cast<std::size_t>(config_int(key, value, 1));
     } else if (key == "time_scale") {
       options.time_scale = value.as_number();
+      if (!(options.time_scale >= 0)) {
+        throw std::runtime_error("daemon config: time_scale must be >= 0");
+      }
     } else if (key == "io_threads") {
-      options.io_threads = static_cast<int>(value.as_int());
+      options.io_threads = static_cast<int>(config_int(key, value, 1));
     } else if (key == "slo") {
       // Per-model SLO classes: "model": 2500 (SLO only) or
       // "model": {"slo_us": 2500, "priority": 2}.
@@ -131,7 +149,9 @@ DaemonOptions daemon_options_from_json(const JsonValue& config) {
     } else if (key == "write_timeout_us") {
       options.write_timeout_us = value.as_number();
     } else if (key == "max_line_bytes") {
-      options.max_line_bytes = static_cast<std::size_t>(value.as_int());
+      // 0 means unlimited.
+      options.max_line_bytes = static_cast<std::size_t>(config_int(
+          key, value, 0, std::numeric_limits<std::int64_t>::max()));
     } else if (key == "chaos") {
       options.chaos = value.as_bool();
     } else if (key == "stuck_grace_us") {

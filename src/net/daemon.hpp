@@ -105,7 +105,10 @@ struct DaemonOptions {
 /// write_timeout_us, max_line_bytes, chaos (bool), stuck_grace_us,
 /// watchdog_interval_us, fault (object: seed, torn_write_prob, stall_prob,
 /// stall_us, disconnect_prob). Unknown keys throw std::runtime_error (a
-/// typo'd config should not silently serve defaults).
+/// typo'd config should not silently serve defaults), and so do values the
+/// matching ios_opt daemon flags reject: port outside [0, 65535]; workers,
+/// shards, capacity, max_pending or io_threads below 1; time_scale or
+/// max_line_bytes below 0.
 DaemonOptions daemon_options_from_json(const JsonValue& config);
 
 /// Lifetime counters of a daemon.

@@ -109,9 +109,6 @@ const DeviceRecipe* PlacementResult::recipe_for(const std::string& model,
   return nullptr;
 }
 
-Placer::Placer() : optimizer_(own_) {}
-Placer::Placer(Optimizer& optimizer) : optimizer_(optimizer) {}
-
 PlacementResult Placer::place(const OptimizationRequest& request) {
   return place(PlacementRequest::from(request));
 }

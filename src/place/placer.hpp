@@ -134,11 +134,11 @@ struct PlacementResult {
 /// calls (or a Placer sharing a caller's Optimizer) re-search nothing.
 class Placer {
  public:
-  /// A placer with its own Optimizer (default recipe-cache capacity).
-  Placer();
-  /// A placer reusing a caller-owned Optimizer (and its recipe cache). The
-  /// optimizer must outlive the placer.
-  explicit Placer(Optimizer& optimizer);
+  /// A placer with its own Optimizer (default recipe-store capacity).
+  Placer() : optimizer_(own_.emplace()) {}
+  /// A placer reusing a caller-owned Optimizer (and its recipe store); it
+  /// builds none of its own. The optimizer must outlive the placer.
+  explicit Placer(Optimizer& optimizer) : optimizer_(optimizer) {}
 
   /// Optimizes every workload item for every pool device class and returns
   /// the recipes plus the placement plan. Deterministic: identical requests
@@ -152,7 +152,7 @@ class Placer {
   PlacementResult place(const OptimizationRequest& request);
 
  private:
-  Optimizer own_;
+  std::optional<Optimizer> own_;  ///< engaged only by Placer()
   Optimizer& optimizer_;
 };
 

@@ -43,7 +43,9 @@ AdaptiveOptions validate(AdaptiveOptions options) {
 
 AdaptiveController::AdaptiveController(AdaptiveOptions options,
                                        ServingEngine& engine)
-    : options_(validate(std::move(options))), engine_(engine) {}
+    : options_(validate(std::move(options))),
+      engine_(engine),
+      placer_(engine.optimizer()) {}
 
 void AdaptiveController::observe_arrival(const std::string& model,
                                          double now_us) {

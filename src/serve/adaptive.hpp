@@ -12,9 +12,10 @@
 //              hysteresis so one burst does not thrash the planner;
 //   re-plan    an incremental Placer::place over the engine's device pool
 //              with the *observed* arrival rates as workload weights,
-//              through the same recipe cache + profiling database as the
-//              serving path — a warm re-plan runs zero new cost-model
-//              measurements (the bench gates this);
+//              through the engine's own Optimizer — the recipe store and
+//              profiling database of the serving path — so a warm re-plan
+//              runs zero new cost-model measurements (the bench gates
+//              this);
 //   pre-warm   every (model, configured batch, device class) point the new
 //              plan anticipates is resolved into the recipe cache, so the
 //              serving hot path never pays an optimization after a shift.
@@ -28,7 +29,7 @@
 // Threading: all entry points are internally serialized by one mutex; the
 // daemon calls observe_* from its io threads and replan from the batcher
 // thread. The engine references are limited to the thread-safe surface
-// (options/prewarm/device_classes).
+// (options/optimizer/prewarm/device_classes).
 
 #include <cstdint>
 #include <limits>
@@ -104,9 +105,9 @@ class AdaptiveController {
   mutable std::mutex mu_;
   AdaptiveOptions options_;
   ServingEngine& engine_;
-  /// Own Optimizer/Placer: re-plans share the engine's profiling database
-  /// (via ServerOptions::profile_db) rather than its in-memory cache, which
-  /// is exactly the warm-start path the planner uses offline.
+  /// Searches through the engine's Optimizer: a re-plan hits every recipe
+  /// the serving path resolved, and the serving path never searches a
+  /// configuration a re-plan already did.
   Placer placer_;
   std::map<std::string, ModelLoad> loads_;
   double attainment_ewma_ = 1.0;

@@ -76,30 +76,14 @@ ServerOptions normalize(ServerOptions options) {
 
 }  // namespace
 
-std::string serving_cache_key(const std::string& model,
-                              const std::string& device, int batch,
-                              const SchedulerOptions& options,
-                              const ProfilingProtocol& protocol) {
-  std::string key = model;
-  key += '\n';
-  key += device;
-  key += "\nbatch=" + std::to_string(batch);
-  key += '\n';
-  key += scheduler_config_key(options, protocol);
-  return key;
-}
-
-ServingEngine::ServingEngine(ServerOptions options, TimeSource* clock)
-    : ServingEngine(std::move(options), clock, nullptr) {}
-
 ServingEngine::ServingEngine(ServerOptions options, TimeSource* clock,
                              std::shared_ptr<ShardedRecipeCache> cache)
     : options_(normalize(std::move(options))),
       clock_(clock),
       config_key_part_(
           '\n' + scheduler_config_key(options_.scheduler, options_.protocol)),
-      cache_(cache ? std::move(cache)
-                   : std::make_shared<ShardedRecipeCache>(options_.cache)) {
+      optimizer_(cache ? std::move(cache)
+                       : std::make_shared<ShardedRecipeCache>(options_.cache)) {
   if (clock_ == nullptr) {
     throw std::invalid_argument("ServingEngine: clock must not be null");
   }
@@ -209,7 +193,9 @@ CachedRecipe ServingEngine::optimize_config(const std::string& model,
   request.profile_db = options_.profile_db;
   request.cross_reuse = options_.cross_reuse;
   request.baselines.clear();  // serving needs the schedule, not comparisons
-  const OptimizationResult result = optimizer_.optimize(request);
+  // search(), not optimize(): the store lookup calling us holds this key's
+  // shard lock, and optimize() would take it again.
+  const OptimizationResult result = optimizer_.search(request);
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.optimizations;
@@ -219,17 +205,9 @@ CachedRecipe ServingEngine::optimize_config(const std::string& model,
                       result.new_measurements};
 }
 
-CachedRecipe ServingEngine::resolve(const std::string& model, int batch,
-                                    std::size_t cls, bool* computed) {
-  return cache_->get_or_compute(
-      cache_key(model, batch, cls),
-      [&] { return optimize_config(model, batch, classes_[cls].device); },
-      computed);
-}
-
 double ServingEngine::resolve_latency(const std::string& model, int batch,
                                       std::size_t cls, bool* computed) {
-  return cache_->latency_or_compute(
+  return cache().latency_or_compute(
       cache_key(model, batch, cls),
       [&] { return optimize_config(model, batch, classes_[cls].device); },
       computed);
@@ -253,7 +231,7 @@ void ServingEngine::prewarm(const std::vector<std::string>& models,
   // Misses fan out over the shared process-wide pool (no per-call pool
   // spawn); the inner wave searches draw from the same pool, nesting-safe.
   parallel_for(configs.size(), threads, [&](std::size_t i) {
-    resolve(*configs[i].model, configs[i].batch, configs[i].cls);
+    resolve_latency(*configs[i].model, configs[i].batch, configs[i].cls);
   });
 }
 

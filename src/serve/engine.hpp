@@ -19,9 +19,10 @@
 //              waited max_queue_delay_us is deadline-flushed into the
 //              largest allowed size that fits (a queue shorter than the
 //              smallest allowed size is served whole);
-//   resolution each formed batch's schedule comes from the sharded LRU
-//              recipe cache, invoking the ios::Optimizer at most once per
-//              (model, device class, batch) configuration;
+//   resolution each formed batch's service time comes from the recipe store
+//              of the engine's ios::Optimizer, which searches each
+//              (model, device class, batch) configuration at most once, for
+//              the serving path and planners using optimizer() alike;
 //   routing    the batch goes to the worker minimizing predicted completion
 //              max(now, free) + service + (service - best_service), where
 //              service is the cached schedule latency on the worker's
@@ -35,8 +36,8 @@
 //
 // Threading: submit/poll/drain/reset mutate queue and worker state and must
 // be externally serialized (the DES is single-threaded; the daemon wraps
-// them in one mutex). prewarm, counters(), cache(), and options() are safe
-// to call concurrently with each other.
+// them in one mutex). prewarm, counters(), cache(), optimizer(), and
+// options() are safe to call concurrently with each other.
 
 #include <cstdint>
 #include <deque>
@@ -166,11 +167,11 @@ struct ServerOptions {
   SchedulerOptions scheduler{};
   /// Profiling protocol forwarded to the Optimizer on recipe-cache misses.
   ProfilingProtocol protocol{};
-  /// Sizing of the sharded recipe cache (ignored when the engine is built
-  /// around an external cache).
+  /// Sizing of the recipe store (ignored when the engine is built around an
+  /// external store).
   RecipeCacheOptions cache{};
   /// Persistable profiling-database path forwarded to every Optimizer run a
-  /// sharded-cache miss triggers (see OptimizationRequest::profile_db). A
+  /// recipe-store miss triggers (see OptimizationRequest::profile_db). A
   /// warm-started engine whose previous life profiled the same
   /// (model, device, batch) configurations re-runs zero simulations.
   std::string profile_db;
@@ -352,15 +353,11 @@ struct EngineCounters {
 class ServingEngine {
  public:
   /// Builds an engine reading time from `clock` (not owned, must outlive
-  /// the engine) with its own sharded recipe cache sized by
-  /// `options.cache`.
-  ServingEngine(ServerOptions options, TimeSource* clock);
-
-  /// Builds an engine around an external (possibly shared) recipe cache —
-  /// several engines or servers then reuse each other's optimized
-  /// schedules. `cache` must not be null.
+  /// the engine) whose Optimizer owns a recipe store sized by
+  /// `options.cache` — or shares `cache` when non-null, so several engines
+  /// or servers reuse each other's optimized schedules.
   ServingEngine(ServerOptions options, TimeSource* clock,
-                std::shared_ptr<ShardedRecipeCache> cache);
+                std::shared_ptr<ShardedRecipeCache> cache = nullptr);
 
   /// Admits one single-sample request for `model` at the clock's current
   /// time and greedily forms any full max-size batches this enables.
@@ -449,9 +446,14 @@ class ServingEngine {
   /// Lifetime Optimizer invocation/measurement counters (across resets).
   EngineCounters counters() const;
 
-  /// The recipe cache this engine resolves schedules through.
-  ShardedRecipeCache& cache() { return *cache_; }
-  const ShardedRecipeCache& cache() const { return *cache_; }
+  /// The recipe store this engine resolves schedules through: its
+  /// Optimizer's.
+  ShardedRecipeCache& cache() { return optimizer_.store(); }
+  const ShardedRecipeCache& cache() const { return optimizer_.store(); }
+
+  /// The Optimizer that owns cache(). Planners that optimize() through it
+  /// fill the entries the serving path reads, and hit the ones it filled.
+  Optimizer& optimizer() { return optimizer_; }
 
   /// The normalized options (batch sizes deduplicated/sorted, worker count
   /// clamped, device names canonicalized) the engine actually runs with.
@@ -498,19 +500,14 @@ class ServingEngine {
     const SloClass* slo = nullptr;
   };
 
-  /// Resolves the full cached recipe for (model, batch) on worker class
-  /// `cls` through the sharded cache, invoking the Optimizer on a miss.
-  CachedRecipe resolve(const std::string& model, int batch, std::size_t cls,
-                       bool* computed = nullptr);
-
-  /// resolve, but returning only the service latency — the per-batch hot
-  /// path, which must not copy a Schedule per dispatch.
+  /// The service latency of (model, batch) on worker class `cls`, from the
+  /// recipe store, searching on a miss — the per-batch hot path, which must
+  /// not copy a Schedule per dispatch.
   double resolve_latency(const std::string& model, int batch, std::size_t cls,
                          bool* computed = nullptr);
 
-  /// Runs the Optimizer for (model, batch) on `device` and accounts it in
-  /// the lifetime counters — the compute function behind both resolve
-  /// flavors.
+  /// Searches (model, batch) on `device` and accounts it in the lifetime
+  /// counters — the compute function behind resolve_latency.
   CachedRecipe optimize_config(const std::string& model, int batch,
                                const std::string& device);
 
@@ -599,11 +596,7 @@ class ServingEngine {
   std::vector<WorkerClass> classes_;
   std::vector<int> worker_class_;
   std::string config_key_part_;
-  std::shared_ptr<ShardedRecipeCache> cache_;
-  /// Capacity 1: the sharded cache is the serving store; the facade's own
-  /// cache (keyed by full graph JSON) would otherwise hold every recipe a
-  /// second time.
-  Optimizer optimizer_{1};
+  Optimizer optimizer_;
 
   // ---- per-run state (cleared by reset) ----
   std::map<std::string, ModelQueue> queues_;  ///< deterministic iteration
@@ -640,14 +633,5 @@ ServingResult summarize(std::vector<EngineBatch> batches,
 /// summarize without sheds (a run with the shed policy off).
 ServingResult summarize(std::vector<EngineBatch> batches,
                         const ServingEngine& engine, std::size_t num_requests);
-
-/// The recipe-cache key material for serving lookups: model, canonical
-/// device name, batch size, and the scheduler/profiling settings that can
-/// change the found schedule. Cheap to build (no graph serialization) —
-/// suitable for the per-batch hot path.
-std::string serving_cache_key(const std::string& model,
-                              const std::string& device, int batch,
-                              const SchedulerOptions& options,
-                              const ProfilingProtocol& protocol);
 
 }  // namespace ios::serve

@@ -1,127 +1,17 @@
 #pragma once
-// ShardedRecipeCache: the serving layer's thread-safe schedule store. It
-// generalizes the single-mutex recipe cache of the ios::Optimizer facade to
-// N independently locked shards, each a bounded LRU map, so concurrent
-// front-end threads resolving different deployment configurations never
-// contend on one lock. A lookup miss runs the caller-supplied compute
-// function (in ios::Server: a full Optimizer::optimize call) while holding
-// only that key's shard lock — misses on *different* shards optimize in
-// parallel, and a second thread asking for the same key blocks until the
-// first thread's result is cached, so every configuration is optimized at
-// most once.
-//
-// Eviction policy: per shard, strict least-recently-used with a fixed
-// capacity (see util/lru_cache.hpp). Keys are distributed over shards by a
-// mixed 64-bit hash of the key string, so total capacity is
-// num_shards * shard_capacity.
+// The serving layer's names for the recipe store, which the ios::Optimizer
+// owns (api/recipe_cache.hpp); the ServingEngine reads its Optimizer's.
 
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
+#include "api/optimizer.hpp"
 
-#include "core/scheduler.hpp"
-#include "schedule/schedule.hpp"
-#include "util/lru_cache.hpp"
-
-/// The inference-serving layer: request traces, dynamic batching, sharded
-/// recipe caching, and the trace-driven serving simulator.
+/// The inference-serving layer: request traces, dynamic batching, and the
+/// trace-driven serving simulator.
 namespace ios::serve {
 
-/// A cached optimization product: everything the serving executor needs to
-/// replay one (model, device, batch) configuration without re-searching.
-struct CachedRecipe {
-  /// The IOS schedule chosen by the Optimizer for this configuration.
-  Schedule schedule;
-  /// Executor latency of `schedule` on the configuration's device, in
-  /// microseconds — the batch service time the serving simulation charges.
-  double latency_us = 0;
-  /// Statistics of the DP search that produced the schedule.
-  SchedulerStats stats;
-  /// Cost-model profiles the optimization ran (0 when the Optimizer's own
-  /// inner cache already knew the configuration).
-  std::int64_t measurements = 0;
-};
-
-/// Sizing knobs for the sharded cache.
-struct RecipeCacheOptions {
-  /// Number of independently locked shards (clamped to >= 1).
-  std::size_t num_shards = 8;
-  /// Max entries per shard; the LRU entry of a full shard is evicted first.
-  std::size_t shard_capacity = 64;
-};
-
-/// Cumulative cache counters, aggregated over all shards.
-struct RecipeCacheStats {
-  std::int64_t hits = 0;       ///< lookups answered from a shard
-  std::int64_t misses = 0;     ///< lookups that had to run compute()
-  std::int64_t evictions = 0;  ///< entries dropped by per-shard LRU
-  std::size_t size = 0;        ///< resident entries across all shards
-};
-
-/// Thread-safe bounded schedule store: N independently locked shards, each
-/// a strict-LRU map (see the file comment for the full contract).
-class ShardedRecipeCache {
- public:
-  /// Creates `options.num_shards` empty shards.
-  explicit ShardedRecipeCache(RecipeCacheOptions options = {});
-
-  /// Returns the cached recipe for `key`, running `compute` to fill the
-  /// entry on a miss. The shard lock is held across compute(), so a given
-  /// key is computed at most once even under concurrent lookups; lookups
-  /// hashing to other shards proceed concurrently. compute() must not
-  /// re-enter the cache. Returns a copy (the entry may be evicted any time
-  /// after the call returns). When `computed` is non-null it is set to
-  /// whether this call ran compute() — callers sharing the cache use it to
-  /// keep their own hit/miss counts without racing on the global counters.
-  CachedRecipe get_or_compute(const std::string& key,
-                              const std::function<CachedRecipe()>& compute,
-                              bool* computed = nullptr);
-
-  /// get_or_compute, but returning only the entry's latency_us. The serving
-  /// hot path dispatches one batch per lookup and needs its service time,
-  /// not a copy of the whole Schedule.
-  double latency_or_compute(const std::string& key,
-                            const std::function<CachedRecipe()>& compute,
-                            bool* computed = nullptr);
-
-  /// True if `key` is resident (promotes it to most-recently-used).
-  bool contains(const std::string& key);
-
-  /// Aggregated hit/miss/eviction counters and resident size.
-  RecipeCacheStats stats() const;
-
-  /// Resident entries across all shards.
-  std::size_t size() const;
-
-  /// Number of independently locked shards.
-  std::size_t num_shards() const { return shards_.size(); }
-
-  /// Max entries per shard before LRU eviction.
-  std::size_t shard_capacity() const { return shard_capacity_; }
-
-  /// The shard index `key` hashes to (exposed for shard-independence tests).
-  std::size_t shard_of(const std::string& key) const;
-
-  /// Drops every entry; counters are kept.
-  void clear();
-
- private:
-  struct Shard {
-    mutable std::mutex mu;
-    LruCache<CachedRecipe> entries;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-
-    explicit Shard(std::size_t capacity) : entries(capacity) {}
-  };
-
-  std::size_t shard_capacity_;
-  /// unique_ptr because Shard owns a mutex and must not move when the
-  /// vector is built.
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
+using ios::CachedRecipe;
+using ios::RecipeCacheOptions;
+using ios::RecipeCacheStats;
+using ios::serving_cache_key;
+using ios::ShardedRecipeCache;
 
 }  // namespace ios::serve

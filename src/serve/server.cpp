@@ -9,9 +9,6 @@
 
 namespace ios::serve {
 
-Server::Server(ServerOptions options)
-    : Server(std::move(options), nullptr) {}
-
 Server::Server(ServerOptions options, std::shared_ptr<ShardedRecipeCache> cache)
     : engine_(std::move(options), &clock_, std::move(cache)) {
   if (engine_.options().adaptive.enabled) {

@@ -54,14 +54,12 @@ struct ServerStats {
 /// event model).
 class Server {
  public:
-  /// Builds a server with its own sharded recipe cache sized by
-  /// `options.cache`.
-  explicit Server(ServerOptions options);
-
-  /// Builds a server around an external (possibly shared) recipe cache —
-  /// several servers, e.g. one per worker-count in a sweep, then reuse each
-  /// other's optimized schedules. `cache` must not be null.
-  Server(ServerOptions options, std::shared_ptr<ShardedRecipeCache> cache);
+  /// Builds a server whose engine owns a recipe store sized by
+  /// `options.cache` — or shares `cache` when non-null, so several servers,
+  /// e.g. one per worker-count in a sweep, reuse each other's optimized
+  /// schedules.
+  explicit Server(ServerOptions options,
+                  std::shared_ptr<ShardedRecipeCache> cache = nullptr);
 
   /// Replays the trace on the virtual clock and returns per-request
   /// records plus aggregate statistics. Deterministic: the same trace and
@@ -88,7 +86,7 @@ class Server {
   /// the sharded cache's hit/miss/eviction counters.
   ServerStats stats() const;
 
-  /// The recipe cache this server resolves schedules through.
+  /// The recipe store this server resolves schedules through.
   ShardedRecipeCache& cache() { return engine_.cache(); }
 
   /// The normalized options (batch sizes deduplicated/sorted, worker count

@@ -1,12 +1,12 @@
 #pragma once
-// Bounded string-keyed LRU map. The recipe caches (the ios::Optimizer
-// facade's single cache and each shard of serve's ShardedRecipeCache) use it
-// to keep memory bounded under long-running serving workloads: every lookup
-// or insert promotes the entry to most-recently-used, and an insert that
-// would exceed the capacity evicts the least-recently-used entry first.
+// Bounded string-keyed LRU map. Each shard of the recipe store
+// (api/recipe_cache.hpp) is one, which keeps memory bounded under
+// long-running serving workloads: every lookup or insert promotes the entry
+// to most-recently-used, and an insert that would exceed the capacity evicts
+// the least-recently-used entry first.
 //
-// Not thread-safe by itself — callers guard it with their own mutex (the
-// Optimizer with one lock, the sharded cache with one lock per shard).
+// Not thread-safe by itself — the recipe store guards each shard's map with
+// that shard's own mutex.
 
 #include <cassert>
 #include <cstddef>

@@ -166,63 +166,4 @@ inline void parallel_for(std::size_t n, int num_threads,
   if (state->error) std::rethrow_exception(state->error);
 }
 
-/// parallel_for with a per-worker slot id: runs f(slot, 0) .. f(slot, n-1)
-/// like parallel_for, where `slot` identifies the participating worker and
-/// is dense in [0, min(num_threads, n)). The wave engine uses the slot to
-/// give each worker its own leased Arena, so per-state transition records
-/// bump-allocate without synchronization. Same claiming, nesting, and
-/// exception semantics as parallel_for; iteration-to-slot assignment is
-/// nondeterministic, so per-slot state must not influence results.
-inline void parallel_for_indexed(
-    std::size_t n, int num_threads,
-    const std::function<void(int, std::size_t)>& f) {
-  const int want =
-      num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads;
-  if (n <= 1 || want <= 1) {
-    for (std::size_t i = 0; i < n; ++i) f(0, i);
-    return;
-  }
-
-  struct State {
-    std::size_t n;
-    std::function<void(int, std::size_t)> f;
-    std::atomic<std::size_t> next{0};
-    std::atomic<int> next_slot{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t done = 0;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
-  state->n = n;
-  state->f = f;
-
-  const auto run = [state] {
-    const int slot = state->next_slot.fetch_add(1);
-    std::size_t i;
-    while ((i = state->next.fetch_add(1)) < state->n) {
-      std::exception_ptr err;
-      try {
-        state->f(slot, i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (err && !state->error) state->error = err;
-      if (++state->done == state->n) state->cv.notify_all();
-    }
-  };
-
-  const std::size_t helpers =
-      std::min<std::size_t>(static_cast<std::size_t>(want) - 1, n - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    shared_thread_pool().submit(run);
-  }
-  run();
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done == state->n; });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
 }  // namespace ios

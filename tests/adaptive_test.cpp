@@ -761,6 +761,28 @@ TEST(AdaptiveController, HysteresisBlocksBackToBackReplans) {
   EXPECT_TRUE(controller.replan_due(replanned_at + 1000000));
 }
 
+TEST(AdaptiveController, ReplansAndServingShareOneRecipeStore) {
+  // Two models at batch sizes {1, 2, 4, 8} on one V100: 8 configurations.
+  // Re-plans search through the engine's Optimizer, so between them the
+  // serving path and the re-plans search each configuration exactly once.
+  ServerOptions options;
+  options.device = "v100";
+  options.num_workers = 1;
+  options.batching.max_queue_delay_us = 800;
+  options.adaptive.enabled = true;
+  options.adaptive.warmup_arrivals = 8;
+  options.adaptive.min_replan_gap_us = 1000;
+  Server server(options);
+  const ServingResult result = server.run(
+      phased({"fig2", "fig5"}, {{50, 800}, {120, 60}, {40, 800}}, 11));
+  ASSERT_GE(result.stats.replans, 1);
+  ASSERT_EQ(server.cache().stats().evictions, 0);
+  EXPECT_EQ(server.cache().size(), 8u);
+  EXPECT_EQ(server.stats().optimizations +
+                server.adaptive()->stats().replan_optimizations,
+            static_cast<std::int64_t>(server.cache().size()));
+}
+
 TEST(AdaptiveController, ResetRunClearsPendingShiftButKeepsCounters) {
   VirtualClock clock;
   ServingEngine engine(controller_engine_options(), &clock);

@@ -610,6 +610,29 @@ TEST(FleetSimulator, ScriptedClassWipeOutTriggersOneWarmReplan) {
   EXPECT_EQ(result.stats.lost_requests, 0);
 }
 
+TEST(FleetSimulator, RunSearchesNothingThePlanAlreadySearched) {
+  // The fleet_class_wipeout golden's shape. plan() searches through the
+  // serving engine's Optimizer, so run()'s prewarm finds both per-class
+  // squeezenet recipes stored and searches nothing.
+  FleetSimOptions options;
+  options.topology = fleet_from_spec("node:1{p100,1080ti}");
+  options.batching.batch_sizes = {1};
+  options.workload = {WorkloadItem{"squeezenet", 1, 1.0}};
+  options.failures.schedule = {KillEvent{900, 0}};
+  FleetSimulator sim(options);
+  EXPECT_EQ(sim.plan().placement.optimizations, 2);
+
+  serve::TraceSpec spec;
+  spec.models = {"squeezenet"};
+  spec.num_requests = 60;
+  spec.mean_interarrival_us = 50;
+  spec.seed = 3;
+  const FleetSimResult result = sim.run(serve::generate_trace(spec));
+  EXPECT_EQ(sim.engine().counters().optimizations, 0);
+  EXPECT_EQ(sim.engine().cache().size(), 2u);
+  EXPECT_EQ(result.stats.lost_requests, 0);
+}
+
 TEST(FleetSimulator, TheLastAliveWorkerIsNeverKilled) {
   FleetSimOptions options;
   options.topology = fleet_from_spec("v100");

@@ -182,6 +182,38 @@ TEST(DaemonConfig, UnknownKeysAreRejected) {
                std::runtime_error);
 }
 
+TEST(DaemonConfig, OutOfRangeValuesAreRejectedByName) {
+  const auto rejects = [](const std::string& key, const std::string& value) {
+    const std::string json = "{\"" + key + "\": " + value + "}";
+    try {
+      daemon_options_from_json(JsonValue::parse(json));
+      ADD_FAILURE() << json << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("port", "70000");
+  rejects("port", "-1");
+  for (const char* key :
+       {"workers", "shards", "capacity", "max_pending", "io_threads"}) {
+    rejects(key, "0");
+    rejects(key, "-1");
+  }
+  rejects("time_scale", "-0.5");
+  rejects("max_line_bytes", "-1");
+
+  // The bounds themselves are accepted; max_line_bytes 0 means unlimited.
+  const DaemonOptions edge = daemon_options_from_json(JsonValue::parse(R"({
+    "port": 65535, "workers": 1, "shards": 1, "capacity": 1,
+    "max_pending": 1, "io_threads": 1, "time_scale": 0, "max_line_bytes": 0
+  })"));
+  EXPECT_EQ(edge.port, 65535);
+  EXPECT_EQ(edge.serving.cache.num_shards, 1u);
+  EXPECT_EQ(edge.time_scale, 0);
+  EXPECT_EQ(edge.max_line_bytes, 0u);
+}
+
 // ---- in-process daemon ---------------------------------------------------
 
 DaemonOptions test_daemon_options() {
@@ -322,6 +354,40 @@ TEST(DaemonTest, BoundedAdmissionRefusesThenDrainCompletesTheRest) {
   EXPECT_EQ(stats.admitted, 2);
   EXPECT_EQ(stats.completed, 2);
   EXPECT_EQ(stats.rejected, 1);
+}
+
+TEST(DaemonTest, AdaptiveReplansRunBesideIoAndExecutorThreads) {
+  DaemonOptions options = test_daemon_options();
+  options.serving.adaptive.enabled = true;
+  options.serving.adaptive.warmup_arrivals = 4;
+  options.serving.adaptive.min_replan_gap_us = 0;
+  // A 1 us SLO on squeezenet misses every outcome, so attainment collapses
+  // after warm-up and the batcher thread keeps re-planning through the
+  // engine's Optimizer while the io and executor threads serve.
+  options.serving.slo.models["squeezenet"] = serve::SloClass{1, 0};
+  Daemon daemon(options);
+  daemon.start();
+  Socket client = Socket::connect_to("127.0.0.1", daemon.port());
+
+  // Closed loop: each request waits for its answer before the next one.
+  for (int i = 0; i < 40; ++i) {
+    WireRequest request;
+    request.id = i;
+    request.model = i % 2 == 0 ? "squeezenet" : "mobilenet_v2";
+    client.write_all(format_request(request) + "\n");
+    std::string line;
+    ASSERT_TRUE(client.read_line(line));
+    const WireResponse response = parse_response(line);
+    EXPECT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.id, i);
+  }
+  daemon.stop();
+  std::string extra;
+  EXPECT_FALSE(client.read_line(extra)) << "second answer: " << extra;
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.admitted, 40);
+  EXPECT_EQ(stats.completed, stats.admitted);
+  EXPECT_GE(stats.replans, 1);
 }
 
 TEST(DaemonTest, StopIsIdempotentAndDestructorIsSafe) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "api/optimizer.hpp"
 #include "frameworks/frameworks.hpp"
@@ -99,6 +101,40 @@ TEST(Optimizer, CacheCapacityClampedToOne) {
   EXPECT_EQ(opt.cache_size(), 1u);
 }
 
+// A miss searches under its key's shard lock, so two threads making the same
+// miss search once: the second waits and is served the first one's entry.
+TEST(Optimizer, ConcurrentIdenticalMissesSearchOnce) {
+  OptimizationRequest request = OptimizationRequest::for_model("inception_v3");
+  request.baselines.clear();
+  const std::int64_t one_search =
+      Optimizer().optimize(request).new_measurements;
+  ASSERT_GT(one_search, 0);
+
+  Optimizer opt;
+  OptimizationResult results[2];
+  std::atomic<int> ready{0};
+  const auto race = [&](int i) {
+    // Release both threads together, well inside one search's duration.
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    results[i] = opt.optimize(request);
+  };
+  std::thread first(race, 0);
+  std::thread second(race, 1);
+  first.join();
+  second.join();
+
+  const OptimizerCacheStats stats = opt.cache_stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_NE(results[0].cache_hit, results[1].cache_hit);
+  EXPECT_EQ(results[0].new_measurements + results[1].new_measurements,
+            one_search);
+  EXPECT_EQ(opt.total_measurements(), one_search);
+  EXPECT_EQ(dump(results[0].schedule), dump(results[1].schedule));
+  EXPECT_DOUBLE_EQ(results[0].latency_us, results[1].latency_us);
+}
+
 TEST(Optimizer, ClearCacheKeepsCounters) {
   Optimizer opt;
   const OptimizationRequest request =
@@ -145,12 +181,12 @@ TEST(Optimizer, GraphAndNameRequestsAreEquivalent) {
   EXPECT_EQ(by_name.recipe.model, "squeezenet");
   EXPECT_FALSE(by_name.recipe.graph.has_value());
 
-  // The same network handed over as an in-memory graph fingerprints to the
-  // same cache key, so it is even served from the cache.
+  // The same network handed over as an in-memory graph is keyed by its
+  // JSON, not by the zoo name, so it is searched again — to the identical
+  // schedule and latency.
   const OptimizationResult by_graph = opt.optimize(
       OptimizationRequest::for_graph(models::squeezenet(1), "v100"));
-  EXPECT_TRUE(by_graph.cache_hit);
-  EXPECT_EQ(by_graph.fingerprint, by_name.fingerprint);
+  EXPECT_FALSE(by_graph.cache_hit);
   EXPECT_EQ(dump(by_graph.schedule), dump(by_name.schedule));
   EXPECT_DOUBLE_EQ(by_graph.latency_us, by_name.latency_us);
   EXPECT_TRUE(by_graph.recipe.graph.has_value());
