@@ -294,7 +294,14 @@ OptimizationResult Optimizer::run(const OptimizationRequest& request,
     result.canonical_hits = result.stats.canonical_hits;
     result.cross_model_hits = result.stats.cross_model_hits;
     result.block_cache_hits = result.stats.block_cache_hits;
-    if (profile_db) {
+    // A search that measured nothing holds only what it loaded from the
+    // database, so there is nothing to merge back. Canonical installs add
+    // entries without counting as measurements, hence the cross_reuse
+    // exclusion; a database not yet on disk is still written.
+    const bool nothing_new = result.new_measurements == 0 &&
+                             !request.cross_reuse && profile_db &&
+                             profile_db->on_disk.load();
+    if (profile_db && !nothing_new) {
       std::lock_guard<std::mutex> db_lock(profile_db->mu);
       const std::size_t before = profile_db->db.num_entries();
       result.profile_entries_saved = cost.save_profile(profile_db->db);

@@ -151,7 +151,9 @@ struct OptimizationResult {
   std::int64_t new_measurements = 0;
   /// Stage latencies imported from / merged into request.profile_db by this
   /// call (both 0 when no profile_db was set or the recipe cache hit).
-  /// With cross_reuse set, canonical-bucket entries are included.
+  /// With cross_reuse set, canonical-bucket entries are included. A search
+  /// that ran no new measurement, without cross_reuse, against a database
+  /// already on disk skips the merge, so it reports 0 saved.
   std::int64_t profile_entries_loaded = 0;
   std::int64_t profile_entries_saved = 0;
   /// Cross-request reuse counters of *this* call (all 0 unless

@@ -51,32 +51,37 @@ class BlockDag {
   void for_each_ending(Set64 s, int max_ops, int max_group_ops,
                        const std::function<void(Set64)>& f) const;
 
-  /// Allocation-free ending enumeration: identical visit order and pruning
-  /// to for_each_ending, but templated on the callback (no std::function
-  /// indirection) and using fixed stack scratch for the reverse-topological
-  /// order and the per-depth component lists (no per-include-step vector
-  /// copies). The callback receives f(ending, comps, ncomps): the weakly
-  /// connected components the enumerator already maintains for its group-
-  /// size cut, valid only for the duration of the call. They are the same
-  /// partition components(ending) would compute (in enumeration order, not
-  /// smallest-member order), so evaluators can skip the per-ending flood
-  /// fill entirely. This is the wave engine's hot path; for_each_ending is
-  /// kept as the reference (and as the serial engine's code path).
+  /// Allocation-free ending enumeration: the same endings, in the same
+  /// order, with the same pruning as for_each_ending, but templated on the
+  /// callback (no std::function indirection) and walking one recursion frame
+  /// per ending instead of one per skipped op. for_each_ending decides each
+  /// op of S in reverse-topological (descending index) order, excluding
+  /// before including, so it emits endings in ascending mask order. This
+  /// enumerator jumps straight to the next includable op instead: a frame
+  /// emits its ending on entry, then recurses into each "ready" op (every
+  /// in-S successor already chosen) below the ending's smallest member, in
+  /// ascending index order — the same ascending mask order, and each ending
+  /// is reached by including its ops in descending index order, exactly as
+  /// for_each_ending builds it. The callback receives f(ending, comps,
+  /// ncomps): the weakly connected components the enumerator maintains for
+  /// its group-size cut, valid only for the duration of the call. They are
+  /// the same component lists for_each_ending builds, hence the partition
+  /// components(ending) computes (in merge order, not smallest-member
+  /// order), so evaluators can skip the per-ending flood fill entirely. This
+  /// is the wave engine's hot path; for_each_ending is kept as the reference
+  /// (and as the serial engine's code path).
   template <typename F>
   void visit_endings(Set64 s, int max_ops, int max_group_ops, F&& f) const {
-    int rev_topo[64];
-    int m = 0;
-    for (int i : s) rev_topo[m++] = i;
-    for (int lo = 0, hi = m - 1; lo < hi; ++lo, --hi) {
-      const int tmp = rev_topo[lo];
-      rev_topo[lo] = rev_topo[hi];
-      rev_topo[hi] = tmp;
+    // The ops of S with no in-S successor are includable from the start.
+    Set64 ready;
+    for (int u : s) {
+      if (!succ_mask(u).intersects(s)) ready.insert(u);
     }
-    // rows[d] holds the component list built by an include step at depth d;
-    // exclude steps pass their caller's list through untouched, so distinct
-    // depths never alias.
+    // rows.row[d] holds the component lists built by the include steps out
+    // of a frame at depth d (d ops chosen); a frame's own list lives in row
+    // d - 1, so siblings overwrite only each other's finished lists.
     ComponentRows rows;
-    visit_rec(rev_topo, m, 0, s, Set64{}, nullptr, 0, rows, max_ops,
+    visit_rec(s, Set64{}, ready, 64, nullptr, 0, 0, rows, max_ops,
               max_group_ops, f);
   }
 
@@ -112,29 +117,28 @@ class BlockDag {
                    int max_group_ops,
                    const std::function<void(Set64)>& f) const;
 
-  /// Per-depth scratch rows for visit_endings' component merging (32 KiB of
-  /// stack; fine on pool worker threads).
+  /// Per-depth scratch rows for visit_endings' component merging, indexed
+  /// by include depth (32 KiB of stack; fine on pool worker threads).
   struct ComponentRows {
     Set64 row[64][64];
   };
 
+  /// One frame per ending: `chosen` (of size `depth`) with components
+  /// `comps`, `ready` the ops of S whose in-S successors are all chosen, and
+  /// `below` the smallest chosen index (64 at the root).
   template <typename F>
-  void visit_rec(const int* rev_topo, int m, int pos, Set64 s, Set64 chosen,
-                 const Set64* comps, int ncomps, ComponentRows& rows,
+  void visit_rec(Set64 s, Set64 chosen, Set64 ready, int below,
+                 const Set64* comps, int ncomps, int depth, ComponentRows& rows,
                  int max_ops, int max_group_ops, F& f) const {
-    if (pos == m) {
-      if (!chosen.empty()) f(chosen, comps, ncomps);
-      return;
-    }
-    const int u = rev_topo[pos];
-    // Exclude u.
-    visit_rec(rev_topo, m, pos + 1, s, chosen, comps, ncomps, rows, max_ops,
-              max_group_ops, f);
-    // Include u: legal iff every in-S successor of u is already chosen
-    // (successors precede u in reverse-topological order).
-    if (chosen.size() < max_ops && (succ_mask(u) & s).is_subset_of(chosen)) {
+    if (depth > 0) f(chosen, comps, ncomps);
+    if (depth >= max_ops) return;
+    // Only ops below the smallest chosen one extend this ending: the others
+    // are chosen already or were skipped on the way here.
+    const Set64 candidates = ready & Set64::full(below);
+    for (int u : candidates) {
+      // A candidate is unchosen, so depth < 64 here.
+      Set64* next = rows.row[depth];
       Set64 merged = Set64::single(u);
-      Set64* next = rows.row[pos];
       int nnext = 0;
       const Set64 adj = adj_mask(u);
       for (int c = 0; c < ncomps; ++c) {
@@ -146,13 +150,17 @@ class BlockDag {
       }
       // Components only grow as ops are added, so exceeding max_group_ops
       // cuts the whole include subtree exactly (same cut as rec_endings).
-      if (merged.size() <= max_group_ops) {
-        next[nnext++] = merged;
-        Set64 next_chosen = chosen;
-        next_chosen.insert(u);
-        visit_rec(rev_topo, m, pos + 1, s, next_chosen, next, nnext, rows,
-                  max_ops, max_group_ops, f);
+      if (merged.size() > max_group_ops) continue;
+      next[nnext++] = merged;
+      Set64 next_chosen = chosen;
+      next_chosen.insert(u);
+      // Choosing u can only make u's in-S predecessors ready.
+      Set64 next_ready = ready;
+      for (int p : pred_mask(u) & s) {
+        if ((succ_mask(p) & s).is_subset_of(next_chosen)) next_ready.insert(p);
       }
+      visit_rec(s, next_chosen, next_ready, u, next, nnext, depth + 1, rows,
+                max_ops, max_group_ops, f);
     }
   }
 

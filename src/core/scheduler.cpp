@@ -135,10 +135,11 @@ SearchEngine IosScheduler::resolved_engine() const {
   if (!options_.memoize) return SearchEngine::kSerial;
   // Pruned modes exist only in the wave engine.
   if (options_.prune != PruneMode::kExact) return SearchEngine::kWave;
-  // A single-worker wave search pays the level machinery (and its
-  // O(transitions) transition records) for zero parallelism; the recursive
-  // engine is the better single-threaded solver. The schedule is identical
-  // either way.
+  // A single-worker wave search is faster than the recursive engine, but it
+  // holds every surviving transition between its two passes —
+  // O(transitions) memory where the recursive engine needs O(states) — for
+  // zero parallelism. Single-threaded callers (the serving prewarm among
+  // them) keep the lean engine. The schedule is identical either way.
   const int workers = options_.num_threads > 0 ? options_.num_threads
                                                : ThreadPool::hardware_threads();
   return workers > 1 ? SearchEngine::kWave : SearchEngine::kSerial;
@@ -361,129 +362,6 @@ double IosScheduler::solve(BlockContext& ctx, Set64 s, SchedulerStats* stats) {
 // ---------------------------------------------------------------------------
 // Wave engines
 // ---------------------------------------------------------------------------
-
-/// Lock-striped ending cache shared by the worker threads of one block's
-/// wave search, split into two generations. Fresh entries live in the
-/// locked stripes; at each of the wave engine's serial points drain()
-/// migrates them into `frozen`, a map that is never written during a
-/// parallel phase and is therefore read without any lock. Most repeat
-/// lookups are cross-level — an ending evaluated once recurs under most
-/// states of every later wave — so after the first level the hot hit path
-/// takes no stripe lock at all. get_or_eval holds a stripe lock only
-/// around the fresh-table lookup/insert, never across the measurement, so
-/// stripes stay available while stages simulate; two threads racing on the
-/// same uncached ending both evaluate it (deterministically) and the first
-/// insert wins.
-struct IosScheduler::EndingStripes {
-  static constexpr std::size_t kStripes = 32;  // power of two
-
-  struct Stripe {
-    std::mutex mu;
-    FlatMap64<EndingEval> map;
-  };
-  std::array<Stripe, kStripes> stripes;
-  /// Earlier-wave entries, written only by drain() at serial points.
-  FlatMap64<EndingEval> frozen;
-  /// False when the whole search runs on the calling thread — the stripes
-  /// are then only ever touched sequentially and the (per-lookup) lock cost
-  /// would be pure overhead on the serial fast path.
-  bool locked = true;
-
-  explicit EndingStripes(bool locked_) : locked(locked_) {}
-
-  Stripe& stripe_for(std::uint64_t key) {
-    return stripes[shard_index(key, kStripes)];
-  }
-
-  EndingEval get_or_eval(const IosScheduler& sched, const BlockDag& dag,
-                         Set64 ending) {
-    if (const EndingEval* hit = frozen.find(ending.bits())) return *hit;
-    Stripe& stripe = stripe_for(ending.bits());
-    if (locked) {
-      {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (const EndingEval* hit = stripe.map.find(ending.bits())) {
-          return *hit;
-        }
-      }
-      const EndingEval eval = sched.compute_ending(dag, ending);
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      return *stripe.map.try_emplace(ending.bits(), eval).first;
-    }
-    if (const EndingEval* hit = stripe.map.find(ending.bits())) return *hit;
-    return *stripe.map
-                .try_emplace(ending.bits(), sched.compute_ending(dag, ending))
-                .first;
-  }
-
-  /// get_or_eval for callers that already hold the ending's components
-  /// (the wave discovery pass): misses evaluate via compute_ending_grouped,
-  /// skipping the flood fill and the stage materialization. Cached results
-  /// are identical either way.
-  EndingEval get_or_eval_grouped(const IosScheduler& sched,
-                                 const BlockDag& dag, Set64 ending,
-                                 const Set64* comps, int ncomps) {
-    if (const EndingEval* hit = frozen.find(ending.bits())) return *hit;
-    Stripe& stripe = stripe_for(ending.bits());
-    if (locked) {
-      {
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        if (const EndingEval* hit = stripe.map.find(ending.bits())) {
-          return *hit;
-        }
-      }
-      const EndingEval eval =
-          sched.compute_ending_grouped(dag, ending, comps, ncomps);
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      return *stripe.map.try_emplace(ending.bits(), eval).first;
-    }
-    if (const EndingEval* hit = stripe.map.find(ending.bits())) return *hit;
-    return *stripe.map
-                .try_emplace(ending.bits(), sched.compute_ending_grouped(
-                                                dag, ending, comps, ncomps))
-                .first;
-  }
-
-  /// Lock-free lookup for after discovery, when the stripes are quiescent
-  /// (no writer runs concurrently with the cost pass). The key must have
-  /// been evaluated; returns null otherwise.
-  const EndingEval* find_frozen(std::uint64_t key) const {
-    if (const EndingEval* hit = frozen.find(key)) return hit;
-    return stripes[shard_index(key, kStripes)].map.find(key);
-  }
-
-  /// Serially migrates every fresh striped entry into the frozen map. Only
-  /// the wave engine calls this, between its parallel phases; after the
-  /// call, lookups of everything evaluated so far are lock-free. Because
-  /// drains happen only at serial points, the frozen map's contents after
-  /// each level are deterministic regardless of thread count.
-  void drain() {
-    std::size_t added = 0;
-    for (const Stripe& stripe : stripes) added += stripe.map.size();
-    if (added == 0) return;
-    frozen.reserve(frozen.size() + added);
-    for (Stripe& stripe : stripes) {
-      if (stripe.map.empty()) continue;
-      stripe.map.for_each([this](std::uint64_t key, const EndingEval& eval) {
-        frozen.try_emplace(key, eval);
-      });
-      stripe.map.clear_retain();
-    }
-  }
-
-  /// Distinct non-pruned endings evaluated (single-threaded use only).
-  std::int64_t distinct_unpruned() const {
-    std::int64_t n = 0;
-    const auto count = [&n](std::uint64_t, const EndingEval& eval) {
-      if (!eval.pruned) ++n;
-    };
-    frozen.for_each(count);
-    for (const Stripe& stripe : stripes) {
-      stripe.map.for_each(count);
-    }
-    return n;
-  }
-};
 
 namespace {
 
@@ -770,7 +648,183 @@ void wave_level_for(std::size_t n, int num_threads, std::size_t serial_below,
 /// dominated the level's own work.
 constexpr std::size_t kSerialLevelCutoff = 24;
 
+/// Below this many fresh entries, EndingStripes::drain runs on the calling
+/// thread, as wave_level_for runs small levels: the migration is then too
+/// short to be worth waking pool helpers.
+constexpr std::size_t kDrainInlineBelow = 4096;
+
 }  // namespace
+
+/// Lock-striped ending cache shared by the worker threads of one block's
+/// wave search. Each stripe holds two generations: fresh entries in a
+/// locked table, and a frozen shard that is never written during a
+/// parallel phase and is therefore read without any lock. At each of the
+/// wave engine's serial points drain() migrates every stripe's fresh
+/// entries into its own frozen shard, the stripes spread over the pool.
+/// Most repeat lookups are cross-level — an ending evaluated once recurs
+/// under most states of every later wave — so after the first level the
+/// hot hit path takes no stripe lock at all. A lookup holds its stripe's
+/// lock only around the fresh-table lookup/insert, never across the
+/// measurement, so stripes stay available while stages simulate; two
+/// threads racing on the same uncached ending both evaluate it
+/// (deterministically) and the first insert wins.
+struct IosScheduler::EndingStripes {
+  static constexpr std::size_t kStripes = 32;  // power of two
+
+  /// A frozen slot; key 0 marks it empty (an ending is never empty).
+  struct FrozenSlot {
+    std::uint64_t key = 0;
+    EndingEval eval;
+  };
+  /// Every stripe's frozen shard in one slot array, written only by
+  /// drain(): stripe i owns the frozen_cap slots from i * frozen_cap, an
+  /// open-addressing table probed linearly from the low bits of the key's
+  /// hash (shard_index picks the stripe from the high bits). A growth step
+  /// is then one allocation, as for a single table: 32 separately growing
+  /// tables left enough heap holes to raise a warm optimize's peak RSS by
+  /// ~3%.
+  std::vector<FrozenSlot> frozen;
+  std::size_t frozen_cap = 0;  ///< slots per shard: 0 or a power of two
+
+  /// Aligned so the writers' lock and fresh table share no cache line with
+  /// the frozen array's header, which every lookup reads.
+  struct alignas(64) Stripe {
+    std::mutex mu;
+    FlatMap64<EndingEval> fresh;
+    std::size_t frozen_size = 0;        ///< entries in this stripe's shard
+    std::int64_t frozen_unpruned = 0;   ///< of which not pruned
+  };
+  std::array<Stripe, kStripes> stripes;
+  /// False when the whole search runs on the calling thread — the stripes
+  /// are then only ever touched sequentially and the (per-lookup) lock cost
+  /// would be pure overhead on the serial fast path.
+  bool locked = true;
+
+  explicit EndingStripes(bool locked_) : locked(locked_) {}
+
+  /// The entry for `key` in stripe i's frozen shard, or null.
+  const EndingEval* frozen_find(std::size_t i, std::uint64_t key) const {
+    if (frozen_cap == 0) return nullptr;
+    const FrozenSlot* shard = frozen.data() + i * frozen_cap;
+    const std::size_t mask = frozen_cap - 1;
+    for (std::size_t j = mix64(key) & mask;; j = (j + 1) & mask) {
+      if (shard[j].key == key) return &shard[j].eval;
+      if (shard[j].key == 0) return nullptr;
+    }
+  }
+
+  /// Inserts `key`, known to be absent, into a shard of `cap` slots.
+  static void frozen_put(FrozenSlot* shard, std::size_t cap,
+                         std::uint64_t key, const EndingEval& eval) {
+    const std::size_t mask = cap - 1;
+    for (std::size_t j = mix64(key) & mask;; j = (j + 1) & mask) {
+      if (shard[j].key == 0) {
+        shard[j] = FrozenSlot{key, eval};
+        return;
+      }
+    }
+  }
+
+  /// The cached evaluation of `key`, or compute()'s result, cached.
+  template <typename Compute>
+  EndingEval get_or_compute(std::uint64_t key, Compute&& compute) {
+    const std::size_t i = shard_index(key, kStripes);
+    if (const EndingEval* hit = frozen_find(i, key)) return *hit;
+    Stripe& stripe = stripes[i];
+    if (!locked) {
+      if (const EndingEval* hit = stripe.fresh.find(key)) return *hit;
+      return *stripe.fresh.try_emplace(key, compute()).first;
+    }
+    {
+      std::lock_guard<std::mutex> lock(stripe.mu);
+      if (const EndingEval* hit = stripe.fresh.find(key)) return *hit;
+    }
+    const EndingEval eval = compute();
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    return *stripe.fresh.try_emplace(key, eval).first;
+  }
+
+  EndingEval get_or_eval(const IosScheduler& sched, const BlockDag& dag,
+                         Set64 ending) {
+    return get_or_compute(ending.bits(),
+                          [&] { return sched.compute_ending(dag, ending); });
+  }
+
+  /// get_or_eval for callers that already hold the ending's components
+  /// (the wave discovery pass): misses evaluate via compute_ending_grouped,
+  /// skipping the flood fill and the stage materialization. Cached results
+  /// are identical either way.
+  EndingEval get_or_eval_grouped(const IosScheduler& sched,
+                                 const BlockDag& dag, Set64 ending,
+                                 const Set64* comps, int ncomps) {
+    return get_or_compute(ending.bits(), [&] {
+      return sched.compute_ending_grouped(dag, ending, comps, ncomps);
+    });
+  }
+
+  /// Lock-free lookup for after discovery, when the stripes are quiescent
+  /// (no writer runs concurrently with the cost pass). The key must have
+  /// been evaluated; returns null otherwise.
+  const EndingEval* find_frozen(std::uint64_t key) const {
+    const std::size_t i = shard_index(key, kStripes);
+    if (const EndingEval* hit = frozen_find(i, key)) return hit;
+    return stripes[i].fresh.find(key);
+  }
+
+  /// Migrates every fresh entry into its stripe's frozen shard, one stripe
+  /// per task on `threads` workers (inline when few entries are fresh),
+  /// first growing every shard to what the fullest stripe needs. Only the
+  /// wave engine calls this, between its parallel phases; after the call,
+  /// lookups of everything evaluated so far are lock-free. Because drains
+  /// happen only at serial points, the frozen contents after each level
+  /// are deterministic regardless of thread count.
+  void drain(int threads) {
+    std::size_t added = 0;
+    std::size_t fullest = 0;
+    for (const Stripe& stripe : stripes) {
+      added += stripe.fresh.size();
+      fullest = std::max(fullest, stripe.frozen_size + stripe.fresh.size());
+    }
+    if (added == 0) return;
+    // The flat tables' load limit: at most 70% of the slots in use.
+    std::size_t cap = std::max<std::size_t>(frozen_cap, 16);
+    while (fullest * 10 > cap * 7) cap <<= 1;
+    std::vector<FrozenSlot> grown;
+    if (cap != frozen_cap) grown.resize(kStripes * cap);
+    wave_level_for(kStripes, added < kDrainInlineBelow ? 1 : threads, 0,
+                   [&](int, std::size_t i) {
+      Stripe& stripe = stripes[i];
+      FrozenSlot* shard = nullptr;
+      if (grown.empty()) {
+        shard = &frozen[i * cap];
+      } else {
+        shard = &grown[i * cap];
+        for (std::size_t j = 0; j < frozen_cap; ++j) {
+          const FrozenSlot& old = frozen[i * frozen_cap + j];
+          if (old.key != 0) frozen_put(shard, cap, old.key, old.eval);
+        }
+      }
+      stripe.fresh.for_each([&](std::uint64_t key, const EndingEval& eval) {
+        frozen_put(shard, cap, key, eval);
+        if (!eval.pruned) ++stripe.frozen_unpruned;
+      });
+      stripe.frozen_size += stripe.fresh.size();
+      stripe.fresh.clear_retain();
+    });
+    if (!grown.empty()) {
+      frozen.swap(grown);
+      frozen_cap = cap;
+    }
+  }
+
+  /// Distinct non-pruned endings evaluated. Single-threaded use only, after
+  /// a drain() with no evaluation since.
+  std::int64_t distinct_unpruned() const {
+    std::int64_t n = 0;
+    for (const Stripe& stripe : stripes) n += stripe.frozen_unpruned;
+    return n;
+  }
+};
 
 double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -809,11 +863,12 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   seen.insert(dag.all().bits());
 
   // Bound bookkeeping (beam mode): fcost[S] is the cheapest known prefix
-  // cost from the full set down to S, relaxed serially during each level's
-  // merge. Since endings strictly shrink states, every transition into S
-  // comes from a strictly higher level, so fcost[S] is final before S's
-  // level expands. The floor supplies the admissible remainder bound h(S);
-  // min over trim points of f + h is the certified lower bound behind
+  // cost from the full set down to S. Each worker keeps its own minimum per
+  // successor while a level runs, and the serial step folds those minima in.
+  // Since endings strictly shrink states, every transition into S comes from
+  // a strictly higher level, so fcost[S] is final before S's level expands.
+  // The floor supplies the admissible remainder bound h(S); min over trim
+  // points of f + h is the certified lower bound behind
   // latency_gap_bound_us. Dominance mode needs no prefix bookkeeping — its
   // trims are local argmin dominance in the cost pass (see below) and never
   // lose a schedule, so its gap is structurally zero.
@@ -828,11 +883,19 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   }
   double min_cut = kInf;  // min f + h over trim points; kInf = nothing cut
 
-  // Per-worker scratch for the beam mode's collect-then-select enumeration.
-  struct BeamScratch {
+  // Per-worker scratch, indexed by wave_level_for's slot and reused across
+  // levels: the worker's successor dedup for the current level, and the
+  // beam mode's collect-then-select enumeration.
+  struct WorkerScratch {
+    // Successors met this level; beam mode maps each to its minimum prefix
+    // cost via this worker's states.
+    FlatMap64<double> met;
+    std::vector<std::uint64_t> fresh;  // the keys of met, to fold
     std::vector<std::uint64_t> collected;
     std::vector<std::uint32_t> kept;
   };
+  std::vector<WorkerScratch> scratch(
+      static_cast<std::size_t>(std::max(1, workers)));
 
   std::int64_t states_expanded = 0;
   std::int64_t enumerated = 0;     // endings visited, pruned included
@@ -842,9 +905,6 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
                                    // or dominance argmin bound)
   std::int64_t lazy_evals = 0;     // dominance: cost-pass ending lookups
 
-  std::vector<std::uint64_t> fresh_subs;  // per-level, reused
-  PopcountBuckets buckets;
-
   // ---- Discovery pass (popcount descending) ----------------------------
   // Finds every state the (pruned) transition relation reaches from the
   // full set. Exact and beam modes evaluate every surviving ending here —
@@ -853,12 +913,17 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   // P(r, s) verdict is a component count, no simulation needed) and stores
   // each transition's admissible stage floor in the latency slot instead;
   // its measurements happen lazily in the cost pass, where exact sub-costs
-  // make the floor a sharp skip test. Successor dedup and all statistics
-  // happen in the serial merge between waves, so level contents are
-  // deterministic regardless of thread count.
+  // make the floor a sharp skip test. Successors are deduplicated inside
+  // the fan-out: each worker drops the ones already in `seen` (read-only
+  // while the level runs) or already met by itself, so the serial step
+  // between waves folds only the workers' fresh lists — O(workers x new
+  // states), not O(transitions). Each level is sorted by state bits before
+  // it expands, so level contents are deterministic regardless of thread
+  // count.
   for (int p = n; p >= 1; --p) {
     WaveLevel& wave = levels[static_cast<std::size_t>(p)];
     if (wave.states.empty()) continue;
+    std::sort(wave.states.begin(), wave.states.end());
     const std::size_t cnt = wave.states.size();
 
     wave.spans.assign(cnt, Span{});
@@ -868,8 +933,6 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
     for (int i = 0; i < lease_n; ++i) {
       wave.leases.push_back(shared_arena_pool().acquire());
     }
-    std::vector<BeamScratch> scratch(
-        mode == PruneMode::kBeam ? static_cast<std::size_t>(lease_n) : 0);
     std::vector<std::int32_t> pruned_per_state(cnt, 0);
     std::vector<std::int32_t> trimmed_per_state(
         mode == PruneMode::kBeam ? cnt : 0, 0);
@@ -879,6 +942,30 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
       const Set64 s{wave.states[i]};
       Arena& arena = *wave.leases[static_cast<std::size_t>(slot)];
       ArenaVec<WaveTransition> out(arena);
+      WorkerScratch& sc = scratch[static_cast<std::size_t>(slot)];
+      double f_here = 0;  // beam: final, since every level above has folded
+      if (track_bounds) {
+        const double* f = fcost.find(s.bits());
+        f_here = f ? *f : 0;
+      }
+      // Records a surviving transition and meets its successor.
+      const auto record = [&](std::uint64_t ending, double latency_us) {
+        out.push_back({ending, latency_us});
+        const std::uint64_t sub = s.bits() & ~ending;
+        if (sub == 0) return;
+        if (track_bounds) {
+          // Every successor, seen or not: its prefix bound may still drop.
+          const double via = f_here + latency_us;
+          const auto [f, first] = sc.met.try_emplace(sub, via);
+          if (first) {
+            sc.fresh.push_back(sub);
+          } else if (via < *f) {
+            *f = via;
+          }
+        } else if (!seen.contains(sub) && sc.met.try_emplace(sub, 0).second) {
+          sc.fresh.push_back(sub);
+        }
+      };
 
       if (mode == PruneMode::kBeam) {
         // Collect every ending without evaluating, then keep the beam: the
@@ -890,7 +977,6 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
         // state keeps at least one transition and the DP always completes.
         // The keep set is a prefix of one fixed total order, so it is
         // nested across widths — results are monotone in beam_width.
-        BeamScratch& sc = scratch[static_cast<std::size_t>(slot)];
         sc.collected.clear();
         dag.visit_endings(s, max_ops, max_group_ops,
                           [&sc](Set64 ending, const Set64*, int) {
@@ -904,7 +990,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
             ++pruned_per_state[i];
             return;
           }
-          out.push_back({bits, eval.latency_us});
+          record(bits, eval.latency_us);
         };
         if (total <= static_cast<std::uint32_t>(beam_width)) {
           for (const std::uint64_t bits : sc.collected) eval_one(bits);
@@ -962,7 +1048,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
                 ++pruned_per_state[i];
                 return;
               }
-              out.push_back({ending.bits(), lb});
+              record(ending.bits(), lb);
             });
       } else {
         dag.visit_endings(
@@ -974,7 +1060,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
                 ++pruned_per_state[i];
                 return;
               }
-              out.push_back({ending.bits(), eval.latency_us});
+              record(ending.bits(), eval.latency_us);
             });
       }
 
@@ -982,52 +1068,41 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
       wave.spans[i] = Span{out.data(), out.size()};
     });
 
-    // Serial merge: statistics, bound relaxation, successor discovery.
-    fresh_subs.clear();
+    // Serial step, O(states + workers x new states): statistics, the beam
+    // gap bound, and the fold of the workers' successors.
+    states_expanded += static_cast<std::int64_t>(cnt);
     for (std::size_t i = 0; i < cnt; ++i) {
-      ++states_expanded;
-      const std::uint64_t sbits = wave.states[i];
-      const Span& span = wave.spans[i];
-      enumerated += pruned_per_state[i] + span.count;
+      enumerated += pruned_per_state[i] + wave.spans[i].count;
       pruned_calls += pruned_per_state[i];
-      double f_here = 0;
-      if (track_bounds) {
-        const double* f = fcost.find(sbits);
-        f_here = f ? *f : 0;
-        if (trimmed_per_state[i] > 0) {
-          trimmed += trimmed_per_state[i];
-          // Any schedule reaching this state through a trimmed ending costs
-          // at least f + h; together with the found cost this certifies the
-          // reported gap bound.
-          min_cut = std::min(min_cut, f_here + floor.eval(Set64{sbits}));
-        }
-      }
-      for (std::uint32_t t = 0; t < span.count; ++t) {
-        const WaveTransition& tr = span.tr[t];
-        const std::uint64_t sub = sbits & ~tr.ending;
-        if (sub == 0) continue;
-        if (track_bounds) {
-          const double via = f_here + tr.latency_us;
-          const auto [slot, fresh] = fcost.try_emplace(sub, via);
-          if (!fresh && via < *slot) *slot = via;
-        }
-        if (seen.insert(sub)) fresh_subs.push_back(sub);
+      if (track_bounds && trimmed_per_state[i] > 0) {
+        trimmed += trimmed_per_state[i];
+        // Any schedule reaching this state through a trimmed ending costs
+        // at least f + h; together with the found cost this certifies the
+        // reported gap bound.
+        const Set64 s{wave.states[i]};
+        const double* f = fcost.find(s.bits());
+        min_cut = std::min(min_cut, (f ? *f : 0) + floor.eval(s));
       }
     }
-    // Bucket the level's fresh states by popcount in one batch — a stable
-    // counting sort over a contiguous array (vectorizable popcounts), and
-    // first-discovery order within each level is preserved.
-    buckets.build(fresh_subs.data(), fresh_subs.size());
-    for (int q = p - 1; q >= 1; --q) {
-      const std::size_t c = buckets.count(q);
-      if (c == 0) continue;
-      WaveLevel& dst = levels[static_cast<std::size_t>(q)];
-      const std::uint64_t* b = buckets.bucket(q);
-      dst.states.insert(dst.states.end(), b, b + c);
+    for (WorkerScratch& sc : scratch) {
+      if (sc.fresh.empty()) continue;
+      for (const std::uint64_t sub : sc.fresh) {
+        if (track_bounds) {
+          const double via = *sc.met.find(sub);
+          const auto [f, first] = fcost.try_emplace(sub, via);
+          if (!first && via < *f) *f = via;
+        }
+        if (seen.insert(sub)) {
+          levels[static_cast<std::size_t>(std::popcount(sub))]
+              .states.push_back(sub);
+        }
+      }
+      sc.fresh.clear();
+      sc.met.clear_retain();
     }
     // Freeze this level's fresh endings: every later wave's repeat lookups
     // of them become lock-free hits.
-    endings.drain();
+    endings.drain(threads);
   }
 
   // ---- Cost pass (popcount ascending) ----------------------------------
@@ -1160,7 +1235,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
     }
     // Dominance evaluates lazily during this pass; freezing after each
     // level keeps the next level's repeat lookups off the stripe locks.
-    if (mode == PruneMode::kDominance) endings.drain();
+    if (mode == PruneMode::kDominance) endings.drain(threads);
     // The level's records are dead once its costs are in the memo: return
     // the arenas to the pool and drop the level's vectors.
     wave.leases.clear();

@@ -3,7 +3,6 @@
 // program to represent subsets of the operators of one block (states S and
 // endings S' in Algorithm 1 of the paper). All operations are O(1) bit tricks.
 
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstddef>
@@ -89,52 +88,6 @@ class Set64 {
 
  private:
   std::uint64_t bits_ = 0;
-};
-
-/// Stable counting sort of 64-bit masks by popcount. The wave search's
-/// successor merge buckets each level's newly discovered states by popcount;
-/// sorting a whole batch at once replaces the per-state branchy bucket
-/// dispatch with two tight passes over contiguous memory — the histogram
-/// pass is a pure popcount reduction the compiler vectorizes — and yields
-/// each bucket as one contiguous span ready to splice into its level.
-class PopcountBuckets {
- public:
-  /// Sorts `keys` into popcount buckets (stable within each bucket).
-  void build(const std::uint64_t* keys, std::size_t n) {
-    counts_.fill(0);
-    sorted_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++counts_[static_cast<std::size_t>(std::popcount(keys[i]))];
-    }
-    std::array<std::uint32_t, 65> cursor;  // running offset per bucket
-    std::uint32_t off = 0;
-    for (std::size_t p = 0; p <= 64; ++p) {
-      cursor[p] = off;
-      offsets_[p] = off;
-      off += counts_[p];
-    }
-    offsets_[65] = off;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t p = static_cast<std::size_t>(std::popcount(keys[i]));
-      sorted_[cursor[p]++] = keys[i];
-    }
-  }
-
-  /// Number of keys with popcount `p`.
-  std::uint32_t count(int p) const {
-    return counts_[static_cast<std::size_t>(p)];
-  }
-
-  /// The keys with popcount `p`, in input order. Valid until the next
-  /// build().
-  const std::uint64_t* bucket(int p) const {
-    return sorted_.data() + offsets_[static_cast<std::size_t>(p)];
-  }
-
- private:
-  std::vector<std::uint64_t> sorted_;
-  std::array<std::uint32_t, 65> counts_{};
-  std::array<std::uint32_t, 66> offsets_{};
 };
 
 }  // namespace ios

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/block_dag.hpp"
 #include "models/models.hpp"
+#include "util/flat_map.hpp"
 
 namespace ios {
 namespace {
@@ -238,6 +241,88 @@ TEST(BlockDag, GroupPruningMatchesPostFilter) {
     });
     EXPECT_EQ(pruned, filtered) << "r=" << r;
   }
+}
+
+/// visit_endings must emit exactly `reference` (for_each_ending's endings
+/// under the same caps, in its order), each with the partition
+/// components() computes.
+void expect_visits(const BlockDag& dag, Set64 s, int max_ops,
+                   int max_group_ops,
+                   const std::vector<std::uint64_t>& reference) {
+  std::vector<std::uint64_t> visited;
+  bool comps_match = true;
+  dag.visit_endings(s, max_ops, max_group_ops,
+                    [&](Set64 e, const Set64* comps, int ncomps) {
+                      visited.push_back(e.bits());
+                      Set64 got[64];
+                      std::copy(comps, comps + ncomps, got);
+                      std::sort(got, got + ncomps, [](Set64 a, Set64 b) {
+                        return a.first() < b.first();
+                      });
+                      const std::vector<Set64> want = dag.components(e);
+                      if (!std::equal(got, got + ncomps, want.begin(),
+                                      want.end())) {
+                        comps_match = false;
+                      }
+                    });
+  ASSERT_EQ(visited, reference)
+      << "state " << s.bits() << " caps " << max_ops << "/" << max_group_ops;
+  ASSERT_TRUE(comps_match)
+      << "state " << s.bits() << " caps " << max_ops << "/" << max_group_ops;
+}
+
+std::vector<std::uint64_t> reference_endings(const BlockDag& dag, Set64 s,
+                                             int max_ops, int max_group_ops) {
+  std::vector<std::uint64_t> out;
+  dag.for_each_ending(s, max_ops, max_group_ops,
+                      [&](Set64 e) { out.push_back(e.bits()); });
+  return out;
+}
+
+TEST(BlockDag, VisitEndingsMatchesReferenceOnEveryZooState) {
+  // The DP hands P(r, s) to the enumerators as r * s ops per ending and r
+  // ops per group; the group count s is checked outside them. Besides
+  // P(3, 8), which drives the walk below, check P(2, 1) and P(2, 2).
+  constexpr std::pair<int, int> kOtherCaps[] = {{2, 2}, {4, 2}};
+  std::size_t states = 0;
+  for (const std::string& name : models::model_names()) {
+    const Graph g = models::build_model(name, 1);
+    for (const std::vector<OpId>& block : g.blocks()) {
+      const BlockDag dag(g, block);
+      SCOPED_TRACE(name + ", block of " + std::to_string(dag.size()));
+      // Every state the DP reaches from the full set under P(3, 8).
+      std::vector<Set64> todo{dag.all()};
+      FlatSet64 seen;
+      seen.insert(dag.all().bits());
+      while (!todo.empty()) {
+        const Set64 s = todo.back();
+        todo.pop_back();
+        ++states;
+        const std::vector<std::uint64_t> endings =
+            reference_endings(dag, s, 24, 3);
+        expect_visits(dag, s, 24, 3, endings);
+        for (const auto& [max_ops, max_group_ops] : kOtherCaps) {
+          expect_visits(dag, s, max_ops, max_group_ops,
+                        reference_endings(dag, s, max_ops, max_group_ops));
+        }
+        if (dag.size() <= 20) {
+          expect_visits(dag, s, 64, 64, reference_endings(dag, s, 64, 64));
+        }
+        if (HasFatalFailure()) return;
+        for (const std::uint64_t e : endings) {
+          const Set64 sub = s - Set64{e};
+          if (sub.empty() || seen.contains(sub.bits()) ||
+              dag.components(Set64{e}).size() > 8) {
+            continue;
+          }
+          seen.insert(sub.bits());
+          todo.push_back(sub);
+        }
+      }
+    }
+  }
+  // RandWire's three 33-op stages alone reach over 22k states.
+  EXPECT_GT(states, 30000u);
 }
 
 TEST(BlockDag, RejectsOversizedBlock) {

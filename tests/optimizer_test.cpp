@@ -9,6 +9,7 @@
 #include "api/optimizer.hpp"
 #include "frameworks/frameworks.hpp"
 #include "models/models.hpp"
+#include "runtime/profile_db.hpp"
 #include "schedule/serialize.hpp"
 
 namespace ios {
@@ -366,6 +367,33 @@ TEST(Optimizer, ProfileDbWarmsAcrossOptimizerInstances) {
   EXPECT_GT(third.new_measurements, 0);
   const OptimizationResult fourth = Optimizer().optimize(request);
   EXPECT_EQ(fourth.new_measurements, 0);
+  std::remove(path.c_str());
+}
+
+TEST(Optimizer, WarmProfileDbCallSkipsTheMerge) {
+  const std::string path =
+      ::testing::TempDir() + "/optimizer_profile_db_warm.json";
+  std::remove(path.c_str());
+
+  OptimizationRequest request = OptimizationRequest::for_graph(small_graph());
+  request.profile_db = path;
+  const OptimizationResult cold = Optimizer().optimize(request);
+  ASSERT_GT(cold.profile_entries_saved, 0);
+
+  // A warm search measures nothing, so it has nothing to merge back.
+  const OptimizationResult warm = Optimizer().optimize(request);
+  EXPECT_EQ(warm.new_measurements, 0);
+  EXPECT_EQ(warm.profile_entries_loaded, cold.profile_entries_saved);
+  EXPECT_EQ(warm.profile_entries_saved, 0);
+
+  // Skipping the merge lost nothing: a later Optimizer still loads every
+  // entry and again simulates nothing.
+  const OptimizationResult third = Optimizer().optimize(request);
+  EXPECT_EQ(third.profile_entries_loaded, cold.profile_entries_saved);
+  EXPECT_EQ(third.new_measurements, 0);
+  EXPECT_EQ(dump(third.schedule), dump(cold.schedule));
+  EXPECT_EQ(static_cast<std::int64_t>(ProfileDb::load(path).num_entries()),
+            cold.profile_entries_saved);
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/scheduler.hpp"
 #include "models/models.hpp"
 #include "runtime/profile_db.hpp"
@@ -101,6 +105,51 @@ TEST(SearchEngine, WaveMatchesSerialOnRealModels) {
                             PruningStrategy{});
   expect_equivalent_engines(models::inception_v3(1), IosVariant::kBoth,
                             PruningStrategy{});
+}
+
+TEST(SearchEngine, WaveMatchesSerialOnAWideBlock) {
+  // NASNet's largest cell: 18 ops and 886 states, of which 10 levels hold
+  // at least the 24 states that fan a level out to the pool, the widest
+  // 123. Every such level runs the multi-worker paths — successor dedup in
+  // the workers, the fold between levels, the drain on the pool — and 3
+  // threads split the levels into uneven chunk claims.
+  const Graph g = models::nasnet_a(1);
+  const std::vector<std::vector<OpId>> blocks = g.blocks();
+  const std::vector<OpId>& cell = *std::max_element(
+      blocks.begin(), blocks.end(),
+      [](const auto& a, const auto& b) { return a.size() < b.size(); });
+  const auto search = [&](SearchEngine engine, int threads,
+                          SchedulerStats& stats) {
+    CostModel cost(g, v100_config());
+    SchedulerOptions options;
+    options.engine = engine;
+    options.num_threads = threads;
+    return IosScheduler(cost, options).schedule_block(cell, &stats);
+  };
+  SchedulerStats ref;
+  const Schedule ref_schedule = search(SearchEngine::kSerial, 1, ref);
+  ASSERT_EQ(ref.states, 886);
+
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SchedulerStats got;
+    expect_same_schedule(search(SearchEngine::kWave, threads, got),
+                         ref_schedule);
+    EXPECT_EQ(got.states, ref.states);
+    EXPECT_EQ(got.transitions, ref.transitions);
+    EXPECT_EQ(got.measurements, ref.measurements);
+    EXPECT_EQ(got.cache_hits, ref.cache_hits);
+    EXPECT_EQ(got.pruned_endings, ref.pruned_endings);
+    EXPECT_EQ(got.pruned_states, ref.pruned_states);
+    EXPECT_EQ(got.beam_trimmed, ref.beam_trimmed);
+    EXPECT_EQ(got.latency_gap_bound_us, ref.latency_gap_bound_us);
+    EXPECT_EQ(got.block_cache_hits, ref.block_cache_hits);
+    EXPECT_EQ(got.canonical_hits, ref.canonical_hits);
+    EXPECT_EQ(got.cross_model_hits, ref.cross_model_hits);
+    // The same stages are profiled, in a thread-dependent order.
+    EXPECT_NEAR(got.profiling_cost_us, ref.profiling_cost_us,
+                1e-9 * ref.profiling_cost_us);
+  }
 }
 
 TEST(SearchEngine, AutoResolvesByMemoizationAndWorkers) {
