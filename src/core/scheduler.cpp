@@ -14,6 +14,7 @@
 
 #include "sim/kernel_model.hpp"
 #include "util/arena.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ios {
@@ -146,7 +147,7 @@ SearchEngine IosScheduler::resolved_engine() const {
 }
 
 Stage IosScheduler::concurrent_stage(const BlockDag& dag,
-                                     const std::vector<Set64>& comps) {
+                                     std::span<const Set64> comps) {
   Stage stage;
   stage.strategy = StageStrategy::kConcurrent;
   for (Set64 comp : comps) {
@@ -174,70 +175,38 @@ Stage IosScheduler::build_stage(const BlockDag& dag, Set64 ending,
 }
 
 IosScheduler::EndingEval IosScheduler::compute_ending(const BlockDag& dag,
-                                                      Set64 ending) const {
+                                                      Set64 ending,
+                                                      const Set64* comps,
+                                                      int ncomps) const {
+  std::vector<Set64> own;
+  if (comps == nullptr) {
+    own = dag.components(ending);
+    comps = own.data();
+    ncomps = static_cast<int>(own.size());
+  }
   EndingEval eval;
   // Pruning strategy P(r, s): group sizes were already bounded by the
-  // enumeration; the group-count bound s is checked here. The components
-  // double as the concurrent stage's groups below.
-  const std::vector<Set64> comps = dag.components(ending);
-  if (!options_.pruning.unrestricted() &&
-      static_cast<int>(comps.size()) > options_.pruning.s) {
-    eval.pruned = true;
-    return eval;
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::vector<OpId> ops = dag.to_ops(ending);
-
-  double l_concurrent = kInf;
-  if (options_.variant != IosVariant::kMerge) {
-    l_concurrent = cost_.measure(concurrent_stage(dag, comps));
-  }
-
-  double l_merge = kInf;
-  if (options_.variant != IosVariant::kParallel && ops.size() >= 2 &&
-      analyze_merge(cost_.graph(), ops)) {
-    l_merge =
-        cost_.measure(build_stage(dag, ending, StageBuild::kMergeSingle));
-  }
-
-  if (options_.variant == IosVariant::kMerge && !std::isfinite(l_merge)) {
-    // IOS-Merge fallback: execute the ending's operators sequentially on a
-    // single stream (so IOS-Merge degenerates to the sequential schedule on
-    // networks with nothing to merge, as reported in Section 6.1).
-    eval.build = StageBuild::kSequentialSingle;
-    eval.latency_us =
-        cost_.measure(build_stage(dag, ending, StageBuild::kSequentialSingle));
-  } else if (l_concurrent <= l_merge) {
-    eval.build = StageBuild::kConcurrentGroups;
-    eval.latency_us = l_concurrent;
-  } else {
-    eval.build = StageBuild::kMergeSingle;
-    eval.latency_us = l_merge;
-  }
-  return eval;
-}
-
-IosScheduler::EndingEval IosScheduler::compute_ending_grouped(
-    const BlockDag& dag, Set64 ending, const Set64* comps, int ncomps) const {
-  EndingEval eval;
+  // enumeration; the group-count bound s is checked here.
   if (!options_.pruning.unrestricted() && ncomps > options_.pruning.s) {
     eval.pruned = true;
     return eval;
   }
 
-  // dag.components orders groups by smallest member; the enumerator hands
-  // them over in merge order. Sort a local copy so the derived fingerprints
-  // (hence the latency-cache keys and any noise streams seeded by them)
-  // match compute_ending bit for bit.
+  // The components double as the concurrent stage's groups. Sort a local
+  // copy by smallest member (dag.components' order; the wave enumerator
+  // hands them over in merge order), so each fingerprint derived below
+  // equals stage_fingerprint of the stage it names.
   Set64 sorted[64];
   std::copy(comps, comps + ncomps, sorted);
   std::sort(sorted, sorted + ncomps, [](Set64 a, Set64 b) {
     return std::countr_zero(a.bits()) < std::countr_zero(b.bits());
   });
+  const std::span<const Set64> groups(sorted,
+                                      static_cast<std::size_t>(ncomps));
 
-  // Tags and separators mirror stage_fingerprint / fingerprint_groups;
-  // measure_keyed asserts the keys agree with the materialized stage.
+  // Tags and separators mirror stage_fingerprint / fingerprint_groups; a
+  // miss builds its stage once, inside measure_keyed. search_engine_test
+  // pins these keys to stage_fingerprint.
   constexpr std::uint64_t kConcurrentTag = 0x51edu;
   constexpr std::uint64_t kMergeTag = 0x9e37u;
   const auto group_fp = [&dag](std::uint64_t h, Set64 comp) {
@@ -252,11 +221,9 @@ IosScheduler::EndingEval IosScheduler::compute_ending_grouped(
   double l_concurrent = kInf;
   if (options_.variant != IosVariant::kMerge) {
     std::uint64_t fp = kConcurrentTag;
-    for (int c = 0; c < ncomps; ++c) fp = group_fp(fp, sorted[c]);
-    l_concurrent = cost_.measure_keyed(fp, [&] {
-      return concurrent_stage(dag,
-                              std::vector<Set64>(sorted, sorted + ncomps));
-    });
+    for (const Set64 comp : groups) fp = group_fp(fp, comp);
+    l_concurrent = cost_.measure_keyed(
+        fp, [&] { return concurrent_stage(dag, groups); });
   }
 
   double l_merge = kInf;
@@ -285,7 +252,9 @@ IosScheduler::EndingEval IosScheduler::compute_ending_grouped(
   }
 
   if (options_.variant == IosVariant::kMerge && !std::isfinite(l_merge)) {
-    // IOS-Merge fallback, as in compute_ending: one sequential stream.
+    // IOS-Merge fallback: execute the ending's operators sequentially on a
+    // single stream (so IOS-Merge degenerates to the sequential schedule on
+    // networks with nothing to merge, as reported in Section 6.1).
     eval.build = StageBuild::kSequentialSingle;
     eval.latency_us =
         cost_.measure_keyed(group_fp(kConcurrentTag, ending), [&] {
@@ -508,8 +477,7 @@ PruneFloor make_prune_floor(const BlockDag& dag, const CostModel& cost,
 /// test — returns true when the ending is pruned) and, when it survives,
 /// the admissible stage floor written to *lb. Components come straight
 /// from the enumerator (visit_endings maintains them for its group-size
-/// cut) — no allocation, no flood fill, and no stage build, where
-/// compute_ending's component-list materialization would dominate.
+/// cut) — no allocation, no flood fill, and no cost-model probe.
 ///
 /// The floor sharpens PruneFloor::eval(ending) with a per-build stage term.
 /// A concurrent stage runs each component on its own stream: k kernels
@@ -565,92 +533,15 @@ bool scan_ending(const PruningStrategy& pruning, const PruneFloor& floor,
   return false;
 }
 
-/// Chunk-claiming fan-out for the wave engine's level loops: a parallel_for
-/// that also hands each participating worker a dense slot id, and whose
-/// workers grab contiguous index chunks from one atomic cursor and report
-/// completion once per chunk, so the done-counting mutex is touched
-/// O(n / chunk) times instead of O(n) — on a 100k-state level that is the
-/// difference between 100k lock round-trips and ~32.
-/// Small levels (`n` below `serial_below`) run inline on the caller: the
-/// fixed cost of queueing pool helpers exceeds the whole level's work on
-/// the many tiny levels of shallow blocks. Iterations write per-index
-/// state only and the caller merges serially, so results are deterministic
-/// regardless of chunking or thread count.
-void wave_level_for(std::size_t n, int num_threads, std::size_t serial_below,
-                    const std::function<void(int, std::size_t)>& f) {
-  const int want =
-      num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads;
-  if (n < serial_below || n <= 1 || want <= 1) {
-    for (std::size_t i = 0; i < n; ++i) f(0, i);
-    return;
-  }
-
-  // Aim for several chunks per worker so stragglers rebalance, while
-  // keeping chunks big enough that claiming stays off the hot path.
-  const std::size_t chunk =
-      std::max<std::size_t>(1, n / (static_cast<std::size_t>(want) * 8));
-
-  struct State {
-    std::size_t n = 0;
-    std::size_t chunk = 1;
-    std::function<void(int, std::size_t)> f;
-    std::atomic<std::size_t> next{0};
-    std::atomic<int> next_slot{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t done = 0;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
-  state->n = n;
-  state->chunk = chunk;
-  state->f = f;
-
-  const auto run = [state] {
-    const int slot = state->next_slot.fetch_add(1);
-    for (;;) {
-      const std::size_t begin = state->next.fetch_add(state->chunk);
-      if (begin >= state->n) break;
-      const std::size_t end = std::min(state->n, begin + state->chunk);
-      std::exception_ptr err;
-      try {
-        for (std::size_t i = begin; i < end; ++i) state->f(slot, i);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (err && !state->error) state->error = err;
-      state->done += end - begin;
-      if (state->done == state->n) state->cv.notify_all();
-    }
-  };
-
-  const std::size_t num_chunks = (n + chunk - 1) / chunk;
-  const std::size_t helpers =
-      std::min<std::size_t>(static_cast<std::size_t>(want) - 1,
-                            num_chunks - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    // Fire-and-forget, like parallel_for: completion is tracked by
-    // state->done, so the caller never blocks on a helper that was queued
-    // but never ran.
-    shared_thread_pool().submit(run);
-  }
-  run();
-
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done == state->n; });
-  if (state->error) std::rethrow_exception(state->error);
-}
-
-/// Below this many states a level runs on the calling thread (see
-/// wave_level_for). Chosen from the paper zoo: inception-style blocks have
+/// Below this many states a level runs on the calling thread (parallel_for's
+/// inline cutoff). Chosen from the paper zoo: inception-style blocks have
 /// hundreds of levels of a handful of states each, where pool dispatch
 /// dominated the level's own work.
 constexpr std::size_t kSerialLevelCutoff = 24;
 
 /// Below this many fresh entries, EndingStripes::drain runs on the calling
-/// thread, as wave_level_for runs small levels: the migration is then too
-/// short to be worth waking pool helpers.
+/// thread, as small levels do: the migration is then too short to be worth
+/// waking pool helpers.
 constexpr std::size_t kDrainInlineBelow = 4096;
 
 }  // namespace
@@ -725,41 +616,25 @@ struct IosScheduler::EndingStripes {
     }
   }
 
-  /// The cached evaluation of `key`, or compute()'s result, cached.
-  template <typename Compute>
-  EndingEval get_or_compute(std::uint64_t key, Compute&& compute) {
+  /// The cached evaluation of `ending`, or evaluate()'s result (the
+  /// caller's compute_ending call), cached.
+  template <typename Evaluate>
+  EndingEval get_or_eval(Set64 ending, Evaluate&& evaluate) {
+    const std::uint64_t key = ending.bits();
     const std::size_t i = shard_index(key, kStripes);
     if (const EndingEval* hit = frozen_find(i, key)) return *hit;
     Stripe& stripe = stripes[i];
     if (!locked) {
       if (const EndingEval* hit = stripe.fresh.find(key)) return *hit;
-      return *stripe.fresh.try_emplace(key, compute()).first;
+      return *stripe.fresh.try_emplace(key, evaluate()).first;
     }
     {
       std::lock_guard<std::mutex> lock(stripe.mu);
       if (const EndingEval* hit = stripe.fresh.find(key)) return *hit;
     }
-    const EndingEval eval = compute();
+    const EndingEval eval = evaluate();
     std::lock_guard<std::mutex> lock(stripe.mu);
     return *stripe.fresh.try_emplace(key, eval).first;
-  }
-
-  EndingEval get_or_eval(const IosScheduler& sched, const BlockDag& dag,
-                         Set64 ending) {
-    return get_or_compute(ending.bits(),
-                          [&] { return sched.compute_ending(dag, ending); });
-  }
-
-  /// get_or_eval for callers that already hold the ending's components
-  /// (the wave discovery pass): misses evaluate via compute_ending_grouped,
-  /// skipping the flood fill and the stage materialization. Cached results
-  /// are identical either way.
-  EndingEval get_or_eval_grouped(const IosScheduler& sched,
-                                 const BlockDag& dag, Set64 ending,
-                                 const Set64* comps, int ncomps) {
-    return get_or_compute(ending.bits(), [&] {
-      return sched.compute_ending_grouped(dag, ending, comps, ncomps);
-    });
   }
 
   /// Lock-free lookup for after discovery, when the stripes are quiescent
@@ -791,8 +666,8 @@ struct IosScheduler::EndingStripes {
     while (fullest * 10 > cap * 7) cap <<= 1;
     std::vector<FrozenSlot> grown;
     if (cap != frozen_cap) grown.resize(kStripes * cap);
-    wave_level_for(kStripes, added < kDrainInlineBelow ? 1 : threads, 0,
-                   [&](int, std::size_t i) {
+    parallel_for(kStripes, added < kDrainInlineBelow ? 1 : threads,
+                 [&](std::size_t i) {
       Stripe& stripe = stripes[i];
       FrozenSlot* shard = nullptr;
       if (grown.empty()) {
@@ -883,7 +758,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   }
   double min_cut = kInf;  // min f + h over trim points; kInf = nothing cut
 
-  // Per-worker scratch, indexed by wave_level_for's slot and reused across
+  // Per-worker scratch, indexed by parallel_for's slot and reused across
   // levels: the worker's successor dedup for the current level, and the
   // beam mode's collect-then-select enumeration.
   struct WorkerScratch {
@@ -937,8 +812,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
     std::vector<std::int32_t> trimmed_per_state(
         mode == PruneMode::kBeam ? cnt : 0, 0);
 
-    wave_level_for(cnt, threads, kSerialLevelCutoff,
-                   [&](int slot, std::size_t i) {
+    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
       const Set64 s{wave.states[i]};
       Arena& arena = *wave.leases[static_cast<std::size_t>(slot)];
       ArenaVec<WaveTransition> out(arena);
@@ -985,7 +859,8 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
         const std::uint32_t total =
             static_cast<std::uint32_t>(sc.collected.size());
         const auto eval_one = [&](std::uint64_t bits) {
-          const EndingEval eval = endings.get_or_eval(*this, dag, Set64{bits});
+          const EndingEval eval = endings.get_or_eval(
+              Set64{bits}, [&] { return compute_ending(dag, Set64{bits}); });
           if (eval.pruned) {
             ++pruned_per_state[i];
             return;
@@ -1054,8 +929,9 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
         dag.visit_endings(
             s, max_ops, max_group_ops,
             [&](Set64 ending, const Set64* comps, int ncomps) {
-              const EndingEval eval = endings.get_or_eval_grouped(
-                  *this, dag, ending, comps, ncomps);
+              const EndingEval eval = endings.get_or_eval(ending, [&] {
+                return compute_ending(dag, ending, comps, ncomps);
+              });
               if (eval.pruned) {
                 ++pruned_per_state[i];
                 return;
@@ -1066,7 +942,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
 
       out.shrink_to_fit();
       wave.spans[i] = Span{out.data(), out.size()};
-    });
+    }, kSerialLevelCutoff);
 
     // Serial step, O(states + workers x new states): statistics, the beam
     // gap bound, and the fold of the workers' successors.
@@ -1139,8 +1015,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
     std::vector<char> has(cnt, 0);
     std::vector<std::int32_t> evals_per_state(
         mode == PruneMode::kDominance ? cnt : 0, 0);
-    wave_level_for(cnt, threads, kSerialLevelCutoff,
-                   [&](int slot, std::size_t i) {
+    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
       const std::uint64_t s = wave.states[i];
       const Span& span = wave.spans[i];
       Entry best;
@@ -1173,8 +1048,9 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
           // the enumeration-order tie-break sees every minimal candidate.
           if (sc.lb[t] > best.cost || !std::isfinite(sc.lb[t])) break;
           const WaveTransition& tr = span.tr[t];
-          const EndingEval eval =
-              endings.get_or_eval(*this, dag, Set64{tr.ending});
+          const Set64 ending{tr.ending};
+          const EndingEval eval = endings.get_or_eval(
+              ending, [&] { return compute_ending(dag, ending); });
           ++evals_per_state[i];
           if (eval.pruned) continue;  // discovery already excluded these
           const std::uint64_t sub = s & ~tr.ending;
@@ -1219,7 +1095,7 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
       best.build = endings.find_frozen(best.choice)->build;
       entries[i] = best;
       has[i] = 1;
-    });
+    }, kSerialLevelCutoff);
     for (std::size_t i = 0; i < cnt; ++i) {
       if (has[i]) memo.try_emplace(wave.states[i], entries[i]);
       if (mode == PruneMode::kDominance) {
@@ -1300,56 +1176,7 @@ std::string IosScheduler::canonical_block_key(const BlockDag& dag) const {
     const Op& op = g.op(dag.op_of(i));
     key += "op:";
     num(static_cast<int>(op.kind));
-    switch (op.kind) {
-      case OpKind::kConv2d: {
-        const Conv2dAttrs& a = op.conv();
-        num(a.out_channels);
-        num(a.kh);
-        num(a.kw);
-        num(a.sh);
-        num(a.sw);
-        num(a.ph);
-        num(a.pw);
-        num(a.post_relu ? 1 : 0);
-        break;
-      }
-      case OpKind::kSepConv: {
-        const SepConvAttrs& a = op.sepconv();
-        num(a.out_channels);
-        num(a.k);
-        num(a.sh);
-        num(a.sw);
-        num(a.ph);
-        num(a.pw);
-        num(a.pre_relu ? 1 : 0);
-        break;
-      }
-      case OpKind::kPool2d: {
-        const Pool2dAttrs& a = op.pool();
-        num(static_cast<int>(a.kind));
-        num(a.kh);
-        num(a.kw);
-        num(a.sh);
-        num(a.sw);
-        num(a.ph);
-        num(a.pw);
-        break;
-      }
-      case OpKind::kMatmul: {
-        const MatmulAttrs& a = op.matmul();
-        num(a.out_features);
-        num(a.post_relu ? 1 : 0);
-        break;
-      }
-      case OpKind::kSplit: {
-        const SplitAttrs& a = op.split();
-        num(a.begin_channel);
-        num(a.end_channel);
-        break;
-      }
-      default:
-        break;
-    }
+    key += attrs_to_json(op).dump();
     key += "out:";
     num(op.output.n);
     num(op.output.c);
@@ -1464,40 +1291,30 @@ Schedule IosScheduler::schedule_block(std::span<const OpId> block_ops,
 
 Schedule IosScheduler::schedule_partition(
     const std::vector<std::vector<OpId>>& blocks, SchedulerStats* stats) {
-  const int want = options_.num_threads > 0 ? options_.num_threads
-                                            : ThreadPool::hardware_threads();
-
-  Schedule q;
-  if (want <= 1 || blocks.size() <= 1) {
-    // One block at a time; schedule_block still fans out within the block
-    // when the wave engine has threads to use.
-    for (const std::vector<OpId>& block : blocks) {
-      Schedule bq = schedule_block(block, stats);
-      for (Stage& stage : bq.stages) q.stages.push_back(std::move(stage));
-    }
-    return q;
-  }
-
   // Each block DP is independent (own BlockContext); only the CostModel is
-  // shared, and its measurement path is thread-safe. Per-block stats are
-  // accumulated locally and merged at join so worker threads never contend
-  // on the caller's counters.
+  // shared, and its measurement path is thread-safe. The blocks fan out on
+  // parallel_for, which runs them in order on the calling thread at one
+  // worker; schedule_block still fans out within a block when the wave
+  // engine has threads to use. Per-block stats are accumulated locally and
+  // merged at join so worker threads never contend on the caller's
+  // counters.
   std::vector<Schedule> per_block(blocks.size());
   std::vector<SchedulerStats> per_stats(blocks.size());
   // schedule_block attributes measurements (and canonical-reuse hits) by
   // diffing the shared CostModel counters, which interleave across
   // concurrent blocks; take one global delta over the whole run instead.
   // Likewise, per-block wall times overlap, so search_wall_ms is the
-  // elapsed time of the parallel region, not the sum of the workers'.
+  // elapsed time of the whole fan-out, not the sum of the workers'.
   const std::int64_t measurements_before = cost_.num_measurements();
   const double profiling_before = cost_.profiling_cost_us();
   const std::int64_t canonical_before = cost_.canonical_hits();
   const std::int64_t cross_before = cost_.cross_model_hits();
   const auto t0 = std::chrono::steady_clock::now();
-  parallel_for(blocks.size(), want, [&](std::size_t i) {
+  parallel_for(blocks.size(), options_.num_threads, [&](std::size_t i) {
     per_block[i] = schedule_block(blocks[i], stats ? &per_stats[i] : nullptr);
   });
 
+  Schedule q;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     for (Stage& stage : per_block[i].stages) {
       q.stages.push_back(std::move(stage));

@@ -13,14 +13,19 @@
 //  * kSerial — the reference recursive top-down solver, one thread.
 //  * kWave   — an iterative bottom-up solver that groups the reachable
 //    states by popcount ("waves") and evaluates each wave's states in
-//    parallel on the shared thread pool, so even a single large block
-//    (NASNet cell, RandWire) uses every core. See IosScheduler::solve_wave.
+//    parallel on the shared thread pool (util/thread_pool.hpp's slot-form
+//    parallel_for), so even a single large block (NASNet cell, RandWire)
+//    uses every core. See IosScheduler::solve_wave.
+// Both run one GENERATE_STAGE (IosScheduler::compute_ending), which keys the
+// cost model's latency cache by fingerprints derived from an ending's
+// component masks. Independent blocks fan out on the same parallel_for.
 // Memo and ending caches are flat open-addressing tables (util/flat_map.hpp)
 // keyed by Set64::bits().
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -176,8 +181,8 @@ struct SchedulerStats {
   double profiling_cost_us = 0;  ///< simulated device time spent profiling
   double search_wall_ms = 0;     ///< host time spent in the DP itself
 
-  /// Accumulates another block's stats (used to merge the per-thread stats
-  /// of a parallel schedule_partition at join).
+  /// Accumulates another block's stats (used to merge schedule_partition's
+  /// per-block stats at join).
   SchedulerStats& operator+=(const SchedulerStats& o) {
     states += o.states;
     transitions += o.transitions;
@@ -285,17 +290,16 @@ class IosScheduler {
   struct EndingStripes;
 
   /// GENERATE_STAGE (Algorithm 1 L23-33) specialized by the variant, plus
-  /// the P(r, s) pruning verdict. Pure with respect to the DP state.
-  EndingEval compute_ending(const BlockDag& dag, Set64 ending) const;
-
-  /// compute_ending for callers that already hold the ending's weakly
-  /// connected components (the wave enumerator maintains them as it
-  /// recurses). Skips the per-ending flood fill and derives the stage
-  /// fingerprints directly from the component masks, so a warm latency
-  /// cache is probed without materializing any Stage. Bit-identical
-  /// results to compute_ending — same cache keys, same tie-breaking.
-  EndingEval compute_ending_grouped(const BlockDag& dag, Set64 ending,
-                                    const Set64* comps, int ncomps) const;
+  /// the P(r, s) pruning verdict, for an ending whose `ncomps` weakly
+  /// connected components are `comps`, in any order (the wave enumerator
+  /// maintains them as it recurses). A null `comps` means
+  /// dag.components(ending). Pure with respect to the DP state, and the one
+  /// GENERATE_STAGE both engines run. The stage fingerprints are derived
+  /// from the component masks, so a warm latency cache is probed without
+  /// materializing any Stage; a miss builds its stage once.
+  EndingEval compute_ending(const BlockDag& dag, Set64 ending,
+                            const Set64* comps = nullptr,
+                            int ncomps = 0) const;
 
   /// compute_ending memoized in ctx.ending_cache with hit/pruned counting
   /// (serial engine path).
@@ -318,19 +322,19 @@ class IosScheduler {
   /// `stats` is given. See scheduler.cpp for the machinery.
   double solve_wave(BlockContext& ctx, SchedulerStats* stats);
 
-  /// The cross-request identity of a block: operator kinds, attributes, and
-  /// shapes by local index, internal wiring, external-input sharing
-  /// structure and shapes, the scheduler config, and the measurement
-  /// environment. Equal keys get bit-identical DP outcomes, so the block
-  /// template cache can replay the stage layout.
+  /// The cross-request identity of a block: operator kinds, attributes (as
+  /// attrs_to_json lists them), and shapes by local index, internal wiring,
+  /// external-input sharing structure and shapes, the scheduler config, and
+  /// the measurement environment. Equal keys get bit-identical DP outcomes,
+  /// so the block template cache can replay the stage layout.
   std::string canonical_block_key(const BlockDag& dag) const;
 
   Stage build_stage(const BlockDag& dag, Set64 ending, StageBuild build) const;
 
   /// The concurrent stage for an ending whose weakly connected components
-  /// are already known (avoids recomputing them in the DP hot path).
+  /// are already known, one group per component in the given order.
   static Stage concurrent_stage(const BlockDag& dag,
-                                const std::vector<Set64>& comps);
+                                std::span<const Set64> comps);
 
   CostModel& cost_;
   SchedulerOptions options_;

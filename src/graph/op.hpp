@@ -13,6 +13,8 @@
 
 namespace ios {
 
+class JsonValue;  // util/json.hpp
+
 using OpId = int;
 inline constexpr OpId kInvalidOp = -1;
 
@@ -99,5 +101,12 @@ std::int64_t op_flops(const Op& op, const std::vector<TensorDesc>& in_descs);
 /// Bytes of parameters (conv kernels / FC weights) read by the op.
 std::int64_t op_weight_bytes(const Op& op,
                              const std::vector<TensorDesc>& in_descs);
+
+/// The op's kind-specific attributes as a JSON object (the input
+/// placeholder's c/h/w; {} for kinds without attributes). This is the one
+/// list of attribute fields: the graph serializer writes it, and the block
+/// template cache keys structurally identical blocks by it, so a field the
+/// round trip needs can never be missing from the template key.
+JsonValue attrs_to_json(const Op& op);
 
 }  // namespace ios

@@ -5,60 +5,6 @@
 
 namespace ios {
 
-namespace {
-
-JsonValue attrs_to_json(const Op& op) {
-  JsonValue a = JsonValue::object();
-  switch (op.kind) {
-    case OpKind::kConv2d: {
-      const Conv2dAttrs& c = op.conv();
-      a.set("out_channels", c.out_channels);
-      a.set("kh", c.kh).set("kw", c.kw);
-      a.set("sh", c.sh).set("sw", c.sw);
-      a.set("ph", c.ph).set("pw", c.pw);
-      a.set("post_relu", c.post_relu);
-      break;
-    }
-    case OpKind::kSepConv: {
-      const SepConvAttrs& s = op.sepconv();
-      a.set("out_channels", s.out_channels);
-      a.set("k", s.k);
-      a.set("sh", s.sh).set("sw", s.sw);
-      a.set("ph", s.ph).set("pw", s.pw);
-      a.set("pre_relu", s.pre_relu);
-      break;
-    }
-    case OpKind::kPool2d: {
-      const Pool2dAttrs& p = op.pool();
-      a.set("pool_kind", static_cast<int>(p.kind));
-      a.set("kh", p.kh).set("kw", p.kw);
-      a.set("sh", p.sh).set("sw", p.sw);
-      a.set("ph", p.ph).set("pw", p.pw);
-      break;
-    }
-    case OpKind::kMatmul: {
-      const MatmulAttrs& m = op.matmul();
-      a.set("out_features", m.out_features);
-      a.set("post_relu", m.post_relu);
-      break;
-    }
-    case OpKind::kSplit: {
-      const SplitAttrs& s = op.split();
-      a.set("begin_channel", s.begin_channel);
-      a.set("end_channel", s.end_channel);
-      break;
-    }
-    case OpKind::kInput:
-      a.set("c", op.output.c).set("h", op.output.h).set("w", op.output.w);
-      break;
-    default:
-      break;
-  }
-  return a;
-}
-
-}  // namespace
-
 JsonValue graph_to_json(const Graph& g) {
   JsonValue root = JsonValue::object();
   root.set("name", g.name());

@@ -2,9 +2,13 @@
 // Fixed-size thread pool plus the two primitives the search engine is built
 // on: a process-wide lazily-initialized shared pool (spawning and joining a
 // fresh pool per scheduling call costs more than small blocks' whole DP) and
-// a nesting-safe parallel_for. Jobs are submitted as callables and their
-// results/exceptions come back through std::future.
+// a nesting-safe, chunk-claiming parallel_for. Its slot form hands each
+// worker a dense slot id for per-worker scratch; the wave search's level
+// loops, the block fan-out and the serving prewarm all run on it. Jobs are
+// submitted as callables and their results/exceptions come back through
+// std::future.
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -102,32 +106,46 @@ inline ThreadPool& shared_thread_pool() {
   return pool;
 }
 
-/// Runs f(0) .. f(n-1) with up to `num_threads` workers (<= 0 = one per
-/// hardware thread), drawing helpers from shared_thread_pool(). The calling
-/// thread always participates and claims indices from the same atomic
-/// cursor, so the loop completes even if every pool worker is busy — which
-/// makes nesting safe: an outer parallel_for over blocks may invoke an
-/// inner parallel_for over DP states without risking pool-exhaustion
-/// deadlock (queued helpers that start after the work is drained return
-/// immediately). Iterations must be independent; the assignment of indices
-/// to threads is nondeterministic, so f must only write to per-index state.
-/// The first exception thrown by any iteration is rethrown to the caller
-/// after all claimed iterations finish.
+/// Runs f(slot, i) for every i in [0, n) with up to `num_threads` workers
+/// (<= 0 = one per hardware thread), drawing helpers from
+/// shared_thread_pool(). Workers claim contiguous index chunks (several per
+/// worker, so stragglers rebalance) from one atomic cursor and count
+/// completion once per chunk, so the done-counting mutex is touched
+/// O(n / chunk) times, not O(n). Each participating thread holds one dense
+/// slot in [0, min(workers, chunks)) for the whole call, never shared, so f
+/// may index per-worker scratch by it. With fewer than `inline_below`
+/// indices or one worker, the loop runs on the calling thread in index
+/// order as slot 0: queueing helpers would cost more than the work.
+///
+/// The calling thread always participates through the same cursor, so the
+/// loop completes even if every pool worker is busy. That makes nesting
+/// safe: an outer parallel_for over blocks may run an inner one over DP
+/// states without pool-exhaustion deadlock (helpers that start after the
+/// work is drained return at once). Which thread runs which index is
+/// nondeterministic, so f must only write per-index or per-slot state. The
+/// first exception thrown ends the rest of its chunk and is rethrown to the
+/// caller once every claimed chunk has finished.
 inline void parallel_for(std::size_t n, int num_threads,
-                         const std::function<void(std::size_t)>& f) {
+                         const std::function<void(int, std::size_t)>& f,
+                         std::size_t inline_below = 2) {
   const int want =
       num_threads <= 0 ? ThreadPool::hardware_threads() : num_threads;
-  if (n <= 1 || want <= 1) {
-    for (std::size_t i = 0; i < n; ++i) f(i);
+  if (n < inline_below || n <= 1 || want <= 1) {
+    for (std::size_t i = 0; i < n; ++i) f(0, i);
     return;
   }
+
+  const std::size_t chunk =
+      std::max<std::size_t>(1, n / (static_cast<std::size_t>(want) * 8));
 
   // Shared by the caller and the queued helpers; the shared_ptr keeps it
   // (and the copied f) alive for helpers that start after the caller left.
   struct State {
-    std::size_t n;
-    std::function<void(std::size_t)> f;
+    std::size_t n = 0;
+    std::size_t chunk = 1;
+    std::function<void(int, std::size_t)> f;
     std::atomic<std::size_t> next{0};
+    std::atomic<int> next_slot{0};
     std::mutex mu;
     std::condition_variable cv;
     std::size_t done = 0;
@@ -135,25 +153,31 @@ inline void parallel_for(std::size_t n, int num_threads,
   };
   auto state = std::make_shared<State>();
   state->n = n;
+  state->chunk = chunk;
   state->f = f;
 
   const auto run = [state] {
-    std::size_t i;
-    while ((i = state->next.fetch_add(1)) < state->n) {
+    const int slot = state->next_slot.fetch_add(1);
+    for (;;) {
+      const std::size_t begin = state->next.fetch_add(state->chunk);
+      if (begin >= state->n) break;
+      const std::size_t end = std::min(state->n, begin + state->chunk);
       std::exception_ptr err;
       try {
-        state->f(i);
+        for (std::size_t i = begin; i < end; ++i) state->f(slot, i);
       } catch (...) {
         err = std::current_exception();
       }
       std::lock_guard<std::mutex> lock(state->mu);
       if (err && !state->error) state->error = err;
-      if (++state->done == state->n) state->cv.notify_all();
+      state->done += end - begin;
+      if (state->done == state->n) state->cv.notify_all();
     }
   };
 
-  const std::size_t helpers =
-      std::min<std::size_t>(static_cast<std::size_t>(want) - 1, n - 1);
+  const std::size_t num_chunks = (n + chunk - 1) / chunk;
+  const std::size_t helpers = std::min<std::size_t>(
+      static_cast<std::size_t>(want) - 1, num_chunks - 1);
   for (std::size_t h = 0; h < helpers; ++h) {
     // Fire-and-forget: completion is tracked by state->done, not futures, so
     // the caller never blocks on a helper that was queued but never ran.
@@ -164,6 +188,12 @@ inline void parallel_for(std::size_t n, int num_threads,
   std::unique_lock<std::mutex> lock(state->mu);
   state->cv.wait(lock, [&] { return state->done == state->n; });
   if (state->error) std::rethrow_exception(state->error);
+}
+
+/// parallel_for for loops that need no slot id: runs f(i) for i in [0, n).
+inline void parallel_for(std::size_t n, int num_threads,
+                         const std::function<void(std::size_t)>& f) {
+  parallel_for(n, num_threads, [&f](int, std::size_t i) { f(i); });
 }
 
 }  // namespace ios

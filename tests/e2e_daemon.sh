@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end exercise of `ios_opt daemon` + `ios_opt fire`, three scenarios:
+# End-to-end exercise of `ios_opt daemon` + `ios_opt fire`: a flag check
+# (a negative --max-line-bytes exits 2, naming the flag), then three
+# scenarios:
 #
 #   1. Plain serving: boot the daemon on an ephemeral loopback port, fire a
 #      synthetic trace at it, require every request to come back with a
@@ -59,6 +61,19 @@ wait_for_port() {
   done
   fail "daemon never printed its listening port"
 }
+
+# ---------------------------------------------------------------------------
+# Flag check: a negative --max-line-bytes is rejected by name before the
+# daemon binds (parsed unsigned, "-1" would wrap to an unbounded line limit
+# and the daemon would serve until the timeout stopped it: exit 124).
+BAD_STATUS=0
+timeout 10 "$IOS_OPT" daemon --port 0 --max-line-bytes -1 \
+  >"$DAEMON_LOG" 2>&1 || BAD_STATUS=$?
+[[ "$BAD_STATUS" -eq 2 ]] \
+  || fail "daemon --max-line-bytes -1 exited $BAD_STATUS, want 2"
+grep -q -- "--max-line-bytes" "$DAEMON_LOG" \
+  || fail "the --max-line-bytes rejection does not name the flag"
+echo "e2e_daemon: --max-line-bytes -1 rejected"
 
 # ---------------------------------------------------------------------------
 # Scenario 1: plain serving + graceful drain.

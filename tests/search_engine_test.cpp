@@ -152,6 +152,66 @@ TEST(SearchEngine, WaveMatchesSerialOnAWideBlock) {
   }
 }
 
+TEST(SearchEngine, DerivedStageKeysMatchStageFingerprint) {
+  // Both engines key the cost model's latency cache by fingerprints derived
+  // from an ending's component masks; no search hashes a built Stage. The
+  // profile db and measure() look stages up by stage_fingerprint, so each
+  // derived key must equal it. A fresh model loaded with a search's profile
+  // must then measure nothing when asked for every stage that search found,
+  // whichever path evaluated it: the serial engine (exact at 1 thread), the
+  // wave discovery pass (exact at 4), beam discovery and the dominance cost
+  // pass (both via dag.components).
+  struct Mode {
+    const char* name;
+    int threads;
+    PruneMode prune;
+  };
+  const Mode modes[] = {{"exact@1", 1, PruneMode::kExact},
+                        {"exact@4", 4, PruneMode::kExact},
+                        {"beam:4@4", 4, PruneMode::kBeam},
+                        {"dominance@4", 4, PruneMode::kDominance}};
+  std::vector<Graph> graphs;
+  graphs.push_back(models::squeezenet(1));
+  graphs.push_back(models::inception_v3(1));
+  int merge_stages = 0;
+  int single_group_stages = 0;  // one group of >= 2 ops
+  for (const Graph& g : graphs) {
+    for (const IosVariant variant :
+         {IosVariant::kBoth, IosVariant::kParallel, IosVariant::kMerge}) {
+      for (const Mode& mode : modes) {
+        SCOPED_TRACE(std::string(g.name()) + " " + ios_variant_name(variant) +
+                     " " + mode.name);
+        SchedulerOptions options;
+        options.variant = variant;
+        options.num_threads = mode.threads;
+        options.prune = mode.prune;
+        options.beam_width = 4;
+        CostModel cost(g, v100_config());
+        const Schedule schedule = IosScheduler(cost, options).schedule_graph();
+
+        ProfileDb db;
+        cost.save_profile(db);
+        CostModel fresh(g, v100_config());
+        ASSERT_GT(fresh.load_profile(db), 0);
+        for (const Stage& stage : schedule.stages) {
+          fresh.measure(stage);
+          if (stage.strategy == StageStrategy::kMerge) {
+            ++merge_stages;
+          } else if (stage.groups.size() == 1 &&
+                     stage.groups[0].ops.size() >= 2) {
+            ++single_group_stages;
+          }
+        }
+        EXPECT_EQ(fresh.num_measurements(), 0);
+      }
+    }
+  }
+  // The schedules exercise every key family: merged stages, and concurrent
+  // stages of one multi-op group (the IOS-Merge fallback among them).
+  EXPECT_GT(merge_stages, 0);
+  EXPECT_GT(single_group_stages, 0);
+}
+
 TEST(SearchEngine, AutoResolvesByMemoizationAndWorkers) {
   const Graph g = models::fig5_graph(1);
   CostModel cost(g, v100_config());

@@ -563,7 +563,12 @@ int cmd_daemon(const Args& args) {
     options.write_timeout_us = std::stod(*v);
   }
   if (const auto v = args.get("max-line-bytes")) {
-    options.max_line_bytes = static_cast<std::size_t>(std::stoul(*v));
+    // Parsed signed: std::stoul("-1") wraps to SIZE_MAX, an unbounded line.
+    const long long bytes = std::stoll(*v);
+    if (bytes < 0) {
+      throw std::runtime_error("--max-line-bytes must be >= 0 (0 = unlimited)");
+    }
+    options.max_line_bytes = static_cast<std::size_t>(bytes);
   }
   if (const auto v = args.get("chaos")) options.chaos = *v == "1";
   if (const auto v = args.get("stuck-grace-us")) {
