@@ -4,7 +4,12 @@
 // reports; absolute numbers come from the execution simulator, so the
 // *shape* (who wins, by what factor) is the comparison target.
 
+#include <sys/utsname.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "models/models.hpp"
 #include "runtime/executor.hpp"
 #include "schedule/baselines.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -101,6 +107,36 @@ inline std::vector<NamedModel> paper_models() {
       {"NasNet", [](int b) { return models::nasnet_a(b); }},
       {"SqueezeNet", [](int b) { return models::squeezenet(b); }},
   };
+}
+
+/// The "model name" of the first processor in /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// Where the numbers came from: online processors, uname, and CPU model.
+/// Committed bench files carry it, so a later run can tell whether it is
+/// comparable.
+inline JsonValue host_info() {
+  JsonValue host = JsonValue::object();
+  host.set("nproc",
+           static_cast<std::int64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
+  struct utsname u {};
+  if (uname(&u) == 0) {
+    host.set("uname", std::string(u.sysname) + " " + u.release + " " +
+                          u.version + " " + u.machine);
+  }
+  host.set("cpu_model", cpu_model());
+  return host;
 }
 
 }  // namespace ios::bench

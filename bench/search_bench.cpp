@@ -42,7 +42,6 @@
 //     (largest search), forked, at most 148,480 KiB (145 MiB).
 
 #include <sys/resource.h>
-#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -50,12 +49,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "core/scheduler.hpp"
 #include "models/models.hpp"
 #include "runtime/executor.hpp"
@@ -168,34 +167,6 @@ long forked_peak_rss_kb(const std::string& model, SearchEngine engine,
     return -1;
   }
   return kb;
-}
-
-/// The "model name" of the first processor in /proc/cpuinfo, or "unknown".
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon == std::string::npos) break;
-    const std::size_t start = line.find_first_not_of(' ', colon + 1);
-    return start == std::string::npos ? "" : line.substr(start);
-  }
-  return "unknown";
-}
-
-/// Where the numbers came from: online processors, uname, and CPU model.
-JsonValue host_info() {
-  JsonValue host = JsonValue::object();
-  host.set("nproc",
-           static_cast<std::int64_t>(sysconf(_SC_NPROCESSORS_ONLN)));
-  struct utsname u {};
-  if (uname(&u) == 0) {
-    host.set("uname", std::string(u.sysname) + " " + u.release + " " +
-                          u.version + " " + u.machine);
-  }
-  host.set("cpu_model", cpu_model());
-  return host;
 }
 
 }  // namespace
@@ -486,7 +457,7 @@ int main(int argc, char** argv) {
   JsonValue root = JsonValue::object();
   root.set("bench", "search");
   root.set("unit", "ms");
-  root.set("host", host_info());
+  root.set("host", bench::host_info());
   root.set("hardware_threads", static_cast<std::int64_t>(hw));
   root.set("repeats", static_cast<std::int64_t>(repeats));
   root.set("gates", std::move(gates));

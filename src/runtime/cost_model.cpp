@@ -1,5 +1,6 @@
 #include "runtime/cost_model.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -181,11 +182,20 @@ std::uint64_t CostModel::profile_context() const {
 
 int CostModel::save_profile(ProfileDb& db) const {
   ProfileDb::Entries& entries = db.context_for_update(profile_context());
+  // The merged bucket holds at least the larger of the two, and exactly
+  // that when one contains the other (a search's cache holds everything it
+  // loaded from the bucket).
+  std::size_t cached = 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    cached += shard->cache.size();
+  }
+  entries.reserve(std::max(entries.size(), cached));
   int written = 0;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->cache.for_each([&](std::uint64_t key, const double& latency) {
-      entries[key] = latency;
+      entries.insert_or_assign(key, latency);
       ++written;
     });
   }
@@ -195,12 +205,23 @@ int CostModel::save_profile(ProfileDb& db) const {
 int CostModel::load_profile(const ProfileDb& db) {
   const ProfileDb::Entries* entries = db.context(profile_context());
   if (!entries) return 0;
-  int loaded = 0;
-  for (const auto& [key, latency] : *entries) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.cache.try_emplace(key, latency).second) ++loaded;
+  // Size every shard once, then install in one pass under every shard's
+  // lock (taken in index order; measure() holds at most one at a time).
+  const std::size_t n = shards_.size();
+  std::vector<std::size_t> incoming(n, 0);
+  entries->for_each([&](std::uint64_t key, double) {
+    ++incoming[shard_index(key, n)];
+  });
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    locks.emplace_back(shards_[i]->mu);
+    shards_[i]->cache.reserve(shards_[i]->cache.size() + incoming[i]);
   }
+  int loaded = 0;
+  entries->for_each([&](std::uint64_t key, double latency) {
+    if (shard_for(key).cache.try_emplace(key, latency).second) ++loaded;
+  });
   return loaded;
 }
 
@@ -258,9 +279,9 @@ int CostModel::load_canonical(const ProfileDb& db) {
       db.context(canonical_profile_context());
   if (!entries) return 0;
   int loaded = 0;
-  for (const auto& [key, latency] : *entries) {
+  entries->for_each([&](std::uint64_t key, double latency) {
     if (canonical_->put(key, latency, /*origin=*/0)) ++loaded;
-  }
+  });
   return loaded;
 }
 

@@ -1,10 +1,18 @@
 #include "runtime/profile_db.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <sys/stat.h>
+#include <vector>
+
+#include "util/hash.hpp"
 
 namespace ios {
 
@@ -12,6 +20,46 @@ namespace {
 
 constexpr const char* kFormat = "ios-profile-db";
 constexpr int kVersion = 1;
+
+// Version 2: records are copied to and from the file as raw bytes, which is
+// the documented little-endian layout only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "profile-db v2 files are little-endian");
+constexpr char kMagic[8] = {'I', 'O', 'S', 'P', 'D', 'B', '2', '\n'};
+constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+/// One v2 entry, in memory and on disk.
+struct Record {
+  std::uint64_t key;
+  double latency_us;
+};
+static_assert(sizeof(Record) == 2 * kWord);
+
+/// The bucket's entries in ascending key order.
+std::vector<Record> sorted_records(const ProfileDb::Entries& entries) {
+  std::vector<Record> records;
+  records.reserve(entries.size());
+  entries.for_each([&](std::uint64_t key, double latency) {
+    records.push_back({key, latency});
+  });
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.key < b.key; });
+  return records;
+}
+
+bool valid_latency(double latency_us) {
+  return std::isfinite(latency_us) && latency_us > 0;
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), kWord);
+}
+
+std::uint64_t read_u64(const char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, kWord);
+  return v;
+}
 
 std::string hex16(std::uint64_t v) {
   char buf[17];
@@ -28,6 +76,65 @@ std::uint64_t parse_hex16(const std::string& s) {
     throw std::runtime_error("profile-db: bad hex key '" + s + "'");
   }
   return v;
+}
+
+/// Decodes a v2 file (magic included). Every count is checked against the
+/// bytes that remain before anything of that size is allocated: the file
+/// is input from outside the program.
+ProfileDb decode_v2(std::string_view bytes) {
+  if (bytes.size() < sizeof(kMagic) + kWord) {
+    throw std::runtime_error("v2 file truncated to " +
+                             std::to_string(bytes.size()) + " bytes");
+  }
+  const std::size_t end = bytes.size() - kWord;  // where the trailer starts
+  const std::uint64_t stored = read_u64(bytes.data() + end);
+  const std::uint64_t actual = hash_bytes(bytes.substr(0, end));
+  if (stored != actual) {
+    throw std::runtime_error("v2 checksum mismatch (stored " + hex16(stored) +
+                             ", computed " + hex16(actual) +
+                             ") — file is corrupt or truncated");
+  }
+  ProfileDb db;
+  std::size_t pos = sizeof(kMagic);
+  std::uint64_t prev_ctx = 0;
+  for (bool first = true; pos < end; first = false) {
+    const std::string at = " at byte " + std::to_string(pos);
+    if (end - pos < 2 * kWord) {
+      throw std::runtime_error("v2 bytes after the last context" + at);
+    }
+    const std::uint64_t ctx = read_u64(bytes.data() + pos);
+    const std::uint64_t count = read_u64(bytes.data() + pos + kWord);
+    pos += 2 * kWord;
+    if (!first && ctx <= prev_ctx) {
+      throw std::runtime_error("v2 contexts not strictly ascending" + at);
+    }
+    prev_ctx = ctx;
+    if (count > (end - pos) / sizeof(Record)) {
+      throw std::runtime_error("v2 context " + hex16(ctx) + " claims " +
+                               std::to_string(count) + " entries but " +
+                               std::to_string(end - pos) + " bytes remain");
+    }
+    ProfileDb::Entries& entries = db.context_for_update(ctx);
+    entries.reserve(static_cast<std::size_t>(count));
+    std::uint64_t prev_key = 0;
+    for (std::uint64_t i = 0; i < count; ++i, pos += sizeof(Record)) {
+      const std::uint64_t key = read_u64(bytes.data() + pos);
+      const double latency =
+          std::bit_cast<double>(read_u64(bytes.data() + pos + kWord));
+      if (i > 0 && key <= prev_key) {
+        throw std::runtime_error("v2 keys of context " + hex16(ctx) +
+                                 " not strictly ascending at byte " +
+                                 std::to_string(pos));
+      }
+      if (!valid_latency(latency)) {
+        throw std::runtime_error("v2 latency of stage " + hex16(key) +
+                                 " is not finite and positive");
+      }
+      prev_key = key;
+      entries.try_emplace(key, latency);
+    }
+  }
+  return db;
 }
 
 }  // namespace
@@ -57,11 +164,15 @@ ProfileDb ProfileDb::from_json(const JsonValue& doc) {
 ProfileDb ProfileDb::load(const std::string& path) {
   if (!exists(path)) return ProfileDb{};
   try {
-    return from_json(JsonValue::parse(read_file(path)));
+    const std::string bytes = read_file(path);
+    if (bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) == 0) {
+      return decode_v2(bytes);
+    }
+    return from_json(JsonValue::parse(bytes));
   } catch (const std::exception& e) {
-    // One named error type for every corruption mode (truncated JSON,
-    // checksum mismatch, wrong format header) so callers can fall back to
-    // a cold start without string-matching.
+    // One named error type for every corruption mode (a bad v2 record or
+    // checksum, truncated JSON, a wrong format header) so callers can fall
+    // back to a cold start without string-matching.
     throw CorruptFileError("profile-db: cannot load '" + path +
                            "': " + e.what());
   }
@@ -76,10 +187,9 @@ JsonValue ProfileDb::to_json() const {
   JsonValue contexts = JsonValue::object();
   for (const auto& [ctx, entries] : contexts_) {
     // Sort stage keys so the dump is byte-stable run to run.
-    std::map<std::uint64_t, double> sorted(entries.begin(), entries.end());
     JsonValue bucket = JsonValue::object();
-    for (const auto& [key, latency] : sorted) {
-      bucket.set(hex16(key), latency);
+    for (const Record& r : sorted_records(entries)) {
+      bucket.set(hex16(r.key), r.latency_us);
     }
     contexts.set(hex16(ctx), std::move(bucket));
   }
@@ -91,11 +201,29 @@ JsonValue ProfileDb::to_json() const {
 }
 
 void ProfileDb::save(const std::string& path) const {
+  std::string out(kMagic, sizeof(kMagic));
+  out.reserve(sizeof(kMagic) + contexts_.size() * 2 * kWord +
+              num_entries() * sizeof(Record) + kWord);
+  for (const auto& [ctx, entries] : contexts_) {
+    const std::vector<Record> records = sorted_records(entries);
+    for (const Record& r : records) {
+      if (!valid_latency(r.latency_us)) {
+        throw std::invalid_argument("profile-db: latency of stage " +
+                                    hex16(r.key) +
+                                    " is not finite and positive");
+      }
+    }
+    append_u64(out, ctx);
+    append_u64(out, records.size());
+    out.append(reinterpret_cast<const char*>(records.data()),
+               records.size() * sizeof(Record));
+  }
+  append_u64(out, hash_bytes(out));
   // fsync + rename + directory fsync: a reader (or a kill -9) mid-save must
-  // never observe a truncated document, and the embedded checksum catches
-  // any corruption that still parses — a bad warm-start cache degrades to a
+  // never observe a truncated file, and the trailer checksum catches any
+  // corruption that still decodes — a bad warm-start cache degrades to a
   // cold one instead of failing every later run.
-  write_file_atomic(path, with_content_checksum(to_json()).dump());
+  write_file_atomic(path, out);
 }
 
 const ProfileDb::Entries* ProfileDb::context(std::uint64_t ctx) const {

@@ -3,27 +3,36 @@
 // dominated by stage-latency profiling; within one process the CostModel's
 // cache already deduplicates measurements, but every new Optimizer (a fresh
 // CLI invocation, a cold-started server) used to re-profile stages it had
-// measured in a previous life. A ProfileDb is the cache's durable form: a
-// JSON document of measured stage latencies keyed by the canonical stage
-// fingerprint (stage_fingerprint) and grouped by *profile context* — the
-// fingerprint of everything a latency depends on besides the stage itself
-// (graph, device spec, kernel-model parameters, profiling protocol). A
-// CostModel only imports entries of its own context, so one database file
-// can safely accumulate profiles for many models and devices.
+// measured in a previous life. A ProfileDb is the cache's durable form:
+// measured stage latencies keyed by the canonical stage fingerprint
+// (stage_fingerprint) and grouped by *profile context* — the fingerprint of
+// everything a latency depends on besides the stage itself (graph, device
+// spec, kernel-model parameters, profiling protocol). A CostModel only
+// imports entries of its own context, so one database file can safely
+// accumulate profiles for many models and devices.
 //
-// On-disk format (version 1):
+// On-disk format (version 2, what save() writes), little-endian:
+//   8-byte magic "IOSPDB2\n"
+//   per context, in ascending context order:
+//     u64 context, u64 count, count x (u64 stage key, f64 latency_us)
+//     with stage keys strictly ascending
+//   u64 trailer: hash_bytes of every byte before it
+// 16 bytes per entry, so loading is a read, a checksum and one table insert
+// per record, with no text parsing. The bytes are a pure function of the
+// contents.
+//
+// Version 1 (JSON, still read; to_json()/from_json() remain for export):
 //   { "format": "ios-profile-db", "version": 1,
 //     "contexts": { "<ctx hex16>": { "<stage hex16>": latency_us, ... } } }
 // Keys are 16-digit hex strings because JSON numbers (doubles) cannot carry
 // 64-bit keys exactly; latencies round-trip exactly through the writer's
-// %.17g formatting.
+// %.17g formatting. A v1 file is rewritten as v2 by its next save().
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 
-#include "util/hash.hpp"
+#include "util/flat_map.hpp"
 #include "util/json.hpp"
 
 namespace ios {
@@ -31,30 +40,37 @@ namespace ios {
 class ProfileDb {
  public:
   /// Measured latency by canonical stage fingerprint, one bucket per context.
-  using Entries = std::unordered_map<std::uint64_t, double, U64Hasher>;
+  using Entries = FlatMap64<double>;
 
   ProfileDb() = default;
 
-  /// Parses a profile-db JSON document (throws std::runtime_error on an
-  /// unknown format or version).
+  /// Parses a version-1 (JSON) profile-db document (throws
+  /// std::runtime_error on an unknown format or version).
   static ProfileDb from_json(const JsonValue& doc);
 
   /// Loads `path`, returning an empty database if the file does not exist
   /// (the first run of a warm-start loop starts from nothing). A file that
-  /// exists but is truncated/corrupt (bad JSON, wrong format header, or a
-  /// content-checksum mismatch) throws CorruptFileError naming the path;
-  /// files saved before checksums were embedded still load.
+  /// starts with the v2 magic is decoded as v2; any other file is parsed as
+  /// v1 JSON. A file that exists but is truncated or corrupt throws
+  /// CorruptFileError naming the path. For v2 that is a checksum mismatch,
+  /// a count larger than the bytes that remain, unsorted or duplicate
+  /// contexts or keys, a non-finite or non-positive latency, or bytes after
+  /// the trailer, each found before anything count-sized is allocated. For
+  /// v1 it is bad JSON, a wrong format header or a content-checksum
+  /// mismatch; v1 files saved before checksums were embedded still load.
   static ProfileDb load(const std::string& path);
 
   /// True if a file exists at `path` (how callers distinguish "empty
   /// database" from "database was deleted").
   static bool exists(const std::string& path);
 
+  /// The version-1 JSON form (export, and tests of the v1 reader).
   JsonValue to_json() const;
 
-  /// Serializes to `path` crash-safely (write_file_atomic: temp + fsync +
-  /// rename, with an embedded content checksum). Deterministic: contexts
-  /// and entries are emitted in sorted key order.
+  /// Writes the v2 form to `path` crash-safely (write_file_atomic: temp +
+  /// fsync + rename + directory fsync). Deterministic: contexts and entries
+  /// are written in ascending key order. Throws std::invalid_argument on a
+  /// non-finite or non-positive latency, which load() would reject.
   void save(const std::string& path) const;
 
   /// The entry bucket of `ctx`, or nullptr if this database has none.
@@ -69,7 +85,7 @@ class ProfileDb {
   bool empty() const { return contexts_.empty(); }
 
  private:
-  /// Ordered by context so to_json() is deterministic.
+  /// Ordered by context so save() and to_json() are deterministic.
   std::map<std::uint64_t, Entries> contexts_;
 };
 

@@ -9,9 +9,13 @@
 // are exactly sized (the only growing sequence is the chunk tail, so growth
 // extends in place and shrink_to_fit returns the slack), and a whole level's
 // records are reclaimed wholesale by reset() instead of element-by-element
-// frees. Chunks are retained across reset() and recycled through ArenaPool,
-// so steady-state searches allocate no new memory at all.
+// frees. Arenas are recycled through ArenaPool, which trims each returned
+// arena to one standard chunk: a level that fits one chunk per worker
+// allocates nothing, a bigger level allocates its extra chunks and frees
+// them when it retires, and idle pooled memory stays at one chunk per
+// arena however large past levels were.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -60,7 +64,8 @@ class Arena {
     }
     const std::size_t want = bytes + align > chunk_bytes_ ? bytes + align
                                                           : chunk_bytes_;
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(want), want});
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<std::byte[]>(want), want});
     return allocate(bytes, align);
   }
 
@@ -105,6 +110,21 @@ class Arena {
   void reset() {
     active_ = 0;
     used_ = 0;
+  }
+
+  /// reset(), then frees every chunk but one of the standard size, so an
+  /// arena kept for reuse holds at most one chunk whatever it held before.
+  void trim() {
+    reset();
+    const auto standard =
+        std::find_if(chunks_.begin(), chunks_.end(),
+                     [this](const Chunk& c) { return c.size == chunk_bytes_; });
+    if (standard == chunks_.end()) {
+      chunks_.clear();
+      return;
+    }
+    std::swap(*standard, chunks_.front());
+    chunks_.resize(1);
   }
 
   /// Total bytes handed out since the last reset (including alignment
@@ -195,7 +215,7 @@ class ArenaVec {
 };
 
 /// A thread-safe pool of reusable arenas. Worker threads lease an arena for
-/// one wave level's records and return it (reset, chunks intact) when the
+/// one wave level's records and return it (trimmed to one chunk) when the
 /// level is consumed, so concurrent searches recycle a bounded set of chunk
 /// allocations instead of growing one arena per search.
 class ArenaPool {
@@ -217,17 +237,17 @@ class ArenaPool {
       o.pool_ = nullptr;
       return *this;
     }
-    ~Lease() { release(); }  ///< returns the arena to the pool
+    ~Lease() { release(); }  ///< returns the arena (trimmed) to the pool
 
     Arena& operator*() const { return *arena_; }    ///< the leased arena
     Arena* operator->() const { return arena_.get(); }  ///< the leased arena
     /// True when this lease holds an arena.
     explicit operator bool() const { return arena_ != nullptr; }
 
-    /// Returns the arena to the pool early (idempotent).
+    /// Returns the arena, trimmed, to the pool early (idempotent).
     void release() {
       if (arena_ != nullptr && pool_ != nullptr) {
-        arena_->reset();
+        arena_->trim();
         pool_->put(std::move(arena_));
       }
       arena_.reset();

@@ -1,12 +1,13 @@
 #pragma once
 // Flat open-addressing hash containers keyed by std::uint64_t, used for the
-// scheduler's DP memo / ending caches and the cost model's stage-latency
-// cache. The DP keys are Set64::bits() masks and the cost-model keys are
-// stage fingerprints, so the generic std::unordered_map (separate chaining,
-// one allocation per node) is replaced by a single contiguous slot array
-// with linear probing — no per-entry allocation, cache-friendly probes, and
-// cheap iteration. Keys are mixed (splitmix64) before probing, so clustered
-// bitmask keys spread uniformly.
+// scheduler's DP memo / ending caches, the cost model's stage-latency cache
+// and the profile database's per-context buckets. The DP keys are
+// Set64::bits() masks and the cost-model keys are stage fingerprints, so the
+// generic std::unordered_map (separate chaining, one allocation per node) is
+// replaced by a single contiguous slot array with linear probing — no
+// per-entry allocation, cache-friendly probes, and cheap iteration. Keys are
+// mixed (splitmix64) before probing, so clustered bitmask keys spread
+// uniformly.
 //
 // Insert-only semantics (no erase): the DP and the caches only ever grow
 // within one search, which keeps the table tombstone-free. Not thread-safe;
@@ -17,6 +18,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -74,6 +77,18 @@ class FlatMap64 {
     }
   }
 
+  /// The value of `key`; throws std::out_of_range if absent.
+  const Value& at(std::uint64_t key) const {
+    const Value* v = find(key);
+    if (v == nullptr) throw std::out_of_range("FlatMap64::at: no such key");
+    return *v;
+  }
+
+  /// The value of `key`, value-initialized and inserted if absent.
+  Value& operator[](std::uint64_t key) {
+    return *try_emplace(key, Value{}).first;
+  }
+
   /// Inserts or overwrites `key`; returns the stored value.
   Value& insert_or_assign(std::uint64_t key, Value value) {
     const auto [slot, inserted] = try_emplace(key, value);
@@ -81,8 +96,13 @@ class FlatMap64 {
     return *slot;
   }
 
-  /// Grows the slot array so `n` entries fit without rehashing.
+  /// Grows the slot array so `n` entries fit without rehashing. Throws
+  /// std::length_error when no slot array could hold `n` entries.
   void reserve(std::size_t n) {
+    // Also keeps n * 10 and cap * 7 below from overflowing.
+    if (n > std::numeric_limits<std::size_t>::max() / 32) {
+      throw std::length_error("FlatMap64::reserve: too many entries");
+    }
     std::size_t cap = kMinCapacity;
     while (n * 10 > cap * 7) cap <<= 1;
     if (cap > slots_.size()) rehash(cap);

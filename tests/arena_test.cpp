@@ -146,6 +146,44 @@ TEST(ArenaPool, LeaseReturnsResetArena) {
   EXPECT_EQ(again->bytes_reserved(), reserved);  // chunks retained
 }
 
+// A returned arena keeps one standard chunk, however many a big level made
+// it take: reused LIFO across levels of different sizes, kept chunks would
+// otherwise ratchet the process's idle pool up search after search.
+TEST(ArenaPool, ReturnedArenaIsTrimmedToOneChunk) {
+  ArenaPool pool;
+  {
+    ArenaPool::Lease lease = pool.acquire();
+    for (int i = 0; i < 8; ++i) {
+      (void)lease->allocate(Arena::kDefaultChunkBytes / 2 + 1, 8);
+    }
+    EXPECT_EQ(lease->bytes_reserved(), 8 * Arena::kDefaultChunkBytes);
+  }
+  ArenaPool::Lease again = pool.acquire();
+  EXPECT_EQ(again->bytes_used(), 0u);
+  EXPECT_EQ(again->bytes_reserved(), Arena::kDefaultChunkBytes);
+  // The kept chunk serves the next fill without a new allocation.
+  (void)again->allocate(64, 8);
+  EXPECT_EQ(again->bytes_reserved(), Arena::kDefaultChunkBytes);
+}
+
+TEST(Arena, TrimKeepsOnlyAStandardChunk) {
+  Arena arena{1024};
+  (void)arena.allocate(4096, 8);  // an oversized first chunk
+  (void)arena.allocate(512, 8);
+  (void)arena.allocate(900, 8);
+  EXPECT_EQ(arena.bytes_reserved(), 4096 + 8 + 1024 + 1024u);
+  arena.trim();
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  EXPECT_EQ(arena.bytes_reserved(), 1024u);
+
+  Arena oversized_only{1024};
+  (void)oversized_only.allocate(4096, 8);
+  oversized_only.trim();
+  EXPECT_EQ(oversized_only.bytes_reserved(), 0u);
+  (void)oversized_only.allocate(8, 8);  // still usable after trimming
+  EXPECT_EQ(oversized_only.bytes_reserved(), 1024u);
+}
+
 TEST(ArenaPool, EarlyReleaseIsIdempotent) {
   ArenaPool pool;
   ArenaPool::Lease lease = pool.acquire();

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "api/optimizer.hpp"
 #include "runtime/profile_db.hpp"
 #include "schedule/serialize.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace ios {
@@ -36,9 +41,15 @@ ProfileDb sample_db() {
   return db;
 }
 
+// A version-1 (JSON) file with an embedded content checksum, as save()
+// wrote before version 2.
+void write_v1(const ProfileDb& db, const std::string& path) {
+  write_file(path, with_content_checksum(db.to_json()).dump());
+}
+
 TEST(Persistence, SaveEmbedsAVerifiableChecksumAndRoundTrips) {
   const std::string path = temp_path("persist_roundtrip.json");
-  sample_db().save(path);
+  write_v1(sample_db(), path);
 
   const JsonValue doc = JsonValue::parse(read_file(path));
   ASSERT_TRUE(doc.contains("checksum"));
@@ -70,7 +81,7 @@ TEST(Persistence, TruncatedProfileDbIsRejectedByName) {
 
 TEST(Persistence, FlippedByteFailsTheContentChecksum) {
   const std::string path = temp_path("persist_bitrot.json");
-  sample_db().save(path);
+  write_v1(sample_db(), path);
   // Corrupt a latency digit: the document still parses as valid JSON with
   // the right format header, so only the checksum can catch it.
   std::string text = read_file(path);
@@ -183,6 +194,253 @@ TEST(Persistence, OptimizerColdStartsOverACorruptProfileDb) {
   // The merge-back then replaces the corrupt file with a valid one.
   const ProfileDb healed = ProfileDb::load(path);
   EXPECT_GT(healed.num_entries(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Version 2: sorted binary records with a checksum trailer.
+
+constexpr char kV2Magic[] = "IOSPDB2\n";
+
+bool is_v2(const std::string& bytes) {
+  return bytes.compare(0, 8, kV2Magic, 8) == 0;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every entry of `a` is in `b` with the same bit pattern, and vice versa.
+void expect_same_entries(const ProfileDb& a, const ProfileDb& b) {
+  EXPECT_EQ(a.num_contexts(), b.num_contexts());
+  EXPECT_EQ(a.num_entries(), b.num_entries());
+  EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+}
+
+/// Expects load(path) to throw CorruptFileError naming the database and the
+/// path, with `detail` in the message; returns the message.
+std::string expect_corrupt(const std::string& path,
+                           const std::string& detail = "") {
+  try {
+    ProfileDb::load(path);
+    ADD_FAILURE() << "corrupt file loaded";
+    return "";
+  } catch (const CorruptFileError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("profile-db"), std::string::npos) << what;
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(detail), std::string::npos) << what;
+    return what;
+  }
+}
+
+/// A v2 file from raw words after the magic, with a valid trailer: how the
+/// structural checks are reached past the checksum.
+std::string craft_v2(const std::vector<std::uint64_t>& words) {
+  std::string out(kV2Magic, 8);
+  for (const std::uint64_t w : words) {
+    out.append(reinterpret_cast<const char*>(&w), sizeof(w));
+  }
+  const std::uint64_t sum = hash_bytes(out);
+  out.append(reinterpret_cast<const char*>(&sum), sizeof(sum));
+  return out;
+}
+
+TEST(ProfileDbV2, RoundTripKeepsEveryBitPattern) {
+  ProfileDb db;
+  ProfileDb::Entries& a = db.context_for_update(0xffffffffffffffffull);
+  a[0] = 1.0 / 3.0;  // the zero key lives outside the slot array
+  a[0xffffffffffffffffull] = std::numeric_limits<double>::max();
+  a[12345] = std::numeric_limits<double>::denorm_min();
+  a[77] = 0.1 + 0.2;
+  db.context_for_update(0);  // an empty bucket is kept
+  for (std::uint64_t k = 1; k <= 1000; ++k) {
+    db.context_for_update(0x42)[mix64(k)] = 1.0 + static_cast<double>(k) / 7;
+  }
+  const std::string path = temp_path("persist_v2_roundtrip.db");
+  db.save(path);
+  const std::string bytes = read_file(path);
+  EXPECT_TRUE(is_v2(bytes));
+  EXPECT_EQ(bytes.size(), 8 + 3 * 16 + 1004 * 16 + 8u);
+
+  const ProfileDb loaded = ProfileDb::load(path);
+  ASSERT_EQ(loaded.num_contexts(), 3u);
+  ASSERT_EQ(loaded.num_entries(), 1004u);
+  ASSERT_NE(loaded.context(0), nullptr);
+  EXPECT_TRUE(loaded.context(0)->empty());
+  for (const std::uint64_t ctx : {0xffffffffffffffffull, 0x42ull}) {
+    const ProfileDb::Entries& want = *db.context(ctx);
+    const ProfileDb::Entries* got = loaded.context(ctx);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->size(), want.size());
+    want.for_each([&](std::uint64_t key, double latency) {
+      EXPECT_EQ(bits(got->at(key)), bits(latency)) << key;
+    });
+  }
+
+  // The bytes depend on the contents only, not on insertion order.
+  ProfileDb reversed;
+  for (std::uint64_t k = 1000; k >= 1; --k) {
+    reversed.context_for_update(0x42)[mix64(k)] =
+        1.0 + static_cast<double>(k) / 7;
+  }
+  reversed.context_for_update(0);
+  a.for_each([&](std::uint64_t key, double latency) {
+    reversed.context_for_update(0xffffffffffffffffull)[key] = latency;
+  });
+  const std::string again = temp_path("persist_v2_reversed.db");
+  reversed.save(again);
+  EXPECT_EQ(read_file(again), bytes);
+}
+
+TEST(ProfileDbV2, TruncationAtEveryLengthIsRejectedByName) {
+  const std::string path = temp_path("persist_v2_truncated.db");
+  sample_db().save(path);
+  const std::string full = read_file(path);
+  ASSERT_TRUE(is_v2(full));
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    write_file(path, full.substr(0, len));
+    expect_corrupt(path);
+  }
+}
+
+TEST(ProfileDbV2, EverySingleBitFlipIsRejectedByName) {
+  const std::string path = temp_path("persist_v2_bitflip.db");
+  sample_db().save(path);
+  const std::string full = read_file(path);
+  for (std::size_t byte = 0; byte < full.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      SCOPED_TRACE("byte " + std::to_string(byte) + " bit " +
+                   std::to_string(bit));
+      std::string flipped = full;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      write_file(path, flipped);
+      expect_corrupt(path);
+    }
+  }
+}
+
+TEST(ProfileDbV2, StructuralDefectsUnderAValidChecksumAreRejected) {
+  const std::uint64_t one = bits(1.0);
+  const std::string path = temp_path("persist_v2_crafted.db");
+  // Sanity: the crafting helper makes loadable files.
+  write_file(path, craft_v2({5, 2, 1, one, 2, one}));
+  ASSERT_EQ(ProfileDb::load(path).num_entries(), 2u);
+
+  struct Case {
+    const char* name;
+    std::vector<std::uint64_t> words;
+    const char* detail;
+  };
+  const Case cases[] = {
+      // Counts far beyond the file: rejected by the count check, before
+      // any table is sized.
+      {"huge count", {5, std::uint64_t{1} << 60}, "claims"},
+      {"max count", {5, ~std::uint64_t{0}, 1, one}, "claims"},
+      {"count one past the records", {5, 3, 1, one, 2, one}, "claims"},
+      {"unsorted keys", {5, 2, 2, one, 1, one}, "not strictly ascending"},
+      {"duplicate keys", {5, 2, 1, one, 1, one}, "not strictly ascending"},
+      {"unsorted contexts", {5, 0, 4, 0}, "contexts not strictly ascending"},
+      {"duplicate contexts", {5, 0, 5, 0}, "contexts not strictly ascending"},
+      {"NaN latency",
+       {5, 1, 1, bits(std::numeric_limits<double>::quiet_NaN())},
+       "not finite and positive"},
+      {"infinite latency",
+       {5, 1, 1, bits(std::numeric_limits<double>::infinity())},
+       "not finite and positive"},
+      {"zero latency", {5, 1, 1, bits(0.0)}, "not finite and positive"},
+      {"negative latency", {5, 1, 1, bits(-2.0)}, "not finite and positive"},
+      {"a header cut short", {5, 0, 9}, "bytes after the last context"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    write_file(path, craft_v2(c.words));
+    expect_corrupt(path, c.detail);
+  }
+  // Bytes after the trailer.
+  std::string extra = craft_v2({5, 1, 1, one});
+  extra += "tail";
+  write_file(path, extra);
+  expect_corrupt(path);
+}
+
+TEST(ProfileDbV2, SaveRejectsLatenciesLoadWouldReject) {
+  ProfileDb db = sample_db();
+  db.context_for_update(0x42)[8] = std::numeric_limits<double>::quiet_NaN();
+  const std::string path = temp_path("persist_v2_bad_latency.db");
+  EXPECT_THROW(db.save(path), std::invalid_argument);
+  EXPECT_FALSE(ProfileDb::exists(path));
+}
+
+TEST(ProfileDbV2, V1FilesStillLoadAndRewriteAsEqualV2) {
+  const std::string with_sum = temp_path("persist_v1_sum.json");
+  const std::string without_sum = temp_path("persist_v1_plain.json");
+  write_v1(sample_db(), with_sum);
+  write_file(without_sum, sample_db().to_json().dump());
+  const ProfileDb v1 = ProfileDb::load(with_sum);
+  expect_same_entries(v1, ProfileDb::load(without_sum));
+  expect_same_entries(v1, sample_db());
+
+  const std::string v2_path = temp_path("persist_v1_rewritten.db");
+  v1.save(v2_path);
+  ASSERT_TRUE(is_v2(read_file(v2_path)));
+  const ProfileDb v2 = ProfileDb::load(v2_path);
+  expect_same_entries(v1, v2);
+  v1.context(0xabcdef0123456789ull)->for_each([&](std::uint64_t k, double v) {
+    EXPECT_EQ(bits(v2.context(0xabcdef0123456789ull)->at(k)), bits(v));
+  });
+}
+
+TEST(ProfileDbV2, AV1FilePlusAMissLeavesAV2FileWithOldAndNewEntries) {
+  const std::string path = temp_path("persist_v1_then_miss.json");
+  write_v1(sample_db(), path);
+
+  OptimizationRequest request = OptimizationRequest::for_model("fig3");
+  request.baselines.clear();
+  request.profile_db = path;
+  const OptimizationResult result = Optimizer().optimize(request);
+  ASSERT_GT(result.new_measurements, 0);
+
+  ASSERT_TRUE(is_v2(read_file(path)));
+  const ProfileDb after = ProfileDb::load(path);
+  EXPECT_EQ(after.num_contexts(), 3u);
+  EXPECT_EQ(after.num_entries(),
+            3u + static_cast<std::size_t>(result.new_measurements));
+  EXPECT_EQ(bits(after.context(0xabcdef0123456789ull)->at(1)), bits(10.5));
+  EXPECT_EQ(bits(after.context(0x42)->at(7)), bits(1234.0));
+}
+
+// A warm search reads the same latencies from a v1 file and from its v2
+// rewrite, so both reproduce the cold search bit for bit and simulate
+// nothing.
+TEST(ProfileDbV2, V1AndV2DbsGiveTheColdScheduleWithZeroMeasurements) {
+  for (const std::string model : {"squeezenet", "inception_v3", "nasnet"}) {
+    SCOPED_TRACE(model);
+    OptimizationRequest request =
+        OptimizationRequest::for_model(model, "v100", 1);
+    request.baselines.clear();
+    request.options.num_threads = 4;
+    ASSERT_EQ(request.options.prune, PruneMode::kExact);
+
+    const std::string filled = temp_path("persist_warm_" + model + ".db");
+    request.profile_db = filled;
+    const OptimizationResult cold = Optimizer().optimize(request);
+    ASSERT_GT(cold.new_measurements, 0);
+
+    const std::string v1_path = temp_path("persist_warm_" + model + ".json");
+    const std::string v2_path = temp_path("persist_warm_" + model + "_v2.db");
+    write_v1(ProfileDb::load(filled), v1_path);
+    ProfileDb::load(v1_path).save(v2_path);
+
+    for (const std::string& path : {v1_path, v2_path}) {
+      SCOPED_TRACE(path);
+      request.profile_db = path;
+      const OptimizationResult warm = Optimizer().optimize(request);
+      EXPECT_EQ(warm.new_measurements, 0);
+      EXPECT_EQ(warm.profile_entries_loaded, cold.new_measurements);
+      EXPECT_EQ(schedule_to_json(warm.schedule).dump(),
+                schedule_to_json(cold.schedule).dump());
+      EXPECT_EQ(bits(warm.latency_us), bits(cold.latency_us));
+    }
+  }
 }
 
 }  // namespace

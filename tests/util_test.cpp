@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -204,6 +206,25 @@ TEST(FlatMap64, ReserveAvoidsIncrementalGrowth) {
   for (std::uint64_t k = 1; k <= 1000; ++k) m.try_emplace(k, 1);
   EXPECT_EQ(m.size(), 1000u);
   EXPECT_EQ(*m.find(500), 1);
+}
+
+TEST(FlatMap64, AtThrowsAndSubscriptInserts) {
+  FlatMap64<double> m;
+  EXPECT_THROW((void)m.at(5), std::out_of_range);
+  m[5] = 1.5;
+  m[0] += 2.0;  // a missing key starts value-initialized
+  EXPECT_EQ(m.at(5), 1.5);
+  EXPECT_EQ(m.at(0), 2.0);
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(FlatMap64, ReserveRejectsCountsNoTableCanHold) {
+  // The bound check runs before the capacity arithmetic, which would
+  // otherwise overflow and spin forever.
+  FlatMap64<double> m;
+  EXPECT_THROW(m.reserve(std::numeric_limits<std::size_t>::max()),
+               std::length_error);
+  EXPECT_TRUE(m.empty());
 }
 
 TEST(FlatSet64, InsertOnce) {
