@@ -1,6 +1,7 @@
 #include "core/block_dag.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -123,6 +124,28 @@ std::vector<Set64> BlockDag::components(Set64 s) const {
   return comps;
 }
 
+std::vector<std::vector<Set64>> BlockDag::down_sets() const {
+  std::vector<std::vector<Set64>> levels(static_cast<std::size_t>(n_) + 1);
+  levels[0].push_back(Set64{});
+  // Local indices are topological, so a down-set's highest op has no
+  // successor in it, and removing that op leaves a down-set one smaller.
+  // Each down-set of p + 1 ops thus arises exactly once: from the one of p
+  // ops below it, by adding an op above that set's highest whose
+  // predecessors it holds.
+  for (int p = 0; p < n_; ++p) {
+    std::vector<Set64>& next = levels[static_cast<std::size_t>(p) + 1];
+    for (const Set64 s : levels[static_cast<std::size_t>(p)]) {
+      const int above = 64 - std::countl_zero(s.bits());
+      for (int x = above; x < n_; ++x) {
+        if (pred_mask(x).is_subset_of(s)) next.push_back(s | Set64::single(x));
+      }
+    }
+    std::sort(next.begin(), next.end(),
+              [](Set64 a, Set64 b) { return a.bits() < b.bits(); });
+  }
+  return levels;
+}
+
 int BlockDag::width() const {
   // Transitive closure by descending local index (successors first).
   std::vector<Set64> closure(static_cast<std::size_t>(n_));
@@ -157,22 +180,15 @@ int BlockDag::width() const {
 }
 
 BlockDag::TransitionCount BlockDag::count_transitions() const {
+  // The unpruned DP's states are the down-sets, the empty state included
+  // (cost[emptyset] = 0), matching the paper's state diagram in Figure 5
+  // which includes S = {}.
   TransitionCount out;
-  FlatSet64 seen;
-  std::vector<Set64> stack{all()};
-  seen.insert(all().bits());
-  // The empty state is a state too (cost[emptyset] = 0), matching the
-  // paper's state diagram in Figure 5 which includes S = {}.
-  while (!stack.empty()) {
-    const Set64 s = stack.back();
-    stack.pop_back();
-    ++out.states;
-    if (s.empty()) continue;
-    for_each_ending(s, 64, [&](Set64 ending) {
-      ++out.transitions;
-      const Set64 next = s - ending;
-      if (seen.insert(next.bits())) stack.push_back(next);
-    });
+  for (const std::vector<Set64>& level : down_sets()) {
+    for (const Set64 s : level) {
+      ++out.states;
+      for_each_ending(s, 64, [&](Set64) { ++out.transitions; });
+    }
   }
   return out;
 }

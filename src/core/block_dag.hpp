@@ -89,6 +89,12 @@ class BlockDag {
   /// Set64, ordered by smallest member.
   std::vector<Set64> components(Set64 s) const;
 
+  /// The block's down-sets (op sets closed under predecessors) bucketed by
+  /// size: element p holds every down-set of p ops in ascending mask order,
+  /// element 0 the empty set. They are the states the unpruned DP reaches
+  /// from the full set. O(down-sets x n), with no hashing.
+  std::vector<std::vector<Set64>> down_sets() const;
+
   /// Width d of the block DAG (Definition 1): size of the largest
   /// antichain, computed as n minus a maximum matching on the transitive
   /// closure (Dilworth / Corollary 1).

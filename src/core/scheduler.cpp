@@ -10,10 +10,10 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "sim/kernel_model.hpp"
-#include "util/arena.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -136,11 +136,12 @@ SearchEngine IosScheduler::resolved_engine() const {
   if (!options_.memoize) return SearchEngine::kSerial;
   // Pruned modes exist only in the wave engine.
   if (options_.prune != PruneMode::kExact) return SearchEngine::kWave;
-  // A single-worker wave search is faster than the recursive engine, but it
-  // holds every surviving transition between its two passes —
-  // O(transitions) memory where the recursive engine needs O(states) — for
-  // zero parallelism. Single-threaded callers (the serving prewarm among
-  // them) keep the lean engine. The schedule is identical either way.
+  // Both engines hold O(states) memory, and a single-worker wave search is
+  // somewhat faster. Single-threaded callers (the serving prewarm among
+  // them) still get the recursive engine, so their search path and timing
+  // stay what the serving benchmarks have measured;
+  // SearchEngine.AutoResolvesByMemoizationAndWorkers pins the choice. The
+  // schedule is identical either way.
   const int workers = options_.num_threads > 0 ? options_.num_threads
                                                : ThreadPool::hardware_threads();
   return workers > 1 ? SearchEngine::kWave : SearchEngine::kSerial;
@@ -334,14 +335,21 @@ double IosScheduler::solve(BlockContext& ctx, Set64 s, SchedulerStats* stats) {
 
 namespace {
 
-/// A recorded DP transition of the arena wave engine: 16 bytes. The stage
-/// build is not stored — the cost pass re-reads it from the frozen ending
-/// stripes for the one argmin choice per state. Transitions live in
-/// exact-fit arena spans, so there is no per-state vector header or
-/// capacity slack either; the bench's peak-RSS limit pins the result.
+/// A transition the beam search keeps between its two passes: 16 bytes. The
+/// stage build is not stored — the cost pass re-reads it from the frozen
+/// ending stripes for the one argmin choice per state.
 struct WaveTransition {
   std::uint64_t ending = 0;
   double latency_us = 0;
+};
+
+/// A surviving ending of a dominance-mode state: its lower bound on the
+/// state's total through it (stage floor plus the exact sub-state cost) and
+/// its position among the state's surviving endings, the tie-break.
+struct DominanceCandidate {
+  double bound = 0;
+  std::uint32_t index = 0;
+  std::uint64_t ending = 0;
 };
 
 /// An admissible lower bound ("floor") on the remaining-schedule latency of
@@ -473,8 +481,8 @@ PruneFloor make_prune_floor(const BlockDag& dag, const CostModel& cost,
 }
 
 /// One structural scan of an ending, fused for the dominance mode's
-/// discovery pass: the P(r, s) group-count verdict (compute_ending's prune
-/// test — returns true when the ending is pruned) and, when it survives,
+/// candidate collection: the P(r, s) group-count verdict (compute_ending's
+/// prune test — returns true when the ending is pruned) and, when it survives,
 /// the admissible stage floor written to *lb. Components come straight
 /// from the enumerator (visit_endings maintains them for its group-size
 /// cut) — no allocation, no flood fill, and no cost-model probe.
@@ -718,130 +726,134 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   const int workers =
       threads <= 0 ? ThreadPool::hardware_threads() : threads;
   EndingStripes endings(/*locked=*/workers > 1);
-
-  // Reachable DP states bucketed by popcount, each with an exact-fit span of
-  // surviving transitions in arena memory (leased per worker, returned when
-  // the cost pass has consumed the level). Popcount levels are a topological
-  // order of the DP dependency graph in both directions.
-  struct Span {
-    const WaveTransition* tr = nullptr;
-    std::uint32_t count = 0;
-  };
-  struct WaveLevel {
-    std::vector<std::uint64_t> states;
-    std::vector<Span> spans;
-    std::vector<ArenaPool::Lease> leases;
-  };
-  std::vector<WaveLevel> levels(static_cast<std::size_t>(n) + 1);
-  levels[static_cast<std::size_t>(n)].states.push_back(dag.all().bits());
-  FlatSet64 seen;
-  seen.insert(dag.all().bits());
-
-  // Bound bookkeeping (beam mode): fcost[S] is the cheapest known prefix
-  // cost from the full set down to S. Each worker keeps its own minimum per
-  // successor while a level runs, and the serial step folds those minima in.
-  // Since endings strictly shrink states, every transition into S comes from
-  // a strictly higher level, so fcost[S] is final before S's level expands.
-  // The floor supplies the admissible remainder bound h(S); min over trim
-  // points of f + h is the certified lower bound behind
-  // latency_gap_bound_us. Dominance mode needs no prefix bookkeeping — its
-  // trims are local argmin dominance in the cost pass (see below) and never
-  // lose a schedule, so its gap is structurally zero.
-  const bool track_bounds = mode == PruneMode::kBeam;
   PruneFloor floor;
-  FlatMap64<double> fcost;
   if (mode != PruneMode::kExact) {
     floor = make_prune_floor(dag, cost_, options_.pruning, options_.variant);
   }
-  if (track_bounds) {
-    fcost.try_emplace(dag.all().bits(), 0.0);
-  }
-  double min_cut = kInf;  // min f + h over trim points; kInf = nothing cut
+
+  std::int64_t transitions = 0;    // endings visited that P(r, s) kept
+  std::int64_t pruned_calls = 0;   // endings visited that P(r, s) cut
+  std::int64_t pruned_states = 0;  // dominance: states with >= 1 skip
+  std::int64_t trimmed = 0;        // endings cut unevaluated (beam keep-set
+                                   // or dominance argmin bound)
+  std::int64_t lazy_evals = 0;     // dominance: ending lookups
+  double min_cut = kInf;  // beam: min f + h over trim points; kInf = no cut
 
   // Per-worker scratch, indexed by parallel_for's slot and reused across
-  // levels: the worker's successor dedup for the current level, and the
-  // beam mode's collect-then-select enumeration.
+  // levels: the beam discovery's successor dedup and collect-then-select
+  // enumeration, and the dominance mode's candidate list.
   struct WorkerScratch {
-    // Successors met this level; beam mode maps each to its minimum prefix
-    // cost via this worker's states.
+    // Successors met this level, each with its minimum prefix cost via
+    // this worker's states.
     FlatMap64<double> met;
     std::vector<std::uint64_t> fresh;  // the keys of met, to fold
     std::vector<std::uint64_t> collected;
     std::vector<std::uint32_t> kept;
+    std::vector<DominanceCandidate> candidates;
   };
   std::vector<WorkerScratch> scratch(
       static_cast<std::size_t>(std::max(1, workers)));
 
-  std::int64_t states_expanded = 0;
-  std::int64_t enumerated = 0;     // endings visited, pruned included
-  std::int64_t pruned_calls = 0;   // of which P(r, s)-pruned
-  std::int64_t pruned_states = 0;  // dominance: states with >= 1 trim
-  std::int64_t trimmed = 0;        // endings cut unevaluated (beam keep-set
-                                   // or dominance argmin bound)
-  std::int64_t lazy_evals = 0;     // dominance: cost-pass ending lookups
+  // The DP states bucketed by popcount, each level ascending by mask.
+  // Popcount levels are a topological order of the DP dependency graph:
+  // an ending strictly shrinks its state.
+  //
+  // Exact and dominance mode reach exactly the block's non-empty down-sets
+  // (predecessor-closed op sets), so they generate them directly instead of
+  // discovering them. Every down-set D is reached: in a down-set S above D,
+  // the highest op of S - D has no successor in S (D is closed under
+  // predecessors), so its singleton is an ending — one group of one op,
+  // which P(r, s) never cuts (r, s >= 1) and IOS-Merge runs sequentially —
+  // and removing such singletons walks from the full set down to D.
+  // Nothing else is reached: removing an ending E from a down-set S leaves
+  // a down-set, because E is closed under in-S successors, so no op left in
+  // S - E has a predecessor in E. search_engine_test pins the state count
+  // to a brute-force down-set count.
+  //
+  // Beam mode discovers its states top-down instead: which states it
+  // reaches depends on each state's keep set, and its gap bound on the
+  // prefix costs. It keeps only the transitions it will replay, at most
+  // beam_width + 1 per state, in per-level, per-worker vectors.
+  std::vector<std::vector<Set64>> levels;
+  struct BeamSpan {
+    std::uint32_t slot = 0;  // the worker vector holding the transitions
+    std::uint32_t offset = 0;
+    std::uint32_t count = 0;
+  };
+  struct BeamLevel {
+    std::vector<std::vector<WaveTransition>> by_slot;
+    std::vector<BeamSpan> spans;  // per state
+  };
+  std::vector<BeamLevel> beam;
+  std::size_t total_states = 0;
 
-  // ---- Discovery pass (popcount descending) ----------------------------
-  // Finds every state the (pruned) transition relation reaches from the
-  // full set. Exact and beam modes evaluate every surviving ending here —
-  // all their measurements happen in this pass, fanned out across the
-  // wave's states. Dominance mode records transitions *structurally* (the
-  // P(r, s) verdict is a component count, no simulation needed) and stores
-  // each transition's admissible stage floor in the latency slot instead;
-  // its measurements happen lazily in the cost pass, where exact sub-costs
-  // make the floor a sharp skip test. Successors are deduplicated inside
-  // the fan-out: each worker drops the ones already in `seen` (read-only
-  // while the level runs) or already met by itself, so the serial step
-  // between waves folds only the workers' fresh lists — O(workers x new
-  // states), not O(transitions). Each level is sorted by state bits before
-  // it expands, so level contents are deterministic regardless of thread
-  // count.
-  for (int p = n; p >= 1; --p) {
-    WaveLevel& wave = levels[static_cast<std::size_t>(p)];
-    if (wave.states.empty()) continue;
-    std::sort(wave.states.begin(), wave.states.end());
-    const std::size_t cnt = wave.states.size();
-
-    wave.spans.assign(cnt, Span{});
-    const int lease_n = std::max(
-        1, std::min(workers, static_cast<int>(cnt)));
-    wave.leases.reserve(static_cast<std::size_t>(lease_n));
-    for (int i = 0; i < lease_n; ++i) {
-      wave.leases.push_back(shared_arena_pool().acquire());
+  if (mode != PruneMode::kBeam) {
+    levels = dag.down_sets();
+    for (int p = 1; p <= n; ++p) {
+      total_states += levels[static_cast<std::size_t>(p)].size();
     }
-    std::vector<std::int32_t> pruned_per_state(cnt, 0);
-    std::vector<std::int32_t> trimmed_per_state(
-        mode == PruneMode::kBeam ? cnt : 0, 0);
+  } else {
+    // ---- Beam discovery (popcount descending) ---------------------------
+    // Each state evaluates its kept endings, fanned out across the level's
+    // states, and meets their successors. fcost[S] is the cheapest known
+    // prefix cost from the full set down to S. Each worker keeps its own
+    // minimum per successor while a level runs, and the serial step folds
+    // those minima in. Since endings strictly shrink states, every
+    // transition into S comes from a strictly higher level, so fcost[S] is
+    // final before S's level expands. The floor supplies the admissible
+    // remainder bound h(S); min over trim points of f + h is the certified
+    // lower bound behind latency_gap_bound_us. Each level is sorted by
+    // state bits before it expands, so level contents are deterministic
+    // regardless of thread count.
+    levels.resize(static_cast<std::size_t>(n) + 1);
+    beam.resize(static_cast<std::size_t>(n) + 1);
+    levels[static_cast<std::size_t>(n)].push_back(dag.all());
+    FlatSet64 seen;
+    seen.insert(dag.all().bits());
+    FlatMap64<double> fcost;
+    fcost.try_emplace(dag.all().bits(), 0.0);
+    for (int p = n; p >= 1; --p) {
+      std::vector<Set64>& level = levels[static_cast<std::size_t>(p)];
+      if (level.empty()) continue;
+      std::sort(level.begin(), level.end(),
+                [](Set64 a, Set64 b) { return a.bits() < b.bits(); });
+      const std::size_t cnt = level.size();
+      BeamLevel& kept = beam[static_cast<std::size_t>(p)];
+      kept.by_slot.resize(scratch.size());
+      kept.spans.resize(cnt);
+      std::vector<std::int32_t> pruned_per_state(cnt, 0);
+      std::vector<std::int32_t> trimmed_per_state(cnt, 0);
 
-    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
-      const Set64 s{wave.states[i]};
-      Arena& arena = *wave.leases[static_cast<std::size_t>(slot)];
-      ArenaVec<WaveTransition> out(arena);
-      WorkerScratch& sc = scratch[static_cast<std::size_t>(slot)];
-      double f_here = 0;  // beam: final, since every level above has folded
-      if (track_bounds) {
+      parallel_for(cnt, threads, [&](int slot, std::size_t i) {
+        const Set64 s = level[i];
+        WorkerScratch& sc = scratch[static_cast<std::size_t>(slot)];
+        std::vector<WaveTransition>& out =
+            kept.by_slot[static_cast<std::size_t>(slot)];
+        const std::size_t offset = out.size();
         const double* f = fcost.find(s.bits());
-        f_here = f ? *f : 0;
-      }
-      // Records a surviving transition and meets its successor.
-      const auto record = [&](std::uint64_t ending, double latency_us) {
-        out.push_back({ending, latency_us});
-        const std::uint64_t sub = s.bits() & ~ending;
-        if (sub == 0) return;
-        if (track_bounds) {
-          // Every successor, seen or not: its prefix bound may still drop.
-          const double via = f_here + latency_us;
-          const auto [f, first] = sc.met.try_emplace(sub, via);
+        const double f_here = f ? *f : 0;
+
+        // Keeps a surviving ending and meets its successor. Every
+        // successor, seen or not: its prefix bound may still drop.
+        const auto eval_one = [&](std::uint64_t bits) {
+          const EndingEval eval = endings.get_or_eval(
+              Set64{bits}, [&] { return compute_ending(dag, Set64{bits}); });
+          if (eval.pruned) {
+            ++pruned_per_state[i];
+            return;
+          }
+          out.push_back({bits, eval.latency_us});
+          const std::uint64_t sub = s.bits() & ~bits;
+          if (sub == 0) return;
+          const double via = f_here + eval.latency_us;
+          const auto [fsub, first] = sc.met.try_emplace(sub, via);
           if (first) {
             sc.fresh.push_back(sub);
-          } else if (via < *f) {
-            *f = via;
+          } else if (via < *fsub) {
+            *fsub = via;
           }
-        } else if (!seen.contains(sub) && sc.met.try_emplace(sub, 0).second) {
-          sc.fresh.push_back(sub);
-        }
-      };
+        };
 
-      if (mode == PruneMode::kBeam) {
         // Collect every ending without evaluating, then keep the beam: the
         // `beam_width` best under (popcount desc, enumeration index asc) —
         // bigger endings mean fewer stages — plus the safety valve, the
@@ -858,15 +870,6 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
                           });
         const std::uint32_t total =
             static_cast<std::uint32_t>(sc.collected.size());
-        const auto eval_one = [&](std::uint64_t bits) {
-          const EndingEval eval = endings.get_or_eval(
-              Set64{bits}, [&] { return compute_ending(dag, Set64{bits}); });
-          if (eval.pruned) {
-            ++pruned_per_state[i];
-            return;
-          }
-          record(bits, eval.latency_us);
-        };
         if (total <= static_cast<std::uint32_t>(beam_width)) {
           for (const std::uint64_t bits : sc.collected) eval_one(bits);
         } else {
@@ -908,24 +911,87 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
               static_cast<std::int32_t>(total - sc.kept.size());
           for (const std::uint32_t j : sc.kept) eval_one(col[j]);
         }
-      } else if (mode == PruneMode::kDominance) {
-        // Structural discovery: no stage is simulated here. Each surviving
-        // transition records its admissible stage floor — the larger of the
-        // resource floor and the single launch latency every stage pays —
-        // in the latency slot; the cost pass reads it back as the skip
-        // test's lower bound and evaluates lazily.
-        dag.visit_endings(
-            s, max_ops, max_group_ops,
-            [&](Set64 ending, const Set64* comps, int ncomps) {
-              double lb = 0;
-              if (scan_ending(options_.pruning, floor, ending, comps, ncomps,
-                              &lb)) {
-                ++pruned_per_state[i];
-                return;
-              }
-              record(ending.bits(), lb);
-            });
-      } else {
+        kept.spans[i] = BeamSpan{static_cast<std::uint32_t>(slot),
+                                 static_cast<std::uint32_t>(offset),
+                                 static_cast<std::uint32_t>(out.size() -
+                                                            offset)};
+      }, kSerialLevelCutoff);
+
+      // Serial step, O(states + workers x new states): statistics, the
+      // gap bound, and the fold of the workers' successors.
+      for (std::size_t i = 0; i < cnt; ++i) {
+        transitions += kept.spans[i].count;
+        pruned_calls += pruned_per_state[i];
+        if (trimmed_per_state[i] > 0) {
+          trimmed += trimmed_per_state[i];
+          // Any schedule reaching this state through a trimmed ending costs
+          // at least f + h; together with the found cost this certifies the
+          // reported gap bound.
+          const double* f = fcost.find(level[i].bits());
+          min_cut = std::min(min_cut, (f ? *f : 0) + floor.eval(level[i]));
+        }
+      }
+      for (WorkerScratch& sc : scratch) {
+        for (const std::uint64_t sub : sc.fresh) {
+          const double via = *sc.met.find(sub);
+          const auto [f, first] = fcost.try_emplace(sub, via);
+          if (!first && via < *f) *f = via;
+          if (seen.insert(sub)) {
+            levels[static_cast<std::size_t>(std::popcount(sub))].push_back(
+                Set64{sub});
+          }
+        }
+        sc.fresh.clear();
+        sc.met.clear_retain();
+      }
+      // Freeze this level's fresh endings: every later wave's repeat
+      // lookups of them become lock-free hits.
+      endings.drain(threads);
+    }
+    total_states = seen.size();
+  }
+
+  // ---- One ascending pass (popcount ascending) ---------------------------
+  // Each state reads its sub-states' costs from strictly lower levels,
+  // frozen in the memo while the level runs, and keeps the first minimum in
+  // enumeration order (strict <) — the serial engine's tie-break.
+  //  * Exact mode enumerates the state's endings and evaluates each on the
+  //    spot, through the shared ending stripes; no transition is stored.
+  //  * Dominance mode collects each surviving ending with its admissible
+  //    stage floor plus the exact sub-state cost, a lower bound on its
+  //    total. It then evaluates the candidates cheapest-bound-first and
+  //    stops once the bound alone exceeds the best total found — a skipped
+  //    candidate provably cannot beat (or tie) the running best, so the
+  //    argmin, its tie-break and the found latency are bit-identical to
+  //    exact mode while many stages are never simulated at all.
+  //  * Beam mode replays its kept transitions. A sub-state may have no
+  //    memo entry (it was cut); such transitions are skipped, and a state
+  //    left with no finite cost simply gets no entry of its own.
+  memo.reserve(total_states);
+  struct Solved {
+    Entry best;
+    std::int32_t transitions = 0;  // exact, dominance: surviving endings
+    std::int32_t pruned = 0;       // exact, dominance: P(r, s)-cut endings
+    std::int32_t evals = 0;        // dominance: endings evaluated
+  };
+  std::vector<Solved> solved;
+  for (int p = 1; p <= n; ++p) {
+    std::vector<Set64>& level = levels[static_cast<std::size_t>(p)];
+    if (level.empty()) continue;
+    const std::size_t cnt = level.size();
+    solved.assign(cnt, Solved{});
+    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
+      const Set64 s = level[i];
+      Solved& r = solved[i];
+      Entry& best = r.best;
+      best.cost = kInf;
+      // The exact cost of S - ending: a lower-level state, or 0 for the
+      // empty one. Exact and dominance mode always have its entry.
+      const auto sub_cost = [&memo](std::uint64_t sub) {
+        return sub == 0 ? 0.0 : memo.find(sub)->cost;
+      };
+
+      if (mode == PruneMode::kExact) {
         dag.visit_endings(
             s, max_ops, max_group_ops,
             [&](Set64 ending, const Set64* comps, int ncomps) {
@@ -933,200 +999,122 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
                 return compute_ending(dag, ending, comps, ncomps);
               });
               if (eval.pruned) {
-                ++pruned_per_state[i];
+                ++r.pruned;
                 return;
               }
-              record(ending.bits(), eval.latency_us);
+              ++r.transitions;
+              const double total =
+                  eval.latency_us + sub_cost(s.bits() & ~ending.bits());
+              if (total < best.cost) {
+                best.cost = total;
+                best.choice = ending.bits();
+                best.build = eval.build;
+              }
             });
-      }
-
-      out.shrink_to_fit();
-      wave.spans[i] = Span{out.data(), out.size()};
-    }, kSerialLevelCutoff);
-
-    // Serial step, O(states + workers x new states): statistics, the beam
-    // gap bound, and the fold of the workers' successors.
-    states_expanded += static_cast<std::int64_t>(cnt);
-    for (std::size_t i = 0; i < cnt; ++i) {
-      enumerated += pruned_per_state[i] + wave.spans[i].count;
-      pruned_calls += pruned_per_state[i];
-      if (track_bounds && trimmed_per_state[i] > 0) {
-        trimmed += trimmed_per_state[i];
-        // Any schedule reaching this state through a trimmed ending costs
-        // at least f + h; together with the found cost this certifies the
-        // reported gap bound.
-        const Set64 s{wave.states[i]};
-        const double* f = fcost.find(s.bits());
-        min_cut = std::min(min_cut, (f ? *f : 0) + floor.eval(s));
-      }
-    }
-    for (WorkerScratch& sc : scratch) {
-      if (sc.fresh.empty()) continue;
-      for (const std::uint64_t sub : sc.fresh) {
-        if (track_bounds) {
-          const double via = *sc.met.find(sub);
-          const auto [f, first] = fcost.try_emplace(sub, via);
-          if (!first && via < *f) *f = via;
-        }
-        if (seen.insert(sub)) {
-          levels[static_cast<std::size_t>(std::popcount(sub))]
-              .states.push_back(sub);
-        }
-      }
-      sc.fresh.clear();
-      sc.met.clear_retain();
-    }
-    // Freeze this level's fresh endings: every later wave's repeat lookups
-    // of them become lock-free hits.
-    endings.drain(threads);
-  }
-
-  // ---- Cost pass (popcount ascending) ----------------------------------
-  // Measurement-free: each state replays its recorded span, reads sub-state
-  // costs from strictly lower levels (frozen during the wave), and takes
-  // the argmin in enumeration order — the same tie-breaking as the serial
-  // engine. For exact and beam modes the pass is measurement-free (recorded
-  // latencies; the argmin's stage build is re-read from the frozen
-  // stripes). Dominance mode measures *here*, lazily: each transition's
-  // recorded stage floor plus the exact sub-cost is a lower bound on its
-  // total, so candidates are tried cheapest-bound-first and evaluation
-  // stops once the bound alone exceeds the best total found — a transition
-  // skipped that way provably cannot beat (or tie) the running best, so
-  // the argmin, its enumeration-order tie-break, and the found latency are
-  // bit-identical to exact mode while many stages are never simulated at
-  // all. In beam mode a sub-state may have no memo entry (it was cut);
-  // such transitions are skipped, and a state left with no finite cost
-  // simply gets no entry of its own.
-  memo.reserve(static_cast<std::size_t>(seen.size()));
-  std::uint64_t root_bits = dag.all().bits();
-  struct LazyScratch {
-    std::vector<std::uint32_t> order;
-    std::vector<double> lb;
-  };
-  std::vector<LazyScratch> lazy_scratch(
-      mode == PruneMode::kDominance
-          ? static_cast<std::size_t>(std::max(1, workers))
-          : 0);
-  for (int p = 1; p <= n; ++p) {
-    WaveLevel& wave = levels[static_cast<std::size_t>(p)];
-    if (wave.states.empty()) continue;
-    const std::size_t cnt = wave.states.size();
-    std::vector<Entry> entries(cnt);
-    std::vector<char> has(cnt, 0);
-    std::vector<std::int32_t> evals_per_state(
-        mode == PruneMode::kDominance ? cnt : 0, 0);
-    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
-      const std::uint64_t s = wave.states[i];
-      const Span& span = wave.spans[i];
-      Entry best;
-      best.cost = kInf;
-      if (mode == PruneMode::kDominance) {
-        LazyScratch& sc = lazy_scratch[static_cast<std::size_t>(slot)];
-        sc.order.resize(span.count);
-        sc.lb.resize(span.count);
-        for (std::uint32_t t = 0; t < span.count; ++t) {
-          const WaveTransition& tr = span.tr[t];
-          const std::uint64_t sub = s & ~tr.ending;
-          double bound = tr.latency_us;  // the recorded stage floor
-          if (sub != 0) {
-            const Entry* e = memo.find(sub);
-            bound = e ? bound + e->cost : kInf;
-          }
-          sc.order[t] = t;
-          sc.lb[t] = bound;
-        }
-        std::sort(sc.order.begin(), sc.order.end(),
-                  [&sc](std::uint32_t a, std::uint32_t b) {
-                    if (sc.lb[a] != sc.lb[b]) return sc.lb[a] < sc.lb[b];
-                    return a < b;
+      } else if (mode == PruneMode::kDominance) {
+        std::vector<DominanceCandidate>& cands =
+            scratch[static_cast<std::size_t>(slot)].candidates;
+        cands.clear();
+        dag.visit_endings(
+            s, max_ops, max_group_ops,
+            [&](Set64 ending, const Set64* comps, int ncomps) {
+              double lb = 0;
+              if (scan_ending(options_.pruning, floor, ending, comps, ncomps,
+                              &lb)) {
+                ++r.pruned;
+                return;
+              }
+              lb += sub_cost(s.bits() & ~ending.bits());
+              cands.push_back({lb, static_cast<std::uint32_t>(cands.size()),
+                               ending.bits()});
+            });
+        r.transitions = static_cast<std::int32_t>(cands.size());
+        std::sort(cands.begin(), cands.end(),
+                  [](const DominanceCandidate& a, const DominanceCandidate& b) {
+                    if (a.bound != b.bound) return a.bound < b.bound;
+                    return a.index < b.index;
                   });
-        std::uint32_t best_t = std::numeric_limits<std::uint32_t>::max();
-        for (const std::uint32_t t : sc.order) {
+        std::uint32_t best_index = std::numeric_limits<std::uint32_t>::max();
+        for (const DominanceCandidate& c : cands) {
           // Strictly above the running best: this candidate can neither
           // beat nor tie it, and the order is sorted, so every remaining
-          // candidate is out too. Ties (lb == best) are still evaluated so
-          // the enumeration-order tie-break sees every minimal candidate.
-          if (sc.lb[t] > best.cost || !std::isfinite(sc.lb[t])) break;
-          const WaveTransition& tr = span.tr[t];
-          const Set64 ending{tr.ending};
+          // candidate is out too. Ties (bound == best) are still evaluated
+          // so the enumeration-order tie-break sees every minimal one.
+          if (c.bound > best.cost || !std::isfinite(c.bound)) break;
+          const Set64 ending{c.ending};
           const EndingEval eval = endings.get_or_eval(
               ending, [&] { return compute_ending(dag, ending); });
-          ++evals_per_state[i];
-          if (eval.pruned) continue;  // discovery already excluded these
-          const std::uint64_t sub = s & ~tr.ending;
-          double total = eval.latency_us;
-          if (sub != 0) total += memo.find(sub)->cost;
-          if (total < best.cost || (total == best.cost && t < best_t)) {
+          ++r.evals;
+          if (eval.pruned) continue;  // scan_ending already excluded these
+          const double total =
+              eval.latency_us + sub_cost(s.bits() & ~c.ending);
+          if (total < best.cost ||
+              (total == best.cost && c.index < best_index)) {
             best.cost = total;
-            best.choice = tr.ending;
+            best.choice = c.ending;
             best.build = eval.build;
-            best_t = t;
+            best_index = c.index;
           }
         }
-        if (!std::isfinite(best.cost)) {
-          throw std::logic_error(
-              "no feasible ending found for a non-empty state");
+      } else {
+        const BeamLevel& kept = beam[static_cast<std::size_t>(p)];
+        const BeamSpan& span = kept.spans[i];
+        const WaveTransition* tr =
+            kept.by_slot[span.slot].data() + span.offset;
+        for (std::uint32_t t = 0; t < span.count; ++t) {
+          const std::uint64_t sub = s.bits() & ~tr[t].ending;
+          double total = tr[t].latency_us;
+          if (sub != 0) {
+            const Entry* e = memo.find(sub);
+            if (!e) continue;  // the sub-state was cut
+            total += e->cost;
+          }
+          if (total < best.cost) {
+            best.cost = total;
+            best.choice = tr[t].ending;
+          }
         }
-        entries[i] = best;
-        has[i] = 1;
-        return;
-      }
-      for (std::uint32_t t = 0; t < span.count; ++t) {
-        const WaveTransition& tr = span.tr[t];
-        const std::uint64_t sub = s & ~tr.ending;
-        double total = tr.latency_us;
-        if (sub != 0) {
-          const Entry* e = memo.find(sub);
-          if (!e) continue;  // sub-state was cut (beam mode only)
-          total += e->cost;
+        if (std::isfinite(best.cost)) {
+          best.build = endings.find_frozen(best.choice)->build;
         }
-        if (total < best.cost) {
-          best.cost = total;
-          best.choice = tr.ending;
-        }
+        return;  // a state the cuts left infeasible gets no memo entry
       }
       if (!std::isfinite(best.cost)) {
-        if (mode == PruneMode::kExact) {
-          throw std::logic_error(
-              "no feasible ending found for a non-empty state");
-        }
-        return;  // unreachable under the cuts; no memo entry
+        throw std::logic_error(
+            "no feasible ending found for a non-empty state");
       }
-      best.build = endings.find_frozen(best.choice)->build;
-      entries[i] = best;
-      has[i] = 1;
     }, kSerialLevelCutoff);
+
+    // Serial step: the level's costs enter the memo, its counts the totals,
+    // and its fresh endings the frozen stripes, so every later level's
+    // repeat lookups of them are lock-free hits.
     for (std::size_t i = 0; i < cnt; ++i) {
-      if (has[i]) memo.try_emplace(wave.states[i], entries[i]);
-      if (mode == PruneMode::kDominance) {
-        lazy_evals += evals_per_state[i];
-        const std::int32_t skipped =
-            static_cast<std::int32_t>(wave.spans[i].count) -
-            evals_per_state[i];
-        if (skipped > 0) {
-          trimmed += skipped;
-          ++pruned_states;
-        }
+      const Solved& r = solved[i];
+      if (std::isfinite(r.best.cost)) {
+        memo.try_emplace(level[i].bits(), r.best);
+      }
+      transitions += r.transitions;
+      pruned_calls += r.pruned;
+      lazy_evals += r.evals;
+      if (mode == PruneMode::kDominance && r.evals < r.transitions) {
+        trimmed += r.transitions - r.evals;
+        ++pruned_states;
       }
     }
-    // Dominance evaluates lazily during this pass; freezing after each
-    // level keeps the next level's repeat lookups off the stripe locks.
-    if (mode == PruneMode::kDominance) endings.drain(threads);
-    // The level's records are dead once its costs are in the memo: return
-    // the arenas to the pool and drop the level's vectors.
-    wave.leases.clear();
-    std::vector<Span>().swap(wave.spans);
-    std::vector<std::uint64_t>().swap(wave.states);
+    endings.drain(threads);
+    std::vector<Set64>().swap(level);
+    if (mode == PruneMode::kBeam) {
+      beam[static_cast<std::size_t>(p)] = BeamLevel{};
+    }
   }
 
-  const Entry* root = memo.find(root_bits);
+  const Entry* root = memo.find(dag.all().bits());
   if (!root) {
     throw std::logic_error("wave search found no feasible schedule");
   }
 
   if (stats) {
-    stats->states += states_expanded;
-    const std::int64_t transitions = enumerated - pruned_calls;
+    stats->states += static_cast<std::int64_t>(total_states);
     stats->transitions += transitions;
     stats->pruned_endings += pruned_calls;
     if (mode == PruneMode::kDominance) {
@@ -1213,6 +1201,12 @@ std::string IosScheduler::canonical_block_key(const BlockDag& dag) const {
 
 Schedule IosScheduler::schedule_block(std::span<const OpId> block_ops,
                                       SchedulerStats* stats) {
+  return schedule_block_keyed(block_ops, nullptr, stats);
+}
+
+Schedule IosScheduler::schedule_block_keyed(std::span<const OpId> block_ops,
+                                            const std::string* known_key,
+                                            SchedulerStats* stats) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::int64_t measurements_before = cost_.num_measurements();
   const double profiling_before = cost_.profiling_cost_us();
@@ -1235,7 +1229,7 @@ Schedule IosScheduler::schedule_block(std::span<const OpId> block_ops,
 
   std::string block_key;
   if (templates_ != nullptr) {
-    block_key = canonical_block_key(dag);
+    block_key = known_key ? *known_key : canonical_block_key(dag);
     if (const auto tpl = templates_->get(block_key)) {
       // A structurally identical block was already solved against this
       // cache: replay its stage layout and the gap bound its search owed.
@@ -1310,9 +1304,36 @@ Schedule IosScheduler::schedule_partition(
   const std::int64_t canonical_before = cost_.canonical_hits();
   const std::int64_t cross_before = cost_.cross_model_hits();
   const auto t0 = std::chrono::steady_clock::now();
-  parallel_for(blocks.size(), options_.num_threads, [&](std::size_t i) {
-    per_block[i] = schedule_block(blocks[i], stats ? &per_stats[i] : nullptr);
-  });
+  if (templates_ == nullptr) {
+    parallel_for(blocks.size(), options_.num_threads, [&](std::size_t i) {
+      per_block[i] =
+          schedule_block(blocks[i], stats ? &per_stats[i] : nullptr);
+    });
+  } else {
+    // Which blocks replay a template must not depend on which concurrent
+    // block finishes first. So the keys are built serially, in block order,
+    // and a block is searched only if no earlier block has its key and the
+    // cache held none for it when the call began. Those searches fan out;
+    // the other blocks then replay. At one worker this is the in-order
+    // result.
+    std::vector<std::string> keys(blocks.size());
+    std::unordered_set<std::string> first_seen;
+    std::vector<std::size_t> searched;
+    std::vector<std::size_t> replayed;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      keys[i] = canonical_block_key(BlockDag(cost_.graph(), blocks[i]));
+      const bool search =
+          !templates_->get(keys[i]) && first_seen.insert(keys[i]).second;
+      (search ? searched : replayed).push_back(i);
+    }
+    for (const std::vector<std::size_t>* phase : {&searched, &replayed}) {
+      parallel_for(phase->size(), options_.num_threads, [&](std::size_t j) {
+        const std::size_t i = (*phase)[j];
+        per_block[i] = schedule_block_keyed(
+            blocks[i], &keys[i], stats ? &per_stats[i] : nullptr);
+      });
+    }
+  }
 
   Schedule q;
   for (std::size_t i = 0; i < blocks.size(); ++i) {

@@ -11,11 +11,11 @@
 //
 // Two search engines produce bit-identical results:
 //  * kSerial — the reference recursive top-down solver, one thread.
-//  * kWave   — an iterative bottom-up solver that groups the reachable
-//    states by popcount ("waves") and evaluates each wave's states in
-//    parallel on the shared thread pool (util/thread_pool.hpp's slot-form
-//    parallel_for), so even a single large block (NASNet cell, RandWire)
-//    uses every core. See IosScheduler::solve_wave.
+//  * kWave   — an iterative bottom-up solver that groups the states by
+//    popcount ("waves") and solves each wave's states in parallel on the
+//    shared thread pool (util/thread_pool.hpp's slot-form parallel_for), so
+//    even a single large block (NASNet cell, RandWire) uses every core. See
+//    IosScheduler::solve_wave.
 // Both run one GENERATE_STAGE (IosScheduler::compute_ending), which keys the
 // cost model's latency cache by fingerprints derived from an ending's
 // component masks. Independent blocks fan out on the same parallel_for.
@@ -60,17 +60,15 @@ const char* ios_variant_name(IosVariant v);
 
 /// Which DP solver runs the per-block search. In exact mode both engines
 /// explore exactly the same states and produce bit-identical schedules,
-/// latencies, and statistics; they differ only in wall-clock and memory
-/// behavior (the wave engine records every surviving transition between
-/// its two passes — O(transitions) peak memory, which search time bounds
-/// long before it becomes the binding constraint).
+/// latencies, and statistics; they differ only in wall-clock behavior. Both
+/// hold O(states) memory: neither stores a transition.
 enum class SearchEngine {
   kAuto,    ///< kWave when memoization is on and either pruning or more
             ///< than one worker is requested, kSerial otherwise
   kSerial,  ///< reference recursive top-down solver (always one thread);
             ///< the exactness reference for the wave engine
-  kWave,    ///< arena-backed bottom-up solver, wave-parallel on the
-            ///< thread pool; the only engine supporting PruneMode
+  kWave,    ///< bottom-up solver, wave-parallel on the thread pool; the
+            ///< only engine supporting PruneMode
 };
 
 const char* search_engine_name(SearchEngine e);
@@ -81,13 +79,12 @@ enum class PruneMode {
   /// No state-space cuts: bit-identical schedules, latencies, and
   /// statistics to the reference serial engine. The default.
   kExact,
-  /// Branch-and-bound state dominance: a beam presearch supplies a feasible
-  /// upper bound U, and any state whose best known prefix cost plus an
-  /// admissible roofline lower bound on its remaining work exceeds U is cut
-  /// before its endings are enumerated. Provably returns the exact optimum
-  /// (the optimal chain always survives), so the reported
-  /// latency_gap_bound_us is always 0 — the knob trades the guarantee's
-  /// proof obligation for wall-clock only.
+  /// Argmin dominance: each state tries its endings cheapest admissible
+  /// bound first (the stage's roofline floor plus the exact sub-state cost)
+  /// and stops once a bound exceeds the best total found, so an ending that
+  /// can neither beat nor tie it is never simulated. Provably returns the
+  /// exact schedule, so the reported latency_gap_bound_us is always 0 — the
+  /// knob saves stage simulations only.
   kDominance,
   /// Per-state transition beam: each state evaluates only its `beam_width`
   /// most promising endings (largest first, enumeration order tie-break)
@@ -309,18 +306,26 @@ class IosScheduler {
   /// SCHEDULER (Algorithm 1 L13-22): the reference recursive solver.
   double solve(BlockContext& ctx, Set64 s, SchedulerStats* stats);
 
-  /// The wave engine: discovers the reachable states level-by-level
-  /// (popcount descending, evaluating endings in parallel on the way) and
-  /// then fills ctx.memo level-by-level popcount ascending. In exact mode
-  /// it produces bit-identical memo entries and statistics to
-  /// solve(ctx, dag.all()). kBeam evaluates only the `beam_width` endings
-  /// selected per state; kDominance discovers structurally and evaluates
-  /// lazily in the cost pass, skipping every transition whose
-  /// floor-plus-exact-sub-cost bound cannot beat the state's running best
-  /// — bit-identical results with fewer simulations. Returns the block's
-  /// certified latency gap bound (0 outside kBeam), computed whether or not
-  /// `stats` is given. See scheduler.cpp for the machinery.
+  /// The wave engine: fills ctx.memo in one pass over the states, level by
+  /// level in ascending popcount, each level's states in parallel. In
+  /// exact and dominance mode the states are the block's non-empty
+  /// down-sets (BlockDag::down_sets), and each state evaluates its endings
+  /// as it solves, storing no transition. Exact mode produces bit-identical
+  /// memo entries and statistics to solve(ctx, dag.all()). kDominance
+  /// evaluates lazily, skipping every ending whose floor-plus-exact-sub-cost
+  /// bound cannot beat the state's running best — bit-identical results
+  /// with fewer simulations. kBeam first discovers its states top-down,
+  /// evaluating only the `beam_width` endings selected per state and
+  /// keeping those for the pass. Returns the block's certified latency gap
+  /// bound (0 outside kBeam), computed whether or not `stats` is given. See
+  /// scheduler.cpp for the machinery.
   double solve_wave(BlockContext& ctx, SchedulerStats* stats);
+
+  /// schedule_block with the block's canonical_block_key already built
+  /// (`known_key`, ignored without a template cache); null builds it here.
+  Schedule schedule_block_keyed(std::span<const OpId> block_ops,
+                                const std::string* known_key,
+                                SchedulerStats* stats);
 
   /// The cross-request identity of a block: operator kinds, attributes (as
   /// attrs_to_json lists them), and shapes by local index, internal wiring,

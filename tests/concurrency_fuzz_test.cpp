@@ -1,13 +1,12 @@
 // Concurrency and randomized-model fuzz tests for the repo's hand-rolled
 // containers: util/flat_map.hpp (FlatMap64/FlatSet64), util/lru_cache.hpp
-// (LruCache), util/arena.hpp (Arena/ArenaVec/ArenaPool), and the serving
-// layer's ShardedRecipeCache. Each sweep drives the container with a seeded
-// random operation sequence and cross-checks every observable against a
-// trivially correct reference model (std::unordered_map / a list-based
-// reference LRU / std::vector); the sharded cache and the arena pool are
-// additionally hammered from many threads, where their contracts (each key
-// computed at most once per residency, values never torn; leased arenas
-// exclusively owned) must hold for every interleaving.
+// (LruCache), and the serving layer's ShardedRecipeCache. Each sweep drives
+// the container with a seeded random operation sequence and cross-checks
+// every observable against a trivially correct reference model
+// (std::unordered_map / a list-based reference LRU); the sharded cache is
+// additionally hammered from many threads, where its contract (each key
+// computed at most once per residency, values never torn) must hold for
+// every interleaving.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "serve/recipe_cache.hpp"
-#include "util/arena.hpp"
 #include "util/flat_map.hpp"
 #include "util/hash.hpp"
 #include "util/lru_cache.hpp"
@@ -333,83 +331,6 @@ TEST(ShardedCacheFuzz, SeededOpSequenceIsReproducible) {
   EXPECT_EQ(a.stats().misses, b.stats().misses);
   EXPECT_EQ(a.stats().evictions, b.stats().evictions);
 }
-
-// ---------------------------------------------------------------------------
-// Arena / ArenaVec vs std::vector, and ArenaPool under real concurrency
-// ---------------------------------------------------------------------------
-
-class ArenaFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ArenaFuzzTest, ArenaVecMatchesStdVectorOnRandomFills) {
-  // The wave engine's per-level pattern at fuzz scale: many vectors filled
-  // one at a time (random lengths spanning several grow/extend cycles),
-  // shrunk to fit, all read back after the level is complete. A tiny chunk
-  // size forces frequent chunk turnover and extend failures.
-  Rng rng(GetParam());
-  Arena arena{512};
-  for (int round = 0; round < 5; ++round) {
-    std::vector<ArenaVec<std::uint64_t>> got;
-    std::vector<std::vector<std::uint64_t>> want;
-    for (int v = 0; v < 200; ++v) {
-      got.emplace_back(arena);
-      want.emplace_back();
-      const int len = rng.uniform_int(70);
-      for (int i = 0; i < len; ++i) {
-        const std::uint64_t x = rng.next_u64();
-        got.back().push_back(x);
-        want.back().push_back(x);
-      }
-      got.back().shrink_to_fit();
-    }
-    for (std::size_t v = 0; v < got.size(); ++v) {
-      ASSERT_EQ(got[v].size(), want[v].size());
-      for (std::uint32_t i = 0; i < got[v].size(); ++i) {
-        ASSERT_EQ(got[v][i], want[v][i]) << "round " << round << " vec " << v;
-      }
-    }
-    arena.reset();  // wholesale reclaim between rounds, chunks retained
-  }
-}
-
-TEST_P(ArenaFuzzTest, PooledArenasStayExclusiveUnderHammering) {
-  // Many threads lease from one pool, fill tagged records, verify, return.
-  // A pool bug that hands one arena to two threads shows up as a torn tag
-  // here (and as a data race under TSAN).
-  constexpr int kThreads = 8;
-  ArenaPool pool;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(GetParam() * 131 + static_cast<std::uint64_t>(t));
-      for (int r = 0; r < 40; ++r) {
-        ArenaPool::Lease lease = pool.acquire();
-        const std::uint64_t tag =
-            (static_cast<std::uint64_t>(t) << 32) |
-            static_cast<std::uint64_t>(r);
-        std::vector<ArenaVec<std::uint64_t>> vecs;
-        for (int v = 0; v < 20; ++v) {
-          vecs.emplace_back(*lease);
-          const int len = 1 + rng.uniform_int(30);
-          for (int i = 0; i < len; ++i) vecs.back().push_back(tag);
-          vecs.back().shrink_to_fit();
-        }
-        for (const auto& vec : vecs) {
-          for (std::uint64_t x : vec) {
-            if (x != tag) failures.fetch_add(1);
-          }
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(pool.idle(), 1u);
-  EXPECT_LE(pool.idle(), static_cast<std::size_t>(kThreads));
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ArenaFuzzTest, ::testing::Values(3, 17, 2026));
 
 }  // namespace
 }  // namespace ios

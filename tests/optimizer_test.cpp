@@ -463,10 +463,9 @@ void expect_same_counters(const SchedulerStats& a, const SchedulerStats& b) {
 
 // Cross-request reuse changes where stage latencies and block layouts come
 // from, never what the search finds. The reuse side answers ResNet-50 partly
-// from ResNet-34's stages and replays Inception V3's repeated blocks. The
-// default single search thread keeps the hit counters deterministic: with
-// concurrent blocks, which of two identical blocks is replayed depends on
-// thread timing.
+// from ResNet-34's stages and replays Inception V3's repeated blocks. Which
+// blocks replay does not depend on the thread count
+// (CrossReuseReplaysIndependentOfThreads).
 TEST(Optimizer, CrossReuseKeepsSchedulesAcrossModels) {
   Optimizer with_reuse;
   Optimizer without_reuse;
@@ -487,6 +486,37 @@ TEST(Optimizer, CrossReuseKeepsSchedulesAcrossModels) {
     }
     if (model == "inception_v3") {
       EXPECT_GT(on.block_cache_hits, 0);
+    }
+  }
+}
+
+// Which blocks of a partition replay a template is decided before any
+// block is searched, in block order, so concurrent blocks cannot race to
+// store the template a structurally identical block then replays: every
+// run at 1 and 4 threads searches and replays the same blocks. NASNet
+// repeats its cells, and Inception V3 repeats some of its modules.
+TEST(Optimizer, CrossReuseReplaysIndependentOfThreads) {
+  for (const std::string model : {"nasnet", "inception_v3"}) {
+    SCOPED_TRACE(model);
+    OptimizationRequest request = OptimizationRequest::for_model(model);
+    request.baselines.clear();
+    request.cross_reuse = true;
+    request.options.num_threads = 1;
+    const OptimizationResult ref = Optimizer().optimize(request);
+    EXPECT_GT(ref.block_cache_hits, 0);
+    for (const int threads : {1, 4}) {
+      request.options.num_threads = threads;
+      for (int run = 0; run < 3; ++run) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " run=" + std::to_string(run));
+        const OptimizationResult got = Optimizer().optimize(request);
+        EXPECT_EQ(dump(got.schedule), dump(ref.schedule));
+        EXPECT_DOUBLE_EQ(got.latency_us, ref.latency_us);
+        EXPECT_EQ(got.stats.states, ref.stats.states);
+        EXPECT_EQ(got.stats.transitions, ref.stats.transitions);
+        EXPECT_EQ(got.stats.cache_hits, ref.stats.cache_hits);
+        EXPECT_EQ(got.block_cache_hits, ref.block_cache_hits);
+      }
     }
   }
 }

@@ -121,7 +121,7 @@ Graph random_block_graph(std::uint64_t seed) {
 
 class PruneProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-// (a) The arena wave engine in exact mode is the serial reference engine,
+// (a) The wave engine in exact mode is the serial reference engine,
 // bit for bit — same schedules, latencies, and every counter, for default,
 // disabled, and tight pruning strategies. (The test name predates kSerial
 // being the reference; it is kept so the test's id stays stable.)

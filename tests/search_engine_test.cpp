@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -107,24 +108,37 @@ TEST(SearchEngine, WaveMatchesSerialOnRealModels) {
                             PruningStrategy{});
 }
 
-TEST(SearchEngine, WaveMatchesSerialOnAWideBlock) {
-  // NASNet's largest cell: 18 ops and 886 states, of which 10 levels hold
-  // at least the 24 states that fan a level out to the pool, the widest
-  // 123. Every such level runs the multi-worker paths — successor dedup in
-  // the workers, the fold between levels, the drain on the pool — and 3
-  // threads split the levels into uneven chunk claims.
-  const Graph g = models::nasnet_a(1);
+/// NASNet's largest cell: 18 ops and 886 states, of which 10 levels hold
+/// at least the 24 states that fan a level out to the pool, the widest 123.
+std::vector<OpId> nasnet_widest_cell(const Graph& g) {
   const std::vector<std::vector<OpId>> blocks = g.blocks();
-  const std::vector<OpId>& cell = *std::max_element(
+  return *std::max_element(
       blocks.begin(), blocks.end(),
       [](const auto& a, const auto& b) { return a.size() < b.size(); });
+}
+
+/// A cold search of one block.
+Schedule search_block(const Graph& g, const std::vector<OpId>& block,
+                      SearchEngine engine, int threads, PruneMode prune,
+                      SchedulerStats& stats) {
+  CostModel cost(g, v100_config());
+  SchedulerOptions options;
+  options.engine = engine;
+  options.num_threads = threads;
+  options.prune = prune;
+  options.beam_width = 4;
+  return IosScheduler(cost, options).schedule_block(block, &stats);
+}
+
+TEST(SearchEngine, WaveMatchesSerialOnAWideBlock) {
+  // Every level of NASNet's widest cell that fans out runs the multi-worker
+  // paths — locked ending-stripe inserts, the drain on the pool — and 3
+  // threads split the levels into uneven chunk claims.
+  const Graph g = models::nasnet_a(1);
+  const std::vector<OpId> cell = nasnet_widest_cell(g);
   const auto search = [&](SearchEngine engine, int threads,
                           SchedulerStats& stats) {
-    CostModel cost(g, v100_config());
-    SchedulerOptions options;
-    options.engine = engine;
-    options.num_threads = threads;
-    return IosScheduler(cost, options).schedule_block(cell, &stats);
+    return search_block(g, cell, engine, threads, PruneMode::kExact, stats);
   };
   SchedulerStats ref;
   const Schedule ref_schedule = search(SearchEngine::kSerial, 1, ref);
@@ -152,6 +166,105 @@ TEST(SearchEngine, WaveMatchesSerialOnAWideBlock) {
   }
 }
 
+TEST(SearchEngine, PrunedModesMatchAcrossThreadsOnAWideBlock) {
+  // The wide-cell check in the two pruned modes, whose multi-worker paths
+  // the random graphs of prune_property_test are too small to reach:
+  // dominance's per-worker candidate lists, and beam's discovery fan-out
+  // with its successor fold. Dominance reproduces the serial engine's
+  // schedule and state space with a zero gap; both modes match their
+  // one-thread run in every counter at 2-4 threads.
+  const Graph g = models::nasnet_a(1);
+  const std::vector<OpId> cell = nasnet_widest_cell(g);
+  SchedulerStats exact;
+  const Schedule exact_schedule = search_block(
+      g, cell, SearchEngine::kSerial, 1, PruneMode::kExact, exact);
+  ASSERT_EQ(exact.states, 886);
+
+  for (const PruneMode mode : {PruneMode::kDominance, PruneMode::kBeam}) {
+    SCOPED_TRACE(prune_mode_name(mode));
+    SchedulerStats ref;
+    const Schedule ref_schedule =
+        search_block(g, cell, SearchEngine::kWave, 1, mode, ref);
+    EXPECT_GT(ref.beam_trimmed, 0);
+    if (mode == PruneMode::kDominance) {
+      expect_same_schedule(ref_schedule, exact_schedule);
+      EXPECT_EQ(ref.states, exact.states);
+      EXPECT_EQ(ref.transitions, exact.transitions);
+      EXPECT_EQ(ref.pruned_endings, exact.pruned_endings);
+      EXPECT_LT(ref.measurements, exact.measurements);
+      EXPECT_EQ(ref.latency_gap_bound_us, 0);
+    } else {
+      EXPECT_LT(ref.states, exact.states);
+    }
+    for (const int threads : {2, 3, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      SchedulerStats got;
+      expect_same_schedule(
+          search_block(g, cell, SearchEngine::kWave, threads, mode, got),
+          ref_schedule);
+      EXPECT_EQ(got.states, ref.states);
+      EXPECT_EQ(got.transitions, ref.transitions);
+      EXPECT_EQ(got.measurements, ref.measurements);
+      EXPECT_EQ(got.cache_hits, ref.cache_hits);
+      EXPECT_EQ(got.pruned_endings, ref.pruned_endings);
+      EXPECT_EQ(got.pruned_states, ref.pruned_states);
+      EXPECT_EQ(got.beam_trimmed, ref.beam_trimmed);
+      EXPECT_EQ(got.latency_gap_bound_us, ref.latency_gap_bound_us);
+    }
+  }
+}
+
+TEST(SearchEngine, ExactStatesAreTheBlockDownSets) {
+  // The wave engine does not discover its exact and dominance states: it
+  // generates the block's non-empty down-sets (BlockDag::down_sets). That
+  // is sound only while every down-set is reachable, i.e. while no cut can
+  // prune a singleton ending. The serial engine walks the transition
+  // relation itself, so its state count must equal a brute-force count of
+  // the down-sets under the default and a tighter P(r, s). If a new cut
+  // ever prunes a singleton ending, this fails, and the wave engine needs
+  // its discovery pass back.
+  int blocks_checked = 0;
+  for (const std::string& name : models::model_names()) {
+    const Graph g = models::build_model(name, 1);
+    CostModel cost(g, v100_config());
+    for (const std::vector<OpId>& block : g.blocks()) {
+      if (block.size() > 20) continue;
+      SCOPED_TRACE(name + " block of " + std::to_string(block.size()));
+      const BlockDag dag(g, block);
+      std::vector<std::uint64_t> brute;
+      for (std::uint64_t bits = 1; bits < (std::uint64_t{1} << dag.size());
+           ++bits) {
+        bool closed = true;
+        for (const int i : Set64{bits}) {
+          closed = closed && dag.pred_mask(i).is_subset_of(Set64{bits});
+        }
+        if (closed) brute.push_back(bits);
+      }
+      std::vector<std::uint64_t> generated;
+      const std::vector<std::vector<Set64>> levels = dag.down_sets();
+      for (std::size_t p = 1; p < levels.size(); ++p) {
+        for (const Set64 s : levels[p]) {
+          EXPECT_EQ(s.size(), static_cast<int>(p));
+          generated.push_back(s.bits());
+        }
+      }
+      std::sort(generated.begin(), generated.end());
+      EXPECT_EQ(generated, brute);
+      for (const PruningStrategy pruning :
+           {PruningStrategy{3, 8}, PruningStrategy{2, 4}}) {
+        SchedulerStats stats;
+        IosScheduler(cost, {.pruning = pruning,
+                            .engine = SearchEngine::kSerial})
+            .schedule_block(block, &stats);
+        EXPECT_EQ(stats.states, static_cast<std::int64_t>(brute.size()))
+            << "P(" << pruning.r << ", " << pruning.s << ")";
+      }
+      ++blocks_checked;
+    }
+  }
+  EXPECT_GT(blocks_checked, 100);
+}
+
 TEST(SearchEngine, DerivedStageKeysMatchStageFingerprint) {
   // Both engines key the cost model's latency cache by fingerprints derived
   // from an ending's component masks; no search hashes a built Stage. The
@@ -159,7 +272,7 @@ TEST(SearchEngine, DerivedStageKeysMatchStageFingerprint) {
   // derived key must equal it. A fresh model loaded with a search's profile
   // must then measure nothing when asked for every stage that search found,
   // whichever path evaluated it: the serial engine (exact at 1 thread), the
-  // wave discovery pass (exact at 4), beam discovery and the dominance cost
+  // wave engine's one pass (exact at 4), beam discovery and the dominance
   // pass (both via dag.components).
   struct Mode {
     const char* name;
@@ -219,7 +332,8 @@ TEST(SearchEngine, AutoResolvesByMemoizationAndWorkers) {
   EXPECT_EQ(IosScheduler(cost, {.memoize = true, .num_threads = 4})
                 .resolved_engine(),
             SearchEngine::kWave);
-  // One worker: the recursive engine is the better single-threaded solver.
+  // One worker: the recursive engine, which single-threaded callers (the
+  // serving prewarm among them) have always run.
   EXPECT_EQ(IosScheduler(cost, {.memoize = true, .num_threads = 1})
                 .resolved_engine(),
             SearchEngine::kSerial);

@@ -78,8 +78,8 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1);
 }
 
-// The slot form of parallel_for: the wave search indexes per-worker arena
-// leases and scratch by slot, so slots must be dense, bounded by
+// The slot form of parallel_for: the wave search indexes per-worker scratch
+// and beam's kept transitions by slot, so slots must be dense, bounded by
 // min(workers, chunks), and never held by two threads at once.
 
 TEST(ParallelForSlots, SlotsStayBelowWorkersAndIndices) {
