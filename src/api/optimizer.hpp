@@ -26,7 +26,6 @@
 
 #include "api/recipe_cache.hpp"
 #include "core/scheduler.hpp"
-#include "place/pool.hpp"
 #include "runtime/canonical_cache.hpp"
 #include "runtime/cost_model.hpp"
 #include "schedule/serialize.hpp"
@@ -71,13 +70,6 @@ struct OptimizationRequest {
   std::optional<Graph> graph;
   /// Device short or full name (device_names()).
   std::string device = "v100";
-  /// Heterogeneous device pool. Empty (the default) means "the single
-  /// device above". A non-empty pool is consumed by the placement layer:
-  /// ios::Placer::place(request) optimizes the request once per pool device
-  /// class and returns the per-device recipes plus a latency- and
-  /// load-aware placement plan (src/place/placer.hpp). Optimizer::optimize
-  /// itself always targets `device` and ignores the pool.
-  DevicePool pool{};
   /// Batch size for zoo models.
   int batch = 1;
   /// DP-search settings (variant, pruning, memoization, engine, threads).

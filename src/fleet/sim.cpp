@@ -55,7 +55,7 @@ const FleetPlan& FleetSimulator::plan() {
 FleetSimResult FleetSimulator::run(const serve::Trace& trace) {
   const auto wall_start = std::chrono::steady_clock::now();
   const std::size_t n = trace.requests.size();
-  if (options_.prewarm && n > 0) {
+  if (n > 0) {
     std::vector<std::string> models;
     for (const serve::TraceRequest& r : trace.requests) {
       if (std::find(models.begin(), models.end(), r.model) == models.end()) {

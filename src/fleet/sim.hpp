@@ -53,9 +53,9 @@ struct FleetSimOptions {
   int replicas = 2;
   /// The failure model driving worker kills during run().
   FailureSpec failures{};
-  /// Prewarm the recipe cache for a trace's models before the replay
-  /// (wall-clock cost only; simulated results are identical either way).
-  bool prewarm = true;
+  /// Host threads that prewarm the recipe cache for a trace's models before
+  /// the replay (wall-clock cost only; simulated results are identical
+  /// either way).
   int prewarm_threads = 1;
 };
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
@@ -40,18 +41,17 @@ void make_pipe(int fds[2], const char* what) {
   }
 }
 
-// A config integer in [lo, hi], checked before any narrowing cast can wrap
-// it: the bounds the matching ios_opt daemon flags enforce.
+// A config integer: a whole number in [lo, hi], checked before any
+// narrowing cast can wrap it. ios_opt's daemon and serve flags are parsed
+// as these keys, so these are the only bounds the options have.
 std::int64_t config_int(const std::string& key, const JsonValue& value,
-                        std::int64_t lo,
+                        std::int64_t lo = std::numeric_limits<int>::min(),
                         std::int64_t hi = std::numeric_limits<int>::max()) {
-  const std::int64_t v = value.as_int();
-  if (v < lo || v > hi) {
-    throw std::runtime_error("daemon config: " + key + " must be in [" +
-                             std::to_string(lo) + ", " + std::to_string(hi) +
-                             "], got " + std::to_string(v));
+  try {
+    return value.as_int_in(lo, hi);
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("daemon config: " + key + " " + e.what());
   }
-  return v;
 }
 
 void close_pipe(int fds[2]) {
@@ -65,134 +65,167 @@ void close_pipe(int fds[2]) {
 
 }  // namespace
 
+void apply_daemon_option(DaemonOptions& options, const std::string& key,
+                         const JsonValue& value) {
+  if (key == "port") {
+    options.port = static_cast<int>(config_int(key, value, 0, 65535));
+  } else if (key == "device") {
+    options.serving.device = value.as_string();
+  } else if (key == "devices") {
+    options.serving.pool = pool_from_spec(value.as_string());
+  } else if (key == "workers") {
+    options.serving.num_workers = static_cast<int>(config_int(key, value, 1));
+  } else if (key == "batch_sizes") {
+    options.serving.batching.batch_sizes.clear();
+    for (const JsonValue& b : value.as_array()) {
+      options.serving.batching.batch_sizes.push_back(
+          static_cast<int>(config_int(key, b, 1)));
+    }
+  } else if (key == "max_queue_delay_us") {
+    options.serving.batching.max_queue_delay_us = value.as_number();
+  } else if (key == "shards") {
+    options.serving.cache.num_shards =
+        static_cast<std::size_t>(config_int(key, value, 1));
+  } else if (key == "capacity") {
+    options.serving.cache.shard_capacity =
+        static_cast<std::size_t>(config_int(key, value, 1));
+  } else if (key == "profile_db") {
+    options.serving.profile_db = value.as_string();
+  } else if (key == "prewarm") {
+    options.prewarm_models.clear();
+    for (const JsonValue& m : value.as_array()) {
+      options.prewarm_models.push_back(m.as_string());
+    }
+  } else if (key == "prewarm_threads") {
+    options.prewarm_threads = static_cast<int>(config_int(key, value));
+  } else if (key == "max_pending") {
+    options.max_pending = static_cast<std::size_t>(config_int(key, value, 1));
+  } else if (key == "time_scale") {
+    options.time_scale = value.as_number();
+    if (!(options.time_scale >= 0)) {
+      throw std::runtime_error("daemon config: time_scale must be >= 0");
+    }
+  } else if (key == "io_threads") {
+    options.io_threads = static_cast<int>(config_int(key, value, 1));
+  } else if (key == "slo") {
+    // Per-model SLO classes: "model": 2500 (SLO only) or
+    // "model": {"slo_us": 2500, "priority": 2}.
+    for (const auto& [model, cls] : value.as_object()) {
+      serve::SloClass slo;
+      if (cls.is_object()) {
+        for (const auto& [k, v] : cls.as_object()) {
+          if (k == "slo_us") {
+            slo.slo_us = v.as_number();
+          } else if (k == "priority") {
+            slo.priority =
+                static_cast<int>(config_int("slo." + model + ".priority", v));
+          } else {
+            throw std::runtime_error(
+                "daemon config: unknown slo key '" + k + "' for model '" +
+                model + "'; known keys: slo_us priority");
+          }
+        }
+      } else {
+        slo.slo_us = cls.as_number();
+      }
+      options.serving.slo.models[model] = slo;
+    }
+  } else if (key == "default_slo_us") {
+    options.serving.slo.fallback.slo_us = value.as_number();
+  } else if (key == "default_priority") {
+    options.serving.slo.fallback.priority =
+        static_cast<int>(config_int(key, value));
+  } else if (key == "shed") {
+    options.serving.slo.shed = value.as_bool();
+  } else if (key == "shed_slack") {
+    options.serving.slo.shed_slack_factor = value.as_number();
+  } else if (key == "starvation_limit_us") {
+    options.serving.slo.starvation_limit_us = value.as_number();
+  } else if (key == "adaptive") {
+    options.serving.adaptive.enabled = value.as_bool();
+  } else if (key == "idle_timeout_us") {
+    options.idle_timeout_us = value.as_number();
+  } else if (key == "write_timeout_us") {
+    options.write_timeout_us = value.as_number();
+  } else if (key == "max_line_bytes") {
+    // 0 means unlimited.
+    options.max_line_bytes = static_cast<std::size_t>(config_int(
+        key, value, 0, std::numeric_limits<std::int64_t>::max()));
+  } else if (key == "chaos") {
+    options.chaos = value.as_bool();
+  } else if (key == "stuck_grace_us") {
+    options.stuck_grace_us = value.as_number();
+  } else if (key == "watchdog_interval_us") {
+    options.watchdog_interval_us = value.as_number();
+  } else if (key == "fault") {
+    for (const auto& [k, v] : value.as_object()) {
+      if (k == "seed") {
+        options.fault.seed = static_cast<std::uint64_t>(config_int(
+            "fault.seed", v, 0, std::numeric_limits<std::int64_t>::max()));
+      } else if (k == "torn_write_prob") {
+        options.fault.torn_write_prob = v.as_number();
+      } else if (k == "stall_prob") {
+        options.fault.stall_prob = v.as_number();
+      } else if (k == "stall_us") {
+        options.fault.stall_us = v.as_number();
+      } else if (k == "disconnect_prob") {
+        options.fault.disconnect_prob = v.as_number();
+      } else {
+        throw std::runtime_error(
+            "daemon config: unknown fault key '" + k +
+            "'; known keys: seed torn_write_prob stall_prob stall_us "
+            "disconnect_prob");
+      }
+    }
+  } else {
+    throw std::runtime_error(
+        "daemon config: unknown key '" + key +
+        "'; known keys: port device devices workers batch_sizes "
+        "max_queue_delay_us shards capacity profile_db prewarm "
+        "prewarm_threads max_pending time_scale io_threads slo "
+        "default_slo_us default_priority shed shed_slack "
+        "starvation_limit_us adaptive idle_timeout_us write_timeout_us "
+        "max_line_bytes chaos stuck_grace_us watchdog_interval_us fault");
+  }
+}
+
 DaemonOptions daemon_options_from_json(const JsonValue& config) {
   if (!config.is_object()) {
     throw std::runtime_error("daemon config must be a JSON object");
   }
   DaemonOptions options;
   for (const auto& [key, value] : config.as_object()) {
-    if (key == "port") {
-      options.port = static_cast<int>(config_int(key, value, 0, 65535));
-    } else if (key == "device") {
-      options.serving.device = value.as_string();
-    } else if (key == "devices") {
-      options.serving.pool = pool_from_spec(value.as_string());
-    } else if (key == "workers") {
-      options.serving.num_workers = static_cast<int>(config_int(key, value, 1));
-    } else if (key == "batch_sizes") {
-      options.serving.batching.batch_sizes.clear();
-      for (const JsonValue& b : value.as_array()) {
-        options.serving.batching.batch_sizes.push_back(
-            static_cast<int>(b.as_int()));
-      }
-    } else if (key == "max_queue_delay_us") {
-      options.serving.batching.max_queue_delay_us = value.as_number();
-    } else if (key == "shards") {
-      options.serving.cache.num_shards =
-          static_cast<std::size_t>(config_int(key, value, 1));
-    } else if (key == "capacity") {
-      options.serving.cache.shard_capacity =
-          static_cast<std::size_t>(config_int(key, value, 1));
-    } else if (key == "profile_db") {
-      options.serving.profile_db = value.as_string();
-    } else if (key == "prewarm") {
-      for (const JsonValue& m : value.as_array()) {
-        options.prewarm_models.push_back(m.as_string());
-      }
-    } else if (key == "prewarm_threads") {
-      options.prewarm_threads = static_cast<int>(value.as_int());
-    } else if (key == "max_pending") {
-      options.max_pending = static_cast<std::size_t>(config_int(key, value, 1));
-    } else if (key == "time_scale") {
-      options.time_scale = value.as_number();
-      if (!(options.time_scale >= 0)) {
-        throw std::runtime_error("daemon config: time_scale must be >= 0");
-      }
-    } else if (key == "io_threads") {
-      options.io_threads = static_cast<int>(config_int(key, value, 1));
-    } else if (key == "slo") {
-      // Per-model SLO classes: "model": 2500 (SLO only) or
-      // "model": {"slo_us": 2500, "priority": 2}.
-      for (const auto& [model, cls] : value.as_object()) {
-        serve::SloClass slo;
-        if (cls.is_object()) {
-          for (const auto& [k, v] : cls.as_object()) {
-            if (k == "slo_us") {
-              slo.slo_us = v.as_number();
-            } else if (k == "priority") {
-              slo.priority = static_cast<int>(v.as_int());
-            } else {
-              throw std::runtime_error(
-                  "daemon config: unknown slo key '" + k +
-                  "' for model '" + model + "'; known keys: slo_us priority");
-            }
-          }
-        } else {
-          slo.slo_us = cls.as_number();
-        }
-        options.serving.slo.models[model] = slo;
-      }
-    } else if (key == "default_slo_us") {
-      options.serving.slo.fallback.slo_us = value.as_number();
-    } else if (key == "default_priority") {
-      options.serving.slo.fallback.priority = static_cast<int>(value.as_int());
-    } else if (key == "shed") {
-      options.serving.slo.shed = value.as_bool();
-    } else if (key == "shed_slack") {
-      options.serving.slo.shed_slack_factor = value.as_number();
-    } else if (key == "starvation_limit_us") {
-      options.serving.slo.starvation_limit_us = value.as_number();
-    } else if (key == "adaptive") {
-      options.serving.adaptive.enabled = value.as_bool();
-    } else if (key == "idle_timeout_us") {
-      options.idle_timeout_us = value.as_number();
-    } else if (key == "write_timeout_us") {
-      options.write_timeout_us = value.as_number();
-    } else if (key == "max_line_bytes") {
-      // 0 means unlimited.
-      options.max_line_bytes = static_cast<std::size_t>(config_int(
-          key, value, 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (key == "chaos") {
-      options.chaos = value.as_bool();
-    } else if (key == "stuck_grace_us") {
-      options.stuck_grace_us = value.as_number();
-    } else if (key == "watchdog_interval_us") {
-      options.watchdog_interval_us = value.as_number();
-    } else if (key == "fault") {
-      for (const auto& [k, v] : value.as_object()) {
-        if (k == "seed") {
-          options.fault.seed = static_cast<std::uint64_t>(v.as_int());
-        } else if (k == "torn_write_prob") {
-          options.fault.torn_write_prob = v.as_number();
-        } else if (k == "stall_prob") {
-          options.fault.stall_prob = v.as_number();
-        } else if (k == "stall_us") {
-          options.fault.stall_us = v.as_number();
-        } else if (k == "disconnect_prob") {
-          options.fault.disconnect_prob = v.as_number();
-        } else {
-          throw std::runtime_error(
-              "daemon config: unknown fault key '" + k +
-              "'; known keys: seed torn_write_prob stall_prob stall_us "
-              "disconnect_prob");
-        }
-      }
-    } else {
-      throw std::runtime_error(
-          "daemon config: unknown key '" + key +
-          "'; known keys: port device devices workers batch_sizes "
-          "max_queue_delay_us shards capacity profile_db prewarm "
-          "prewarm_threads max_pending time_scale io_threads slo "
-          "default_slo_us default_priority shed shed_slack "
-          "starvation_limit_us adaptive idle_timeout_us write_timeout_us "
-          "max_line_bytes chaos stuck_grace_us watchdog_interval_us fault");
-    }
+    apply_daemon_option(options, key, value);
   }
   return options;
 }
 
+JsonValue daemon_stats_to_json(const DaemonStats& stats) {
+  JsonValue v = JsonValue::object();
+  v.set("connections", stats.connections);
+  v.set("admitted", stats.admitted);
+  v.set("completed", stats.completed);
+  v.set("rejected", stats.rejected);
+  v.set("protocol_errors", stats.protocol_errors);
+  v.set("batches", stats.batches);
+  v.set("shed", stats.shed);
+  v.set("replans", stats.replans);
+  v.set("idle_closes", stats.idle_closes);
+  v.set("slow_client_closes", stats.slow_client_closes);
+  v.set("oversized_lines", stats.oversized_lines);
+  v.set("worker_deaths", stats.worker_deaths);
+  v.set("requeued_requests", stats.requeued_requests);
+  return v;
+}
+
 Daemon::Daemon(DaemonOptions options)
     : options_(std::move(options)), engine_(options_.serving, &clock_) {
+  // The watchdog waits this long between scans; 0 would spin a core.
+  if (!(options_.watchdog_interval_us > 0) ||
+      !std::isfinite(options_.watchdog_interval_us)) {
+    throw std::invalid_argument(
+        "Daemon: watchdog_interval_us must be finite and > 0");
+  }
   if (engine_.options().adaptive.enabled) {
     adaptive_ = std::make_unique<serve::AdaptiveController>(
         engine_.options().adaptive, engine_);
@@ -817,24 +850,11 @@ void Daemon::write_response(const std::shared_ptr<Connection>& conn,
 }
 
 std::string Daemon::stats_json(std::int64_t id) const {
-  JsonValue v = JsonValue::object();
+  JsonValue v = daemon_stats_to_json(stats());
   v.set("id", id);
   v.set("ok", true);
-  v.set("connections", connections_.load());
-  v.set("admitted", admitted_.load());
-  v.set("completed", completed_.load());
-  v.set("rejected", rejected_.load());
-  v.set("protocol_errors", protocol_errors_.load());
-  v.set("batches", batches_.load());
-  v.set("shed", shed_.load());
-  v.set("idle_closes", idle_closes_.load());
-  v.set("slow_client_closes", slow_client_closes_.load());
-  v.set("oversized_lines", oversized_lines_.load());
-  v.set("worker_deaths", worker_deaths_.load());
-  v.set("requeued_requests", requeued_requests_.load());
   if (adaptive_) {
     const serve::AdaptiveStats a = adaptive_->stats();
-    v.set("replans", a.replans);
     v.set("shifts_detected", a.shifts_detected);
     v.set("attainment_ewma", a.attainment_ewma);
   }
@@ -854,7 +874,7 @@ std::string Daemon::stats_json(std::int64_t id) const {
 }
 
 std::string Daemon::health_json(std::int64_t id) const {
-  JsonValue v = JsonValue::object();
+  JsonValue v = daemon_stats_to_json(stats());
   v.set("id", id);
   v.set("ok", true);
   {
@@ -876,16 +896,6 @@ std::string Daemon::health_json(std::int64_t id) const {
     v.set("pending", static_cast<std::int64_t>(pending_.size()));
     v.set("queued", static_cast<std::int64_t>(engine_.queued()));
   }
-  v.set("admitted", admitted_.load());
-  v.set("completed", completed_.load());
-  v.set("rejected", rejected_.load());
-  v.set("shed", shed_.load());
-  v.set("protocol_errors", protocol_errors_.load());
-  v.set("idle_closes", idle_closes_.load());
-  v.set("slow_client_closes", slow_client_closes_.load());
-  v.set("oversized_lines", oversized_lines_.load());
-  v.set("worker_deaths", worker_deaths_.load());
-  v.set("requeued_requests", requeued_requests_.load());
   if (fault_) {
     const FaultCounters fc = fault_->counters();
     JsonValue f = JsonValue::object();

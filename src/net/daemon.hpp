@@ -87,7 +87,7 @@ struct DaemonOptions {
   /// engine routes around it and the batch's members are requeued (0 =
   /// watchdog disabled).
   double stuck_grace_us = 0;
-  /// Watchdog poll period (wall microseconds).
+  /// Watchdog poll period (wall microseconds, finite and > 0).
   double watchdog_interval_us = 20000;
   /// Daemon-side fault injection applied to every accepted connection
   /// (torn/stalled/dropped response writes, stalled reads). All-zero =
@@ -95,20 +95,25 @@ struct DaemonOptions {
   FaultSpec fault{};
 };
 
-/// Parses a daemon config file (JSON object) into options. Recognized keys:
-/// port, device, devices (pool spec string), workers, batch_sizes (array),
-/// max_queue_delay_us, shards, capacity, profile_db, prewarm (array of
-/// model names), prewarm_threads, max_pending, time_scale, io_threads,
-/// slo (object: model name -> SLO in us, or -> {"slo_us": n,
-/// "priority": p}), default_slo_us, default_priority, shed (bool),
-/// shed_slack, starvation_limit_us, adaptive (bool), idle_timeout_us,
-/// write_timeout_us, max_line_bytes, chaos (bool), stuck_grace_us,
-/// watchdog_interval_us, fault (object: seed, torn_write_prob, stall_prob,
-/// stall_us, disconnect_prob). Unknown keys throw std::runtime_error (a
-/// typo'd config should not silently serve defaults), and so do values the
-/// matching ios_opt daemon flags reject: port outside [0, 65535]; workers,
-/// shards, capacity, max_pending or io_threads below 1; time_scale or
-/// max_line_bytes below 0.
+/// Applies one daemon config key to `options`: port, device, devices (pool
+/// spec string), workers, batch_sizes (array), max_queue_delay_us, shards,
+/// capacity, profile_db, prewarm (array of model names), prewarm_threads,
+/// max_pending, time_scale, io_threads, slo (object: model name -> SLO in
+/// us, or -> {"slo_us": n, "priority": p}), default_slo_us,
+/// default_priority, shed (bool), shed_slack, starvation_limit_us, adaptive
+/// (bool), idle_timeout_us, write_timeout_us, max_line_bytes, chaos (bool),
+/// stuck_grace_us, watchdog_interval_us, fault (object: seed,
+/// torn_write_prob, stall_prob, stall_us, disconnect_prob). ios_opt's
+/// daemon and serve flags go through it too. Throws std::runtime_error
+/// naming the key on an unknown key, a wrong type, a fraction where an
+/// integer is due, or a value out of range: port outside [0, 65535];
+/// workers, batch sizes, shards, capacity, max_pending or io_threads below
+/// 1; time_scale or max_line_bytes below 0.
+void apply_daemon_option(DaemonOptions& options, const std::string& key,
+                         const JsonValue& value);
+
+/// Parses a daemon config file (a JSON object), one apply_daemon_option
+/// call per key.
 DaemonOptions daemon_options_from_json(const JsonValue& config);
 
 /// Lifetime counters of a daemon.
@@ -134,13 +139,18 @@ struct DaemonStats {
   std::int64_t requeued_requests = 0;
 };
 
+/// The counters as a JSON object, one member per field, named as the field
+/// (the base of the stats and health answers and of --stats-json).
+JsonValue daemon_stats_to_json(const DaemonStats& stats);
+
 /// The long-running serving daemon (see the file comment). start() binds
 /// and spawns the thread fleet; stop() drains gracefully; serve_forever()
 /// parks the calling thread until SIGTERM/SIGINT.
 class Daemon {
  public:
   /// Builds the engine (normalizing options) but does not bind or spawn
-  /// anything — call start().
+  /// anything — call start(). Throws std::invalid_argument on bad options,
+  /// such as a watchdog_interval_us that is not finite and > 0.
   explicit Daemon(DaemonOptions options);
   /// Drains via stop() if still running.
   ~Daemon();
@@ -233,11 +243,12 @@ class Daemon {
   void write_response(const std::shared_ptr<Connection>& conn,
                       const std::string& line);
 
-  /// The stats JSON answered to a "stats" request.
+  /// The stats JSON answered to a "stats" request: the DaemonStats
+  /// counters plus the adaptive, queue, optimizer and recipe-cache ones.
   std::string stats_json(std::int64_t id) const;
 
-  /// The health JSON answered to a "health" request: live workers, queue
-  /// depths, and the fault/timeout counters.
+  /// The health JSON answered to a "health" request: the DaemonStats
+  /// counters plus live workers, queue depths and injected faults.
   std::string health_json(std::int64_t id) const;
 
   DaemonOptions options_;

@@ -84,21 +84,6 @@ void validate_request(const PlacementRequest& request) {
 
 }  // namespace
 
-PlacementRequest PlacementRequest::from(const OptimizationRequest& request) {
-  if (request.graph) {
-    throw std::invalid_argument(
-        "placement requires a zoo model (in-memory graphs have no "
-        "registry name to optimize per device class)");
-  }
-  PlacementRequest p;
-  p.pool = request.pool;
-  p.workload = {WorkloadItem{request.model, request.batch, 1.0}};
-  p.options = request.options;
-  p.protocol = request.protocol;
-  p.profile_db = request.profile_db;
-  return p;
-}
-
 const DeviceRecipe* PlacementResult::recipe_for(const std::string& model,
                                                 int batch,
                                                 const std::string& device)
@@ -107,10 +92,6 @@ const DeviceRecipe* PlacementResult::recipe_for(const std::string& model,
     if (r.model == model && r.batch == batch && r.device == device) return &r;
   }
   return nullptr;
-}
-
-PlacementResult Placer::place(const OptimizationRequest& request) {
-  return place(PlacementRequest::from(request));
 }
 
 PlacementResult Placer::place(const PlacementRequest& request) {

@@ -50,10 +50,6 @@ struct PlacementRequest {
   std::string profile_db;
   /// Consider cross-device pipeline splits at block-partition boundaries.
   bool allow_splits = true;
-
-  /// The single-configuration placement request an OptimizationRequest with
-  /// a non-empty pool describes: workload = {model, batch, weight 1}.
-  static PlacementRequest from(const OptimizationRequest& request);
 };
 
 /// One (workload item, device class) optimization product.
@@ -146,10 +142,6 @@ class Placer {
   /// or workload, non-positive weights/batches, and unknown model or device
   /// names (enumerating the known names).
   PlacementResult place(const PlacementRequest& request);
-
-  /// Places an OptimizationRequest with a non-empty pool: single-item
-  /// workload {model, batch}, per-device recipes + plan in one call.
-  PlacementResult place(const OptimizationRequest& request);
 
  private:
   std::optional<Optimizer> own_;  ///< engaged only by Placer()

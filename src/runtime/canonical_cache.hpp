@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #include "util/flat_map.hpp"
 #include "util/hash.hpp"
@@ -48,11 +49,15 @@ class CanonicalStageCache {
   }
 
   /// Records `latency_us` under `key` unless the key is already present
-  /// (first writer wins). Returns true when newly inserted.
-  bool put(std::uint64_t key, double latency_us, std::uint64_t origin) {
+  /// (first writer wins). Returns the stored entry, and true when this call
+  /// inserted it.
+  std::pair<Entry, bool> put(std::uint64_t key, double latency_us,
+                             std::uint64_t origin) {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.try_emplace(key, Entry{latency_us, origin}).second;
+    const auto [slot, fresh] =
+        shard.map.try_emplace(key, Entry{latency_us, origin});
+    return {*slot, fresh};
   }
 
   /// Invokes f(key, const Entry&) for every cached stage, unspecified

@@ -84,38 +84,24 @@ double CostModel::measure(const Stage& stage) {
 double CostModel::measure_slow(std::uint64_t key, const Stage& stage) {
   Shard& shard = shard_for(key);
   std::uint64_t canon_key = 0;
+  std::optional<CanonicalStageCache::Entry> reused;
   if (canonical_ != nullptr) {
     // Canonical reuse: another model/block/batch may have simulated a stage
     // with identical kernel streams. Installing its latency locally skips
     // the simulation and leaves the measurement counters untouched — reuse
     // is free, like a load_profile() entry.
     canon_key = canonical_stage_key(stage);
-    if (const auto hit = canonical_->get(canon_key)) {
-      bool inserted = false;
-      double stored = hit->latency_us;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const auto [slot, fresh] = shard.cache.try_emplace(key, stored);
-        inserted = fresh;
-        stored = *slot;
-      }
-      if (inserted) {
-        canonical_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (hit->origin != origin_) {
-          cross_model_hits_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      return stored;
-    }
+    reused = canonical_->get(canon_key);
   }
 
   // Simulate outside the lock so concurrent DPs overlap their profiling.
   // Two threads may race to measure the same stage; the simulation is
   // deterministic, so both compute the same value and only the first
   // insert below bumps the counters (keeping them order-independent).
-  const double true_latency = executor_.stage_latency_us(stage);
+  const double true_latency =
+      reused ? reused->latency_us : executor_.stage_latency_us(stage);
   double latency = true_latency;
-  if (protocol_.noise_frac > 0) {
+  if (!reused && protocol_.noise_frac > 0) {
     // Average `repeats` noisy samples, like real profiling would.
     Rng rng(hash_combine(protocol_.noise_seed, key));
     double sum = 0;
@@ -127,6 +113,10 @@ double CostModel::measure_slow(std::uint64_t key, const Stage& stage) {
     latency = sum / protocol_.repeats;
   }
 
+  // A simulation whose canonical put loses to a concurrent stage with the
+  // same key reused that stage's latency, as the one-thread order would: a
+  // canonical hit, not a measurement. The put shares the lock of the local
+  // insert it is counted for.
   bool inserted = false;
   double stored = latency;
   {
@@ -134,14 +124,22 @@ double CostModel::measure_slow(std::uint64_t key, const Stage& stage) {
     const auto [slot, fresh] = shard.cache.try_emplace(key, latency);
     inserted = fresh;
     stored = *slot;
+    if (fresh && !reused && canonical_ != nullptr) {
+      const auto [entry, put] = canonical_->put(canon_key, latency, origin_);
+      if (!put) reused = entry;
+    }
   }
-  if (inserted) {
+  if (inserted && reused) {
+    canonical_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (reused->origin != origin_) {
+      cross_model_hits_.fetch_add(1, std::memory_order_relaxed);
+    }
+  } else if (inserted) {
     num_measurements_.fetch_add(1, std::memory_order_relaxed);
     profiling_cost_us_.fetch_add(
         true_latency * (protocol_.warmup + protocol_.repeats),
         std::memory_order_relaxed);
   }
-  if (canonical_ != nullptr) canonical_->put(canon_key, stored, origin_);
   return stored;
 }
 
@@ -280,7 +278,7 @@ int CostModel::load_canonical(const ProfileDb& db) {
   if (!entries) return 0;
   int loaded = 0;
   entries->for_each([&](std::uint64_t key, double latency) {
-    if (canonical_->put(key, latency, /*origin=*/0)) ++loaded;
+    if (canonical_->put(key, latency, /*origin=*/0).second) ++loaded;
   });
   return loaded;
 }

@@ -11,23 +11,12 @@ namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+constexpr double kFastAlpha = 0.3;   ///< fast gap and attainment EWMA weight
+constexpr double kSlowAlpha = 0.05;  ///< slow gap EWMA weight
+constexpr double kShiftRatio = 2.0;  ///< fast/slow gap ratio that is a shift
+constexpr double kAttainmentFloor = 0.9;  ///< attainment EWMA shift floor
+
 AdaptiveOptions validate(AdaptiveOptions options) {
-  const auto check_alpha = [](double a, const char* what) {
-    if (!(a > 0) || a > 1) {
-      throw std::invalid_argument(std::string("AdaptiveController: ") + what +
-                                  " must be in (0, 1]");
-    }
-  };
-  check_alpha(options.fast_alpha, "fast_alpha");
-  check_alpha(options.slow_alpha, "slow_alpha");
-  if (!(options.shift_ratio > 1)) {
-    throw std::invalid_argument(
-        "AdaptiveController: shift_ratio must be > 1");
-  }
-  if (!(options.attainment_floor >= 0) || options.attainment_floor > 1) {
-    throw std::invalid_argument(
-        "AdaptiveController: attainment_floor must be in [0, 1]");
-  }
   if (options.warmup_arrivals < 1) {
     throw std::invalid_argument(
         "AdaptiveController: warmup_arrivals must be >= 1");
@@ -64,16 +53,14 @@ void AdaptiveController::observe_arrival(const std::string& model,
     m.fast_gap_us = m.slow_gap_us = gap;
     return;
   }
-  m.fast_gap_us =
-      options_.fast_alpha * gap + (1 - options_.fast_alpha) * m.fast_gap_us;
-  m.slow_gap_us =
-      options_.slow_alpha * gap + (1 - options_.slow_alpha) * m.slow_gap_us;
+  m.fast_gap_us = kFastAlpha * gap + (1 - kFastAlpha) * m.fast_gap_us;
+  m.slow_gap_us = kSlowAlpha * gap + (1 - kSlowAlpha) * m.slow_gap_us;
   if (shift_pending_ || m.gaps < options_.warmup_arrivals) return;
   if (!(m.fast_gap_us > 0) || !(m.slow_gap_us > 0)) return;
   // slow/fast > 1 means the recent gaps shrank (traffic sped up);
   // < 1 means it dried up. Either direction warrants a re-plan.
   const double ratio = m.slow_gap_us / m.fast_gap_us;
-  if (ratio >= options_.shift_ratio || ratio <= 1.0 / options_.shift_ratio) {
+  if (ratio >= kShiftRatio || ratio <= 1.0 / kShiftRatio) {
     shift_pending_ = true;
     ++stats_.shifts_detected;
   }
@@ -90,11 +77,10 @@ void AdaptiveController::observe_outcome(const std::string& model,
   attainment_ewma_ =
       outcomes_ == 1
           ? sample
-          : options_.fast_alpha * sample +
-                (1 - options_.fast_alpha) * attainment_ewma_;
+          : kFastAlpha * sample + (1 - kFastAlpha) * attainment_ewma_;
   stats_.attainment_ewma = attainment_ewma_;
   if (!shift_pending_ && outcomes_ >= options_.warmup_arrivals &&
-      attainment_ewma_ < options_.attainment_floor) {
+      attainment_ewma_ < kAttainmentFloor) {
     shift_pending_ = true;
     ++stats_.shifts_detected;
   }
@@ -146,16 +132,14 @@ PlacementResult AdaptiveController::replan(double now_us) {
   stats_.replan_cache_hits += result.cache_hits;
   stats_.replan_measurements += result.measurements;
 
-  if (options_.prewarm) {
-    // Resolve every (model, configured batch, class) point the plan
-    // anticipates into the engine's recipe cache — identical results to
-    // lazy misses, paid off the serving hot path.
-    engine_.prewarm(models, 1);
-    stats_.prewarmed_configs +=
-        static_cast<std::int64_t>(models.size()) *
-        static_cast<std::int64_t>(so.batching.batch_sizes.size()) *
-        static_cast<std::int64_t>(engine_.device_classes().size());
-  }
+  // Resolve every (model, configured batch, class) point the plan
+  // anticipates into the engine's recipe cache — identical results to lazy
+  // misses, paid off the serving hot path.
+  engine_.prewarm(models, 1);
+  stats_.prewarmed_configs +=
+      static_cast<std::int64_t>(models.size()) *
+      static_cast<std::int64_t>(so.batching.batch_sizes.size()) *
+      static_cast<std::int64_t>(engine_.device_classes().size());
   return result;
 }
 

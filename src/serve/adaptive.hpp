@@ -4,12 +4,12 @@
 // per-batch decisions under a fixed SloPolicy; the controller watches the
 // traffic those decisions face and re-plans when it shifts:
 //
-//   observe    per-model inter-arrival gaps feed a fast and a slow EWMA;
-//              batch completions feed an SLO-attainment EWMA;
-//   detect     the fast/slow gap ratio leaving [1/r, r] (traffic sped up or
-//              dried up), or attainment sinking below the floor, flags a
-//              load shift — after a per-model warmup, with re-plan
-//              hysteresis so one burst does not thrash the planner;
+//   observe    per-model inter-arrival gaps feed a fast (0.3) and a slow
+//              (0.05) EWMA; batch completions feed an SLO-attainment EWMA;
+//   detect     the fast/slow gap ratio leaving [1/2, 2] (traffic sped up or
+//              dried up), or attainment sinking below 0.9, flags a load
+//              shift — after a per-model warmup, with re-plan hysteresis so
+//              one burst does not thrash the planner;
 //   re-plan    an incremental Placer::place over the engine's device pool
 //              with the *observed* arrival rates as workload weights,
 //              through the engine's own Optimizer — the recipe store and
@@ -61,8 +61,7 @@ struct AdaptiveStats {
 class AdaptiveController {
  public:
   /// Builds a controller observing traffic for `engine` (not owned, must
-  /// outlive the controller). Validates `options` (alphas in (0, 1],
-  /// shift_ratio > 1, attainment_floor in [0, 1], warmup >= 1,
+  /// outlive the controller). Validates `options` (warmup_arrivals >= 1,
   /// min_replan_gap_us >= 0; throws std::invalid_argument).
   AdaptiveController(AdaptiveOptions options, ServingEngine& engine);
 

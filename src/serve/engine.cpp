@@ -32,9 +32,12 @@ ServerOptions normalize(ServerOptions options) {
       std::unique(options.batching.batch_sizes.begin(),
                   options.batching.batch_sizes.end()),
       options.batching.batch_sizes.end());
-  if (options.batching.max_queue_delay_us < 0) {
+  // A NaN or infinite delay never falls due: partial queues would never
+  // flush, and Server::run would end with requests still queued.
+  if (!(options.batching.max_queue_delay_us >= 0) ||
+      !std::isfinite(options.batching.max_queue_delay_us)) {
     throw std::invalid_argument(
-        "ServingEngine: max_queue_delay_us must be >= 0");
+        "ServingEngine: max_queue_delay_us must be finite and >= 0");
   }
   options.num_workers = std::max(1, options.num_workers);
   const auto check_slo_class = [](const SloClass& c, const std::string& what) {

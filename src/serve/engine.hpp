@@ -64,7 +64,7 @@ struct BatchingPolicy {
   /// degenerate policy {1} disables batching entirely.
   std::vector<int> batch_sizes = {1, 2, 4, 8};
   /// Max time a request may wait in the queue before its model's queue is
-  /// force-flushed, in engine-clock microseconds.
+  /// force-flushed, in engine-clock microseconds (finite and >= 0).
   double max_queue_delay_us = 2000;
 };
 
@@ -119,27 +119,16 @@ struct SloPolicy {
 /// Knobs of the load-shift detection + re-planning loop (the
 /// serve::AdaptiveController). Carried in ServerOptions so the DES Server
 /// and the wall-clock daemon construct identical controllers; the engine
-/// itself never reads them.
+/// itself never reads them. The EWMA weights, the shift ratio and the
+/// attainment floor are constants of the controller (serve/adaptive.cpp),
+/// and a re-plan always pre-warms the recipe points it anticipates.
 struct AdaptiveOptions {
   /// Master switch: off (the default) runs no controller at all.
   bool enabled = false;
-  /// EWMA weight of the fast per-model inter-arrival tracker (0, 1].
-  double fast_alpha = 0.3;
-  /// EWMA weight of the slow tracker the fast one is compared against.
-  double slow_alpha = 0.05;
-  /// A model whose fast/slow mean-gap ratio leaves
-  /// [1/shift_ratio, shift_ratio] flags a load shift. Must be > 1.
-  double shift_ratio = 2.0;
-  /// The SLO-attainment EWMA (weight fast_alpha) dropping below this
-  /// also flags a shift.
-  double attainment_floor = 0.9;
   /// Per-model arrivals observed before shift detection arms.
   int warmup_arrivals = 16;
   /// Hysteresis: minimum engine-clock gap between re-plans.
   double min_replan_gap_us = 100000;
-  /// Pre-warm the recipe cache for every (model, batch, class) point the
-  /// re-plan anticipates.
-  bool prewarm = true;
 };
 
 /// Configuration shared by every front end over the engine: the DES Server,

@@ -129,6 +129,23 @@ void dump_number(double d, std::string& out) {
 
 }  // namespace
 
+std::int64_t JsonValue::as_int_in(std::int64_t lo, std::int64_t hi) const {
+  const double d = as_number();
+  std::string text;
+  dump_number(d, text);
+  if (d != std::trunc(d)) {  // also NaN
+    throw std::runtime_error("must be an integer, got " + text);
+  }
+  // Range-check the double before the cast: one outside int64 is UB.
+  const bool fits = d >= -0x1p63 && d < 0x1p63;
+  if (!fits || static_cast<std::int64_t>(d) < lo ||
+      static_cast<std::int64_t>(d) > hi) {
+    throw std::runtime_error("must be in [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "], got " + text);
+  }
+  return static_cast<std::int64_t>(d);
+}
+
 void JsonValue::dump_to(std::string& out) const {
   switch (kind_) {
     case Kind::kNull:

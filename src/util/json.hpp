@@ -49,6 +49,10 @@ class JsonValue {
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
+  /// The number as a whole number in [lo, hi]. A fraction, NaN or a value
+  /// out of range throws std::runtime_error ("must be an integer, got 2.5"
+  /// or "must be in [1, 8], got 9"); callers prefix the key they parsed.
+  std::int64_t as_int_in(std::int64_t lo, std::int64_t hi) const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
   const std::map<std::string, JsonValue>& as_object() const;

@@ -626,18 +626,6 @@ TEST(AdaptiveController, ValidatesOptions) {
     EXPECT_THROW(AdaptiveController(o, engine), std::invalid_argument);
   };
   AdaptiveOptions o;
-  o.fast_alpha = 0;
-  bad(o);
-  o = {};
-  o.slow_alpha = 1.5;
-  bad(o);
-  o = {};
-  o.shift_ratio = 1.0;
-  bad(o);
-  o = {};
-  o.attainment_floor = 1.5;
-  bad(o);
-  o = {};
   o.warmup_arrivals = 0;
   bad(o);
   o = {};
@@ -694,7 +682,6 @@ TEST(AdaptiveController, AttainmentFloorTriggersShift) {
   ServingEngine engine(controller_engine_options(), &clock);
   AdaptiveOptions options;
   options.warmup_arrivals = 8;
-  options.attainment_floor = 0.9;
   AdaptiveController controller(options, engine);
   for (int i = 0; i < 8; ++i) controller.observe_outcome("fig5", false);
   EXPECT_TRUE(controller.replan_due(0));

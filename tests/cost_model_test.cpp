@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "models/models.hpp"
+#include "runtime/canonical_cache.hpp"
 #include "runtime/cost_model.hpp"
 #include "schedule/baselines.hpp"
 
@@ -121,6 +123,50 @@ TEST(CostModel, ConcurrentMeasurementsCountDistinctStagesOnce) {
   EXPECT_EQ(cost.num_measurements(), fresh.num_measurements());
   EXPECT_NEAR(cost.profiling_cost_us(), fresh.profiling_cost_us(),
               1e-9 * fresh.profiling_cost_us());
+}
+
+TEST(CostModel, ConcurrentCanonicalTwinsCountOneMeasurementAndOneHit) {
+  // Two identical branches: stages over either one have different op ids
+  // (two fingerprints) but the same kernel streams (one canonical key).
+  // Measured by two threads at once, the stage whose canonical put loses
+  // reused the winner's latency, as it would one after the other: one
+  // measurement and one canonical hit, whichever thread wins.
+  Graph g(1);
+  const OpId in = g.input(32, 14, 14);
+  g.begin_block();
+  std::vector<OpId> branch[2];
+  for (std::vector<OpId>& ops : branch) {
+    OpId x = in;
+    for (int i = 0; i < 8; ++i) {
+      x = g.conv2d(x, Conv2dAttrs{.out_channels = 32, .kh = 3, .kw = 3,
+                                  .ph = 1, .pw = 1});
+      ops.push_back(x);
+    }
+  }
+  const Stage twins[2] = {
+      Stage{StageStrategy::kConcurrent, {Group{branch[0]}}},
+      Stage{StageStrategy::kConcurrent, {Group{branch[1]}}}};
+  int bad_rounds = 0;
+  for (int round = 0; round < 400; ++round) {
+    CanonicalStageCache canonical;
+    CostModel cost(g, v100_config());
+    cost.enable_canonical_reuse(&canonical);
+    // Both threads spin until both are running, then measure at once.
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (const Stage& stage : twins) {
+      threads.emplace_back([&cost, &ready, &stage] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) std::this_thread::yield();
+        cost.measure(stage);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    if (cost.num_measurements() != 1 || cost.canonical_hits() != 1) {
+      ++bad_rounds;
+    }
+  }
+  EXPECT_EQ(bad_rounds, 0);
 }
 
 TEST(CostModel, StageFingerprintIsTheCacheKey) {

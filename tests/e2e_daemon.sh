@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# End-to-end exercise of `ios_opt daemon` + `ios_opt fire`: a flag check
-# (a negative --max-line-bytes exits 2, naming the flag), then three
-# scenarios:
+# End-to-end exercise of `ios_opt daemon` + `ios_opt fire`: flag checks
+# (a negative --max-line-bytes, an unknown flag and other bad values each
+# exit 2, naming the flag or option), then three scenarios:
 #
 #   1. Plain serving: boot the daemon on an ephemeral loopback port, fire a
 #      synthetic trace at it, require every request to come back with a
@@ -74,6 +74,30 @@ timeout 10 "$IOS_OPT" daemon --port 0 --max-line-bytes -1 \
 grep -q -- "--max-line-bytes" "$DAEMON_LOG" \
   || fail "the --max-line-bytes rejection does not name the flag"
 echo "e2e_daemon: --max-line-bytes -1 rejected"
+
+# More values rejected by name before anything binds or serves, each of
+# which once ran: an unknown flag (the daemon served with the default
+# worker count), a switch that is not 0|1 (shedding silently off), a zero
+# watchdog interval (the watchdog thread spun a core), a NaN queue delay
+# (partial batches never flushed, and the summary counted unserved
+# requests as served), and a non-0|1 --print on another command.
+expect_rejected() {
+  local name=$1
+  shift
+  local status=0
+  timeout 10 "$IOS_OPT" "$@" >"$DAEMON_LOG" 2>&1 || status=$?
+  [[ "$status" -eq 2 ]] || fail "ios_opt $* exited $status, want 2"
+  grep -q -- "$name" "$DAEMON_LOG" \
+    || fail "the rejection of ios_opt $* does not name $name"
+}
+expect_rejected "--worker" daemon --port 0 --worker 2
+expect_rejected "--shed" daemon --port 0 --shed true
+expect_rejected "watchdog[-_]interval[-_]us" \
+  daemon --port 0 --stuck-grace-us 1000 --watchdog-interval-us 0
+expect_rejected "--max-delay-us" \
+  serve --models fig3 --requests 10 --max-delay-us nan
+expect_rejected "--print" optimize --model fig3 --print true
+echo "e2e_daemon: unknown flags and bad values rejected"
 
 # ---------------------------------------------------------------------------
 # Scenario 1: plain serving + graceful drain.

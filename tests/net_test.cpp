@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -202,6 +203,18 @@ TEST(DaemonConfig, OutOfRangeValuesAreRejectedByName) {
   }
   rejects("time_scale", "-0.5");
   rejects("max_line_bytes", "-1");
+  // Integer keys take whole numbers only, range-checked before any
+  // narrowing cast: "workers": 2.5 once rounded to 3 workers, and
+  // "batch_sizes": [1e10] wrapped to a batch size of 1,410,065,408.
+  rejects("workers", "2.5");
+  rejects("port", "80.5");
+  rejects("max_line_bytes", "1e300");
+  rejects("batch_sizes", "[1e10]");
+  rejects("batch_sizes", "[1, 2.5]");
+  rejects("prewarm_threads", "1e10");
+  rejects("default_priority", "1.5");
+  rejects("default_priority", "-1e10");
+  rejects("slo", R"({"fig3": {"slo_us": 100, "priority": 0.5}})");
 
   // The bounds themselves are accepted; max_line_bytes 0 means unlimited.
   const DaemonOptions edge = daemon_options_from_json(JsonValue::parse(R"({
@@ -212,6 +225,27 @@ TEST(DaemonConfig, OutOfRangeValuesAreRejectedByName) {
   EXPECT_EQ(edge.serving.cache.num_shards, 1u);
   EXPECT_EQ(edge.time_scale, 0);
   EXPECT_EQ(edge.max_line_bytes, 0u);
+}
+
+// ios_opt applies each daemon flag as its config key, after the --config
+// file: a key applied later overrides the file's value, and slo merges per
+// model.
+TEST(DaemonConfig, AppliedKeysOverrideTheConfigFile) {
+  DaemonOptions options = daemon_options_from_json(JsonValue::parse(R"({
+    "workers": 3, "prewarm": ["fig3"], "slo": {"fig3": 100, "fig5": 200}
+  })"));
+  apply_daemon_option(options, "workers", JsonValue(4));
+  apply_daemon_option(options, "prewarm", JsonValue::parse(R"(["fig5"])"));
+  apply_daemon_option(options, "slo", JsonValue::parse(R"({
+    "fig5": {"slo_us": 300, "priority": 2}
+  })"));
+  EXPECT_EQ(options.serving.num_workers, 4);
+  EXPECT_EQ(options.prewarm_models, (std::vector<std::string>{"fig5"}));
+  EXPECT_EQ(options.serving.slo.models.at("fig3").slo_us, 100);
+  EXPECT_EQ(options.serving.slo.models.at("fig5").slo_us, 300);
+  EXPECT_EQ(options.serving.slo.models.at("fig5").priority, 2);
+  EXPECT_THROW(apply_daemon_option(options, "worker", JsonValue(2)),
+               std::runtime_error);
 }
 
 // ---- in-process daemon ---------------------------------------------------
@@ -759,6 +793,20 @@ TEST(DaemonTest, WatchdogKillsStalledWorkerAndRequeuesItsBatch) {
   EXPECT_EQ(daemon.stats().worker_deaths, 1);
   EXPECT_GE(daemon.stats().requeued_requests, 1);
   EXPECT_EQ(daemon.stats().completed, 8);
+}
+
+// The watchdog waits watchdog_interval_us between scans, so a zero,
+// negative or NaN interval would spin a core once stuck_grace_us enables
+// it; an infinite one cannot be waited on.
+TEST(DaemonTest, WatchdogIntervalMustBeFiniteAndPositive) {
+  for (const double interval : {0.0, -1.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    DaemonOptions options = test_daemon_options();
+    options.stuck_grace_us = 1000;
+    options.watchdog_interval_us = interval;
+    EXPECT_THROW(Daemon{options}, std::invalid_argument) << interval;
+  }
 }
 
 TEST(DaemonTest, KillStealsBatchesQueuedBehindAWedgedWorker) {

@@ -516,6 +516,8 @@ TEST(Optimizer, CrossReuseReplaysIndependentOfThreads) {
         EXPECT_EQ(got.stats.transitions, ref.stats.transitions);
         EXPECT_EQ(got.stats.cache_hits, ref.stats.cache_hits);
         EXPECT_EQ(got.block_cache_hits, ref.block_cache_hits);
+        EXPECT_EQ(got.stats.measurements, ref.stats.measurements);
+        EXPECT_EQ(got.canonical_hits, ref.canonical_hits);
       }
     }
   }

@@ -274,24 +274,6 @@ TEST(Placer, RealisticInterconnectRarelyJustifiesSplits) {
   }
 }
 
-TEST(Placer, PoolRequestOnOptimizationRequestPlacesSingleConfig) {
-  // The facade-level entry point: an OptimizationRequest carrying a pool.
-  OptimizationRequest request =
-      OptimizationRequest::for_model("squeezenet", "v100", 4);
-  request.pool = pool_from_spec("p100,1080ti");
-  Placer placer;
-  const PlacementResult result = placer.place(request);
-  EXPECT_EQ(result.recipes.size(), 2u);  // one per class
-  ASSERT_EQ(result.plan.assignments.size(), 1u);
-  EXPECT_EQ(result.plan.assignments[0].model, "squeezenet");
-  EXPECT_EQ(result.plan.assignments[0].batch, 4);
-
-  // In-memory graphs have no registry name to re-optimize per class.
-  OptimizationRequest graph_request = request;
-  graph_request.graph = models::build_model("fig2", 1);
-  EXPECT_THROW(placer.place(graph_request), std::invalid_argument);
-}
-
 TEST(Placer, PlanJsonCarriesEverything) {
   Placer placer;
   const PlacementResult result = placer.place(two_class_request());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -340,6 +341,14 @@ TEST(Server, RejectsBadConfigurationsAndTraces) {
 
   ServerOptions bad_delay = small_options();
   bad_delay.batching.max_queue_delay_us = -1;
+  EXPECT_THROW(Server{bad_delay}, std::invalid_argument);
+  // A NaN or infinite delay never falls due: partial queues would never
+  // flush.
+  bad_delay.batching.max_queue_delay_us =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Server{bad_delay}, std::invalid_argument);
+  bad_delay.batching.max_queue_delay_us =
+      std::numeric_limits<double>::infinity();
   EXPECT_THROW(Server{bad_delay}, std::invalid_argument);
 
   ServerOptions bad_device = small_options();

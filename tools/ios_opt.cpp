@@ -32,9 +32,11 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,91 +59,139 @@ namespace {
 
 using namespace ios;
 
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: ios_opt <command> [--key value]...\n"
-               "\n"
-               "commands:\n"
-               "  optimize   run the IOS search and compare against baselines\n"
-               "             --model NAME | --batch N | --device NAME |\n"
-               "             --variant both|parallel|merge | --r N | --s N |\n"
-               "             --engine auto|serial|wave | --threads N |\n"
-               "             --prune exact|dominance|beam[:WIDTH] |\n"
-               "             --cross-reuse 0|1 (share stage latencies and\n"
-               "             block layouts across models/batches) |\n"
-               "             --profile-db FILE | --baselines a,b,... |\n"
-               "             --print 1 | --save FILE | --dot FILE |\n"
-               "             --trace FILE\n"
-               "  evaluate   execute a saved recipe\n"
-               "             --recipe FILE [--device NAME] [--batch N]\n"
-               "  serve      replay a synthetic request trace through the\n"
-               "             dynamic batcher + sharded recipe cache\n"
-               "             --models a,b,... | --device NAME |\n"
-               "             --devices POOL (e.g. v100,k80x2; device-aware\n"
-               "             routing, overrides --device/--workers) |\n"
-               "             --workers N |\n"
-               "             --requests N | --rate REQ_PER_S | --seed N |\n"
-               "             --phases N@RATE,... (non-stationary trace;\n"
-               "             overrides --requests/--rate) |\n"
-               "             --batch-sizes a,b,... | --max-delay-us T |\n"
-               "             --shards N | --capacity N | --prewarm 0|1 |\n"
-               "             --profile-db FILE | --cross-reuse 0|1 |\n"
-               "             --slo model=SLO_US[:PRIORITY],... |\n"
-               "             --default-slo-us T | --default-priority N |\n"
-               "             --shed 0|1 | --starvation-us T | --adaptive 0|1\n"
-               "  daemon     run the serving engine as a TCP daemon on\n"
-               "             127.0.0.1 (newline-delimited JSON protocol;\n"
-               "             SIGTERM/SIGINT drains gracefully)\n"
-               "             --port N (0 = ephemeral) | --config FILE |\n"
-               "             --models a,b,... (prewarm) | --device NAME |\n"
-               "             --devices POOL | --workers N |\n"
-               "             --batch-sizes a,b,... | --max-delay-us T |\n"
-               "             --shards N | --capacity N | --profile-db FILE |\n"
-               "             --max-pending N | --time-scale X |\n"
-               "             --io-threads N | --prewarm-threads N |\n"
-               "             --slo model=SLO_US[:PRIORITY],... |\n"
-               "             --default-slo-us T | --default-priority N |\n"
-               "             --shed 0|1 | --starvation-us T | --adaptive 0|1 |\n"
-               "             --idle-timeout-us T | --write-timeout-us T |\n"
-               "             --max-line-bytes N | --stuck-grace-us T |\n"
-               "             --watchdog-interval-us T | --chaos 0|1 (enable\n"
-               "             kill_worker/stall_worker verbs) | --stats-json\n"
-               "             FILE (dump counters on drain)\n"
-               "  fire       replay a synthetic trace against a running\n"
-               "             daemon and report client-observed latencies\n"
-               "             --port N | --host ADDR | --models a,b,... |\n"
-               "             --requests N | --rate REQ_PER_S | --seed N |\n"
-               "             --phases N@RATE,... |\n"
-               "             --deadline-us T (per-request deadline; 0=off) |\n"
-               "             --retries N | --backoff-us T |\n"
-               "             --fault-seed N | --torn-prob P | --stall-prob P |\n"
-               "             --stall-us T | --disconnect-prob P |\n"
-               "             --refuse-prob P (client-side fault injection)\n"
-               "  admin      send one control request to a running daemon and\n"
-               "             print the raw response line\n"
-               "             --port N | --host ADDR |\n"
-               "             --cmd ping|stats|health|kill_worker|stall_worker |\n"
-               "             --worker N | --stall-us T\n"
-               "  place      optimize a workload per pool device class and\n"
-               "             print the placement plan (routing + splits)\n"
-               "             --devices POOL | --models a,b,... |\n"
-               "             --batches a,b,... | --weights a,b,... |\n"
-               "             --splits 0|1 | --profile-db FILE | --json FILE\n"
-               "  fleet      plan a hierarchical fleet (racks/nodes) and\n"
-               "             replay a trace with deterministic failure\n"
-               "             injection (worker kills, requeue, re-plan)\n"
-               "             --topology SPEC (e.g. rack:2{node:4{v100x8}}) |\n"
-               "             --models a,b,... | --batches a,b,... |\n"
-               "             --weights a,b,... | --replicas N |\n"
-               "             --requests N | --rate REQ_PER_S | --seed N |\n"
-               "             --kills N | --mtbf-us T | --first-kill-us T |\n"
-               "             --kill-seed N | --batch-sizes a,b,... |\n"
-               "             --max-delay-us T | --profile-db FILE |\n"
-               "             --json FILE\n"
-               "  inspect    print model facts (Table 1/2 style)\n"
-               "             --model NAME [--batch N] [--print 1]\n"
-               "  list       enumerate known models, devices, and baselines\n"
-               "  help       show this message\n");
+// The usage text is also the list of flags each command takes (see
+// usage_flags).
+constexpr const char kUsage[] =
+    "usage: ios_opt <command> [--key value]...\n"
+    "\n"
+    "commands:\n"
+    "  optimize   run the IOS search and compare against baselines\n"
+    "             --model NAME | --batch N | --device NAME |\n"
+    "             --variant both|parallel|merge | --r N | --s N |\n"
+    "             --engine auto|serial|wave | --threads N |\n"
+    "             --prune exact|dominance|beam[:WIDTH] |\n"
+    "             --cross-reuse 0|1 (share stage latencies and\n"
+    "             block layouts across models/batches) |\n"
+    "             --profile-db FILE | --baselines a,b,... |\n"
+    "             --print 1 | --save FILE | --dot FILE |\n"
+    "             --trace FILE\n"
+    "  evaluate   execute a saved recipe\n"
+    "             --recipe FILE [--device NAME] [--batch N]\n"
+    "  serve      replay a synthetic request trace through the\n"
+    "             dynamic batcher + sharded recipe cache\n"
+    "             --models a,b,... | --device NAME |\n"
+    "             --devices POOL (e.g. v100,k80x2; device-aware\n"
+    "             routing, overrides --device/--workers) |\n"
+    "             --workers N |\n"
+    "             --requests N | --rate REQ_PER_S | --seed N |\n"
+    "             --phases N@RATE,... (non-stationary trace;\n"
+    "             overrides --requests/--rate) |\n"
+    "             --batch-sizes a,b,... | --max-delay-us T |\n"
+    "             --shards N | --capacity N | --prewarm 0|1 |\n"
+    "             --profile-db FILE | --cross-reuse 0|1 |\n"
+    "             --slo model=SLO_US[:PRIORITY],... |\n"
+    "             --default-slo-us T | --default-priority N |\n"
+    "             --shed 0|1 | --starvation-us T | --adaptive 0|1\n"
+    "  daemon     run the serving engine as a TCP daemon on\n"
+    "             127.0.0.1 (newline-delimited JSON protocol;\n"
+    "             SIGTERM/SIGINT drains gracefully)\n"
+    "             --port N (0 = ephemeral) | --config FILE |\n"
+    "             --models a,b,... (prewarm) | --device NAME |\n"
+    "             --devices POOL | --workers N |\n"
+    "             --batch-sizes a,b,... | --max-delay-us T |\n"
+    "             --shards N | --capacity N | --profile-db FILE |\n"
+    "             --max-pending N | --time-scale X |\n"
+    "             --io-threads N | --prewarm-threads N |\n"
+    "             --slo model=SLO_US[:PRIORITY],... |\n"
+    "             --default-slo-us T | --default-priority N |\n"
+    "             --shed 0|1 | --starvation-us T | --adaptive 0|1 |\n"
+    "             --idle-timeout-us T | --write-timeout-us T |\n"
+    "             --max-line-bytes N | --stuck-grace-us T |\n"
+    "             --watchdog-interval-us T | --chaos 0|1 (enable\n"
+    "             kill_worker/stall_worker verbs) | --stats-json\n"
+    "             FILE (dump counters on drain)\n"
+    "  fire       replay a synthetic trace against a running\n"
+    "             daemon and report client-observed latencies\n"
+    "             --port N | --host ADDR | --models a,b,... |\n"
+    "             --requests N | --rate REQ_PER_S | --seed N |\n"
+    "             --phases N@RATE,... |\n"
+    "             --deadline-us T (per-request deadline; 0=off) |\n"
+    "             --retries N | --backoff-us T |\n"
+    "             --fault-seed N | --torn-prob P | --stall-prob P |\n"
+    "             --stall-us T | --disconnect-prob P |\n"
+    "             --refuse-prob P (client-side fault injection)\n"
+    "  admin      send one control request to a running daemon and\n"
+    "             print the raw response line\n"
+    "             --port N | --host ADDR |\n"
+    "             --cmd ping|stats|health|kill_worker|stall_worker |\n"
+    "             --worker N | --stall-us T\n"
+    "  place      optimize a workload per pool device class and\n"
+    "             print the placement plan (routing + splits)\n"
+    "             --devices POOL | --models a,b,... |\n"
+    "             --batches a,b,... | --weights a,b,... |\n"
+    "             --splits 0|1 | --profile-db FILE | --json FILE\n"
+    "  fleet      plan a hierarchical fleet (racks/nodes) and\n"
+    "             replay a trace with deterministic failure\n"
+    "             injection (worker kills, requeue, re-plan)\n"
+    "             --topology SPEC (e.g. rack:2{node:4{v100x8}}) |\n"
+    "             --models a,b,... | --batches a,b,... |\n"
+    "             --weights a,b,... | --replicas N |\n"
+    "             --requests N | --rate REQ_PER_S | --seed N |\n"
+    "             --kills N | --mtbf-us T | --first-kill-us T |\n"
+    "             --kill-seed N | --batch-sizes a,b,... |\n"
+    "             --max-delay-us T | --profile-db FILE |\n"
+    "             --json FILE\n"
+    "  inspect    print model facts (Table 1/2 style)\n"
+    "             --model NAME [--batch N] [--print 1]\n"
+    "  list       enumerate known models, devices, and baselines\n"
+    "  help       show this message\n";
+
+// The flags the usage text lists in `command`'s section, which runs from the
+// command's name at column 2 to the next name; nullopt for an unknown one.
+std::optional<std::set<std::string>> usage_flags(const std::string& command) {
+  std::optional<std::set<std::string>> flags;
+  bool inside = false;
+  std::istringstream usage(kUsage);
+  for (std::string line; std::getline(usage, line);) {
+    if (line.size() > 2 && line.compare(0, 2, "  ") == 0 && line[2] != ' ') {
+      inside = line.compare(2, command.size() + 1, command + ' ') == 0;
+      if (inside) flags.emplace();
+    }
+    for (std::size_t at = line.find("--"); inside && at != std::string::npos;
+         at = line.find("--", at + 2)) {
+      const std::size_t end =
+          line.find_first_not_of("abcdefghijklmnopqrstuvwxyz-", at + 2);
+      flags->insert(line.substr(at + 2, end - at - 2));
+    }
+  }
+  return flags;
+}
+
+// Flag values are strict: a number is a JSON number, as in a daemon config
+// file ("4x", "nan" and "inf" are rejected), and a switch is 0 or 1.
+JsonValue number_value(const std::string& text) {
+  try {
+    JsonValue v = JsonValue::parse(text);
+    if (v.kind() == JsonValue::Kind::kNumber) return v;
+  } catch (const std::exception&) {
+  }
+  throw std::runtime_error("expected a number, got '" + text + "'");
+}
+
+bool switch_value(const std::string& text) {
+  if (text == "0" || text == "1") return text == "1";
+  throw std::runtime_error("expected 0 or 1, got '" + text + "'");
+}
+
+// Runs `parse` on the value of --flag, rethrowing its error as
+// "--flag: message".
+template <typename F>
+auto parse_flag(const std::string& flag, F&& parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const std::exception& e) {
+    throw std::runtime_error("--" + flag + ": " + e.what());
+  }
 }
 
 struct Args {
@@ -156,6 +206,31 @@ struct Args {
     const auto it = options.find(key);
     if (it == options.end()) return std::nullopt;
     return it->second;
+  }
+
+  double number(const std::string& flag, double fallback) const {
+    const auto text = get(flag);
+    if (!text) return fallback;
+    return parse_flag(flag, [&] { return number_value(*text).as_number(); });
+  }
+  // A whole number in [lo, hi].
+  std::int64_t integer(const std::string& flag, std::int64_t fallback,
+                       std::int64_t lo = std::numeric_limits<int>::min(),
+                       std::int64_t hi = std::numeric_limits<int>::max())
+      const {
+    const auto text = get(flag);
+    if (!text) return fallback;
+    return parse_flag(flag,
+                      [&] { return number_value(*text).as_int_in(lo, hi); });
+  }
+  std::uint64_t seed(const std::string& flag) const {
+    return static_cast<std::uint64_t>(
+        integer(flag, 1, 0, std::numeric_limits<std::int64_t>::max()));
+  }
+  bool on(const std::string& flag, bool fallback) const {
+    const auto text = get(flag);
+    if (!text) return fallback;
+    return parse_flag(flag, [&] { return switch_value(*text); });
   }
 };
 
@@ -176,6 +251,102 @@ Args parse_args(int argc, char** argv) {
     args.options[key] = argv[++i];
   }
   return args;
+}
+
+// ---- serving and daemon flags -------------------------------------------
+// Each serving or daemon flag is its daemon config key: its text becomes the
+// key's JSON value and goes through net::apply_daemon_option, as a --config
+// file's keys do, so a flag and its key share each type rule and check.
+
+JsonValue text_json(const std::string& text) { return JsonValue(text); }
+
+JsonValue switch_json(const std::string& text) {
+  return JsonValue(switch_value(text));
+}
+
+JsonValue numbers_json(const std::string& csv) {
+  JsonValue list = JsonValue::array();
+  for (const std::string& item : split_csv(csv)) {
+    list.push_back(number_value(item));
+  }
+  return list;
+}
+
+JsonValue texts_json(const std::string& csv) {
+  JsonValue list = JsonValue::array();
+  for (const std::string& item : split_csv(csv)) list.push_back(item);
+  return list;
+}
+
+// --slo "model=SLO_US[:PRIORITY],..." as the config's slo object.
+JsonValue slo_json(const std::string& csv) {
+  JsonValue slo = JsonValue::object();
+  for (const std::string& part : split_csv(csv)) {
+    const std::size_t eq = part.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      throw std::runtime_error(
+          "expected model=SLO_US[:PRIORITY] entries, got '" + part + "'");
+    }
+    const std::string value = part.substr(eq + 1);
+    const std::size_t colon = value.find(':');
+    JsonValue cls = JsonValue::object();
+    cls.set("slo_us", number_value(value.substr(0, colon)));
+    if (colon != std::string::npos) {
+      cls.set("priority", number_value(value.substr(colon + 1)));
+    }
+    slo.set(part.substr(0, eq), std::move(cls));
+  }
+  return slo;
+}
+
+struct OptionFlag {
+  const char* flag;
+  const char* key;
+  JsonValue (*value)(const std::string& text);
+  bool daemon_only;
+};
+
+constexpr OptionFlag kOptionFlags[] = {
+    {"device", "device", text_json, false},
+    {"devices", "devices", text_json, false},
+    {"workers", "workers", number_value, false},
+    {"batch-sizes", "batch_sizes", numbers_json, false},
+    {"max-delay-us", "max_queue_delay_us", number_value, false},
+    {"shards", "shards", number_value, false},
+    {"capacity", "capacity", number_value, false},
+    {"profile-db", "profile_db", text_json, false},
+    {"slo", "slo", slo_json, false},
+    {"default-slo-us", "default_slo_us", number_value, false},
+    {"default-priority", "default_priority", number_value, false},
+    {"shed", "shed", switch_json, false},
+    {"starvation-us", "starvation_limit_us", number_value, false},
+    {"adaptive", "adaptive", switch_json, false},
+    {"port", "port", number_value, true},
+    {"models", "prewarm", texts_json, true},
+    {"max-pending", "max_pending", number_value, true},
+    {"time-scale", "time_scale", number_value, true},
+    {"io-threads", "io_threads", number_value, true},
+    {"prewarm-threads", "prewarm_threads", number_value, true},
+    {"idle-timeout-us", "idle_timeout_us", number_value, true},
+    {"write-timeout-us", "write_timeout_us", number_value, true},
+    {"max-line-bytes", "max_line_bytes", number_value, true},
+    {"chaos", "chaos", switch_json, true},
+    {"stuck-grace-us", "stuck_grace_us", number_value, true},
+    {"watchdog-interval-us", "watchdog_interval_us", number_value, true},
+};
+
+// Applies the serving flags (and, for the daemon, the daemon-only ones) in
+// `args` to `options`.
+void apply_option_flags(const Args& args, bool daemon,
+                        net::DaemonOptions& options) {
+  for (const OptionFlag& f : kOptionFlags) {
+    if (f.daemon_only && !daemon) continue;
+    if (const auto text = args.get(f.flag)) {
+      parse_flag(f.flag, [&] {
+        net::apply_daemon_option(options, f.key, f.value(*text));
+      });
+    }
+  }
 }
 
 IosVariant variant_from(const std::string& s) {
@@ -203,15 +374,15 @@ std::vector<Baseline> baselines_from(const std::string& csv) {
 int cmd_optimize(const Args& args) {
   OptimizationRequest request;
   request.model = args.get("model", "inception_v3");
-  request.batch = std::stoi(args.get("batch", "1"));
+  request.batch = args.integer("batch", 1);
   request.device = args.get("device", "v100");
   request.options.variant = variant_from(args.get("variant", "both"));
-  request.options.pruning.r = std::stoi(args.get("r", "3"));
-  request.options.pruning.s = std::stoi(args.get("s", "8"));
+  request.options.pruning.r = args.integer("r", 3);
+  request.options.pruning.s = args.integer("s", 8);
   request.options.engine = engine_from(args.get("engine", "auto"));
-  request.options.num_threads = std::stoi(args.get("threads", "1"));
+  request.options.num_threads = args.integer("threads", 1);
   apply_prune_spec(request.options, args.get("prune", "exact"));
-  request.cross_reuse = args.get("cross-reuse", "0") == "1";
+  request.cross_reuse = args.on("cross-reuse", false);
   request.profile_db = args.get("profile-db", "");
   if (const auto csv = args.get("baselines")) {
     request.baselines = baselines_from(*csv);
@@ -281,7 +452,7 @@ int cmd_optimize(const Args& args) {
 
   // The remaining outputs need the graph itself; rebuild it (cheap, no
   // profiling) only when one of them was requested.
-  const bool print = args.get("print", "0") == "1";
+  const bool print = args.on("print", false);
   const auto dot_path = args.get("dot");
   const auto trace_path = args.get("trace");
   if (print || dot_path || trace_path) {
@@ -308,7 +479,7 @@ int cmd_evaluate(const Args& args) {
   const Recipe recipe = Optimizer::load(*path);
 
   const EvaluationResult ev = Optimizer().evaluate(
-      recipe, args.get("device", ""), std::stoi(args.get("batch", "0")));
+      recipe, args.get("device", ""), args.integer("batch", 0));
   std::printf("recipe %s (optimized for %s, batch %d)\n", path->c_str(),
               recipe.device.c_str(), recipe.batch);
   std::printf("executing on %s at batch %d: IOS %.3f ms, sequential %.3f ms "
@@ -318,119 +489,58 @@ int cmd_evaluate(const Args& args) {
   return 0;
 }
 
-// A --key value that must be a positive integer (rejects "--shards -1"
-// before it wraps through a size_t cast).
-int positive_int(const Args& args, const std::string& key,
-                 const std::string& fallback) {
-  const int v = std::stoi(args.get(key, fallback));
-  if (v < 1) throw std::runtime_error("--" + key + " must be >= 1");
-  return v;
-}
-
-// SLO flags shared by serve and daemon:
-//   --slo "model=SLO_US[:PRIORITY],..." | --default-slo-us T |
-//   --default-priority N | --shed 0|1 | --starvation-us T | --adaptive 0|1
-void apply_slo_flags(const Args& args, serve::ServerOptions& options) {
-  if (const auto csv = args.get("slo")) {
-    for (const std::string& part : split_csv(*csv)) {
-      const std::size_t eq = part.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        throw std::runtime_error(
-            "--slo expects model=SLO_US[:PRIORITY] entries, got '" + part +
-            "'");
-      }
-      serve::SloClass cls;
-      std::string value = part.substr(eq + 1);
-      const std::size_t colon = value.find(':');
-      if (colon != std::string::npos) {
-        cls.priority = std::stoi(value.substr(colon + 1));
-        value.resize(colon);
-      }
-      cls.slo_us = std::stod(value);
-      options.slo.models[part.substr(0, eq)] = cls;
-    }
-  }
-  if (const auto v = args.get("default-slo-us")) {
-    options.slo.fallback.slo_us = std::stod(*v);
-  }
-  if (const auto v = args.get("default-priority")) {
-    options.slo.fallback.priority = std::stoi(*v);
-  }
-  if (const auto v = args.get("shed")) options.slo.shed = *v == "1";
-  if (const auto v = args.get("starvation-us")) {
-    options.slo.starvation_limit_us = std::stod(*v);
-  }
-  if (const auto v = args.get("adaptive")) {
-    options.adaptive.enabled = *v == "1";
-  }
-}
-
-// --phases "N@REQ_PER_S,..." appends non-stationary trace segments; when
-// present it overrides --requests/--rate (shared by serve and fire).
-void apply_phase_flags(const Args& args, serve::TraceSpec& spec) {
-  if (const auto csv = args.get("phases")) {
+// --models, --requests, --rate and --seed as a trace spec, with fallbacks
+// per command (shared by serve, fire and fleet). --phases "N@REQ_PER_S,..."
+// appends non-stationary segments and overrides --requests/--rate.
+serve::TraceSpec trace_flags(const Args& args, const std::string& models,
+                             int requests, double rate) {
+  serve::TraceSpec spec;
+  spec.models = split_csv(args.get("models", models));
+  spec.num_requests = args.integer("requests", requests, 1);
+  rate = args.number("rate", rate);
+  if (rate <= 0) throw std::runtime_error("--rate must be > 0");
+  spec.mean_interarrival_us = 1e6 / rate;
+  spec.seed = args.seed("seed");
+  const auto csv = args.get("phases");
+  if (!csv) return spec;
+  parse_flag("phases", [&] {
     for (const std::string& part : split_csv(*csv)) {
       const std::size_t at = part.find('@');
       if (at == std::string::npos || at == 0) {
-        throw std::runtime_error(
-            "--phases expects N@REQ_PER_S entries, got '" + part + "'");
+        throw std::runtime_error("expected N@REQ_PER_S entries, got '" +
+                                 part + "'");
       }
       serve::TracePhase phase;
-      phase.num_requests = std::stoi(part.substr(0, at));
-      const double rate = std::stod(part.substr(at + 1));
-      if (rate <= 0) throw std::runtime_error("--phases rate must be > 0");
-      phase.mean_interarrival_us = 1e6 / rate;
+      phase.num_requests = static_cast<int>(
+          number_value(part.substr(0, at))
+              .as_int_in(1, std::numeric_limits<int>::max()));
+      const double phase_rate = number_value(part.substr(at + 1)).as_number();
+      if (phase_rate <= 0) throw std::runtime_error("rate must be > 0");
+      phase.mean_interarrival_us = 1e6 / phase_rate;
       spec.phases.push_back(phase);
     }
-  }
-}
-
-int total_requests(const serve::TraceSpec& spec) {
-  if (spec.phases.empty()) return spec.num_requests;
-  int total = 0;
-  for (const serve::TracePhase& p : spec.phases) total += p.num_requests;
-  return total;
+  });
+  return spec;
 }
 
 int cmd_serve(const Args& args) {
-  serve::TraceSpec spec;
-  spec.models = split_csv(args.get("models", "squeezenet,inception_v3"));
-  spec.num_requests = positive_int(args, "requests", "200");
-  const double rate = std::stod(args.get("rate", "2000"));
-  if (rate <= 0) throw std::runtime_error("--rate must be > 0");
-  spec.mean_interarrival_us = 1e6 / rate;
-  spec.seed = std::stoull(args.get("seed", "1"));
-  apply_phase_flags(args, spec);
+  const serve::TraceSpec spec =
+      trace_flags(args, "squeezenet,inception_v3", 200, 2000);
+  const serve::Trace trace = serve::generate_trace(spec);
 
-  serve::ServerOptions options;
-  options.device = args.get("device", "v100");
-  options.num_workers = positive_int(args, "workers", "2");
-  if (const auto pool = args.get("devices")) {
-    options.pool = pool_from_spec(*pool);
-  }
-  if (const auto csv = args.get("batch-sizes")) {
-    options.batching.batch_sizes.clear();
-    for (const std::string& s : split_csv(*csv)) {
-      options.batching.batch_sizes.push_back(std::stoi(s));
-    }
-  }
-  options.batching.max_queue_delay_us =
-      std::stod(args.get("max-delay-us", "2000"));
-  options.cache.num_shards =
-      static_cast<std::size_t>(positive_int(args, "shards", "8"));
-  options.cache.shard_capacity =
-      static_cast<std::size_t>(positive_int(args, "capacity", "64"));
-  options.profile_db = args.get("profile-db", "");
-  options.cross_reuse = args.get("cross-reuse", "0") == "1";
-  apply_slo_flags(args, options);
+  net::DaemonOptions flags;
+  flags.serving.num_workers = 2;
+  apply_option_flags(args, /*daemon=*/false, flags);
+  serve::ServerOptions options = std::move(flags.serving);
+  options.cross_reuse = args.on("cross-reuse", false);
 
   if (spec.phases.empty()) {
-    std::printf("serving %d requests (%.0f req/s offered, seed %llu) of [",
-                spec.num_requests, rate,
+    std::printf("serving %zu requests (%.0f req/s offered, seed %llu) of [",
+                trace.requests.size(), 1e6 / spec.mean_interarrival_us,
                 static_cast<unsigned long long>(spec.seed));
   } else {
-    std::printf("serving %d requests in %zu phases (seed %llu) of [",
-                total_requests(spec), spec.phases.size(),
+    std::printf("serving %zu requests in %zu phases (seed %llu) of [",
+                trace.requests.size(), spec.phases.size(),
                 static_cast<unsigned long long>(spec.seed));
   }
   for (std::size_t i = 0; i < spec.models.size(); ++i) {
@@ -451,12 +561,12 @@ int cmd_serve(const Args& args) {
   }
   std::printf("}, flush after %.0f us\n", options.batching.max_queue_delay_us);
 
-  if (args.get("prewarm", "1") == "1") {
+  if (args.on("prewarm", true)) {
     server.prewarm(spec.models, /*threads=*/0);
     std::printf("prewarmed %zu recipes\n", server.cache().size());
   }
 
-  const serve::ServingResult result = server.run(serve::generate_trace(spec));
+  const serve::ServingResult result = server.run(trace);
   const serve::ServingStats& s = result.stats;
   std::printf("\n  throughput   %10.1f req/s  (%lld requests, %lld batches, "
               "mean batch %.2f)\n",
@@ -507,77 +617,7 @@ int cmd_daemon(const Args& args) {
   if (const auto path = args.get("config")) {
     options = net::daemon_options_from_json(JsonValue::parse(read_file(*path)));
   }
-  // Explicit flags override the config file.
-  if (const auto v = args.get("port")) {
-    options.port = std::stoi(*v);
-    if (options.port < 0 || options.port > 65535) {
-      throw std::runtime_error("--port must be in [0, 65535] (0 = ephemeral)");
-    }
-  }
-  if (const auto v = args.get("device")) options.serving.device = *v;
-  if (const auto v = args.get("devices")) {
-    options.serving.pool = pool_from_spec(*v);
-  }
-  if (args.get("workers")) {
-    options.serving.num_workers = positive_int(args, "workers", "");
-  }
-  if (const auto v = args.get("models")) options.prewarm_models = split_csv(*v);
-  if (const auto csv = args.get("batch-sizes")) {
-    options.serving.batching.batch_sizes.clear();
-    for (const std::string& s : split_csv(*csv)) {
-      options.serving.batching.batch_sizes.push_back(std::stoi(s));
-    }
-  }
-  if (const auto v = args.get("max-delay-us")) {
-    options.serving.batching.max_queue_delay_us = std::stod(*v);
-  }
-  if (args.get("shards")) {
-    options.serving.cache.num_shards =
-        static_cast<std::size_t>(positive_int(args, "shards", ""));
-  }
-  if (args.get("capacity")) {
-    options.serving.cache.shard_capacity =
-        static_cast<std::size_t>(positive_int(args, "capacity", ""));
-  }
-  if (const auto v = args.get("profile-db")) options.serving.profile_db = *v;
-  if (args.get("max-pending")) {
-    options.max_pending =
-        static_cast<std::size_t>(positive_int(args, "max-pending", ""));
-  }
-  if (const auto v = args.get("time-scale")) {
-    options.time_scale = std::stod(*v);
-    if (options.time_scale < 0) {
-      throw std::runtime_error("--time-scale must be >= 0");
-    }
-  }
-  if (args.get("io-threads")) {
-    options.io_threads = positive_int(args, "io-threads", "");
-  }
-  if (const auto v = args.get("prewarm-threads")) {
-    options.prewarm_threads = std::stoi(*v);
-  }
-  if (const auto v = args.get("idle-timeout-us")) {
-    options.idle_timeout_us = std::stod(*v);
-  }
-  if (const auto v = args.get("write-timeout-us")) {
-    options.write_timeout_us = std::stod(*v);
-  }
-  if (const auto v = args.get("max-line-bytes")) {
-    // Parsed signed: std::stoul("-1") wraps to SIZE_MAX, an unbounded line.
-    const long long bytes = std::stoll(*v);
-    if (bytes < 0) {
-      throw std::runtime_error("--max-line-bytes must be >= 0 (0 = unlimited)");
-    }
-    options.max_line_bytes = static_cast<std::size_t>(bytes);
-  }
-  if (const auto v = args.get("chaos")) options.chaos = *v == "1";
-  if (const auto v = args.get("stuck-grace-us")) {
-    options.stuck_grace_us = std::stod(*v);
-  }
-  if (const auto v = args.get("watchdog-interval-us")) {
-    options.watchdog_interval_us = std::stod(*v);
-  }
-  apply_slo_flags(args, options.serving);
+  apply_option_flags(args, /*daemon=*/true, options);  // flags override it
 
   net::Daemon daemon(std::move(options));
   daemon.start();
@@ -615,20 +655,7 @@ int cmd_daemon(const Args& args) {
               static_cast<long long>(stats.worker_deaths),
               static_cast<long long>(stats.requeued_requests));
   if (const auto path = args.get("stats-json")) {
-    JsonValue v = JsonValue::object();
-    v.set("connections", stats.connections);
-    v.set("admitted", stats.admitted);
-    v.set("completed", stats.completed);
-    v.set("rejected", stats.rejected);
-    v.set("protocol_errors", stats.protocol_errors);
-    v.set("batches", stats.batches);
-    v.set("shed", stats.shed);
-    v.set("replans", stats.replans);
-    v.set("idle_closes", stats.idle_closes);
-    v.set("slow_client_closes", stats.slow_client_closes);
-    v.set("oversized_lines", stats.oversized_lines);
-    v.set("worker_deaths", stats.worker_deaths);
-    v.set("requeued_requests", stats.requeued_requests);
+    JsonValue v = net::daemon_stats_to_json(stats);
     const serve::EngineCounters counters = daemon.engine_counters();
     v.set("optimizations", counters.optimizations);
     v.set("measurements", counters.measurements);
@@ -639,19 +666,11 @@ int cmd_daemon(const Args& args) {
 }
 
 int cmd_fire(const Args& args) {
-  const auto port_flag = args.get("port");
-  if (!port_flag) throw std::runtime_error("fire requires --port");
-  const int port = std::stoi(*port_flag);
+  if (!args.get("port")) throw std::runtime_error("fire requires --port");
+  const int port = args.integer("port", 0, 0, 65535);
   const std::string host = args.get("host", "127.0.0.1");
 
-  serve::TraceSpec spec;
-  spec.models = split_csv(args.get("models", "squeezenet"));
-  spec.num_requests = positive_int(args, "requests", "200");
-  const double rate = std::stod(args.get("rate", "500"));
-  if (rate <= 0) throw std::runtime_error("--rate must be > 0");
-  spec.mean_interarrival_us = 1e6 / rate;
-  spec.seed = std::stoull(args.get("seed", "1"));
-  apply_phase_flags(args, spec);
+  const serve::TraceSpec spec = trace_flags(args, "squeezenet", 200, 500);
   const serve::Trace trace = serve::generate_trace(spec);
   const std::size_t n = trace.requests.size();
 
@@ -659,19 +678,19 @@ int cmd_fire(const Args& args) {
   // exponential-backoff retries. Responses are keyed by echoed id, so a
   // retry that races its original counts once and the straggler is
   // tallied as a duplicate, never a second sample in the percentiles.
-  const double deadline_us = std::stod(args.get("deadline-us", "0"));
-  const int max_retries = std::stoi(args.get("retries", "0"));
-  const double backoff_us = std::stod(args.get("backoff-us", "5000"));
+  const double deadline_us = args.number("deadline-us", 0);
+  const int max_retries = args.integer("retries", 0);
+  const double backoff_us = args.number("backoff-us", 5000);
 
   // Client-side fault injection (exercises the daemon's torn-read and
   // disconnect handling from the outside; off unless a probability is set).
   net::FaultSpec fault;
-  fault.seed = std::stoull(args.get("fault-seed", "1"));
-  fault.torn_write_prob = std::stod(args.get("torn-prob", "0"));
-  fault.stall_prob = std::stod(args.get("stall-prob", "0"));
-  fault.stall_us = std::stod(args.get("stall-us", "200"));
-  fault.disconnect_prob = std::stod(args.get("disconnect-prob", "0"));
-  fault.refuse_connect_prob = std::stod(args.get("refuse-prob", "0"));
+  fault.seed = args.seed("fault-seed");
+  fault.torn_write_prob = args.number("torn-prob", 0);
+  fault.stall_prob = args.number("stall-prob", 0);
+  fault.stall_us = args.number("stall-us", 200);
+  fault.disconnect_prob = args.number("disconnect-prob", 0);
+  fault.refuse_connect_prob = args.number("refuse-prob", 0);
   std::optional<net::FaultInjector> injector;
   if (fault.any()) injector.emplace(fault);
 
@@ -699,7 +718,7 @@ int cmd_fire(const Args& args) {
   };
   net::Socket sock = connect();
   std::printf("firing %zu requests at %s:%d (%.0f req/s offered)\n", n,
-              host.c_str(), port, rate);
+              host.c_str(), port, 1e6 / spec.mean_interarrival_us);
   std::fflush(stdout);
 
   const auto start = std::chrono::steady_clock::now();
@@ -902,9 +921,8 @@ int cmd_fire(const Args& args) {
 }
 
 int cmd_admin(const Args& args) {
-  const auto port_flag = args.get("port");
-  if (!port_flag) throw std::runtime_error("admin requires --port");
-  const int port = std::stoi(*port_flag);
+  if (!args.get("port")) throw std::runtime_error("admin requires --port");
+  const int port = args.integer("port", 0, 0, 65535);
   const std::string host = args.get("host", "127.0.0.1");
   const std::string cmd = args.get("cmd", "health");
 
@@ -918,11 +936,11 @@ int cmd_admin(const Args& args) {
     request.kind = net::RequestKind::kHealth;
   } else if (cmd == "kill_worker") {
     request.kind = net::RequestKind::kKillWorker;
-    request.worker = std::stoi(args.get("worker", "-1"));
+    request.worker = args.integer("worker", -1);
   } else if (cmd == "stall_worker") {
     request.kind = net::RequestKind::kStallWorker;
-    request.worker = std::stoi(args.get("worker", "-1"));
-    request.stall_us = std::stod(args.get("stall-us", "100000"));
+    request.worker = args.integer("worker", -1);
+    request.stall_us = args.number("stall-us", 100000);
   } else {
     throw std::runtime_error(
         "unknown --cmd '" + cmd +
@@ -941,16 +959,11 @@ int cmd_admin(const Args& args) {
   return ok ? 0 : 1;
 }
 
-int cmd_place(const Args& args) {
-  PlacementRequest request;
-  request.pool = pool_from_spec(args.get("devices", "p100,1080ti"));
-
-  const std::vector<std::string> models =
-      split_csv(args.get("models", "squeezenet,resnet34"));
-  std::vector<int> batches;
-  for (const std::string& b : split_csv(args.get("batches", "1"))) {
-    batches.push_back(std::stoi(b));
-  }
+// --batches a,b,... and --weights w,...: every model at every batch, with
+// its model's weight (shared by place and fleet).
+std::vector<WorkloadItem> workload_flags(const Args& args,
+                                         const std::vector<std::string>& models,
+                                         const std::string& batches) {
   std::vector<double> weights(models.size(), 1.0);
   if (const auto csv = args.get("weights")) {
     const std::vector<std::string> parts = split_csv(*csv);
@@ -958,15 +971,34 @@ int cmd_place(const Args& args) {
       throw std::runtime_error("--weights must list one weight per model");
     }
     for (std::size_t i = 0; i < parts.size(); ++i) {
-      weights[i] = std::stod(parts[i]);
+      weights[i] = parse_flag("weights", [&] {
+        return number_value(parts[i]).as_number();
+      });
     }
   }
+  std::vector<int> sizes;
+  parse_flag("batches", [&] {
+    for (const std::string& b : split_csv(args.get("batches", batches))) {
+      sizes.push_back(static_cast<int>(
+          number_value(b).as_int_in(1, std::numeric_limits<int>::max())));
+    }
+  });
+  std::vector<WorkloadItem> workload;
   for (std::size_t m = 0; m < models.size(); ++m) {
-    for (int batch : batches) {
-      request.workload.push_back(WorkloadItem{models[m], batch, weights[m]});
+    for (const int batch : sizes) {
+      workload.push_back(WorkloadItem{models[m], batch, weights[m]});
     }
   }
-  request.allow_splits = args.get("splits", "1") == "1";
+  return workload;
+}
+
+int cmd_place(const Args& args) {
+  PlacementRequest request;
+  request.pool = pool_from_spec(args.get("devices", "p100,1080ti"));
+
+  request.workload = workload_flags(
+      args, split_csv(args.get("models", "squeezenet,resnet34")), "1");
+  request.allow_splits = args.on("splits", true);
   request.profile_db = args.get("profile-db", "");
 
   std::printf("placing %zu configurations on pool %s (%d devices)\n\n",
@@ -1021,53 +1053,23 @@ int cmd_fleet(const Args& args) {
   options.topology = fleet::fleet_from_spec(
       args.get("topology", "rack:2{node:2{p100x2,1080tix2}}"));
 
-  const std::vector<std::string> models =
-      split_csv(args.get("models", "squeezenet,mobilenet_v2"));
-  std::vector<int> batches;
-  for (const std::string& b : split_csv(args.get("batches", "8"))) {
-    batches.push_back(std::stoi(b));
-  }
-  std::vector<double> weights(models.size(), 1.0);
-  if (const auto csv = args.get("weights")) {
-    const std::vector<std::string> parts = split_csv(*csv);
-    if (parts.size() != models.size()) {
-      throw std::runtime_error("--weights must list one weight per model");
-    }
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      weights[i] = std::stod(parts[i]);
-    }
-  }
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    for (int batch : batches) {
-      options.workload.push_back(WorkloadItem{models[m], batch, weights[m]});
-    }
-  }
-  options.replicas = positive_int(args, "replicas", "2");
-  if (const auto csv = args.get("batch-sizes")) {
-    options.batching.batch_sizes.clear();
-    for (const std::string& s : split_csv(*csv)) {
-      options.batching.batch_sizes.push_back(std::stoi(s));
-    }
-  }
-  options.batching.max_queue_delay_us =
-      std::stod(args.get("max-delay-us", "2000"));
-  options.profile_db = args.get("profile-db", "");
-
-  serve::TraceSpec spec;
-  spec.models = models;
-  spec.num_requests = positive_int(args, "requests", "1000");
-  const double rate = std::stod(args.get("rate", "20000"));
-  if (rate <= 0) throw std::runtime_error("--rate must be > 0");
-  spec.mean_interarrival_us = 1e6 / rate;
-  spec.seed = std::stoull(args.get("seed", "1"));
+  const serve::TraceSpec spec =
+      trace_flags(args, "squeezenet,mobilenet_v2", 1000, 20000);
   const serve::Trace trace = serve::generate_trace(spec);
+  options.workload = workload_flags(args, spec.models, "8");
+  options.replicas = args.integer("replicas", 2, 1);
+  // --batch-sizes, --max-delay-us and --profile-db, parsed as serve's.
+  net::DaemonOptions flags;
+  apply_option_flags(args, /*daemon=*/false, flags);
+  options.batching = flags.serving.batching;
+  options.profile_db = flags.serving.profile_db;
 
-  options.failures.max_kills = std::stoi(args.get("kills", "0"));
-  options.failures.seed = std::stoull(args.get("kill-seed", "1"));
-  options.failures.first_kill_at_us = std::stod(
-      args.get("first-kill-us", std::to_string(trace.duration_us() * 0.05)));
-  options.failures.mean_time_between_kills_us = std::stod(
-      args.get("mtbf-us", std::to_string(trace.duration_us() * 0.1)));
+  options.failures.max_kills = args.integer("kills", 0);
+  options.failures.seed = args.seed("kill-seed");
+  options.failures.first_kill_at_us =
+      args.number("first-kill-us", trace.duration_us() * 0.05);
+  options.failures.mean_time_between_kills_us =
+      args.number("mtbf-us", trace.duration_us() * 0.1);
 
   fleet::FleetSimulator sim(std::move(options));
   const fleet::FleetTopology& topology = sim.options().topology;
@@ -1099,7 +1101,7 @@ int cmd_fleet(const Args& args) {
 
   std::printf("\nserving %d requests (%.0f req/s offered, seed %llu), "
               "%d seeded kills\n",
-              spec.num_requests, rate,
+              spec.num_requests, 1e6 / spec.mean_interarrival_us,
               static_cast<unsigned long long>(spec.seed),
               sim.options().failures.max_kills);
   const fleet::FleetSimResult result = sim.run(trace);
@@ -1137,7 +1139,7 @@ int cmd_fleet(const Args& args) {
 
 int cmd_inspect(const Args& args) {
   const Graph g = models::build_model(args.get("model", "inception_v3"),
-                                      std::stoi(args.get("batch", "1")));
+                                      args.integer("batch", 1));
   const NetworkSummary s = summarize_network(g);
   std::printf("%s: %d blocks, %d operators, main type %s, %.2f GFLOPs\n",
               s.name.c_str(), s.num_blocks, s.num_ops, s.main_op_type.c_str(),
@@ -1147,7 +1149,7 @@ int cmd_inspect(const Args& args) {
               "#schedules %.2e\n",
               c.n, c.d, c.upper_bound,
               static_cast<long long>(c.transitions), c.num_schedules);
-  if (args.get("print", "0") == "1") {
+  if (args.on("print", false)) {
     std::printf("\n%s", g.to_string().c_str());
   }
   return 0;
@@ -1175,6 +1177,24 @@ int cmd_list() {
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
+    if (args.command == "help" || args.command == "--help" ||
+        args.command == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    const auto flags = usage_flags(args.command);
+    if (!flags) {
+      std::fprintf(stderr, "error: unknown command '%s'\n\n",
+                   args.command.c_str());
+      std::fputs(kUsage, stderr);
+      return 2;
+    }
+    for (const auto& [flag, value] : args.options) {
+      if (!flags->count(flag)) {
+        throw std::runtime_error("unknown flag '--" + flag + "' for ios_opt " +
+                                 args.command);
+      }
+    }
     if (args.command == "optimize") return cmd_optimize(args);
     if (args.command == "evaluate") return cmd_evaluate(args);
     if (args.command == "serve") return cmd_serve(args);
@@ -1184,19 +1204,10 @@ int main(int argc, char** argv) {
     if (args.command == "place") return cmd_place(args);
     if (args.command == "fleet") return cmd_fleet(args);
     if (args.command == "inspect") return cmd_inspect(args);
-    if (args.command == "list") return cmd_list();
-    if (args.command == "help" || args.command == "--help" ||
-        args.command == "-h") {
-      print_usage(stdout);
-      return 0;
-    }
-    std::fprintf(stderr, "error: unknown command '%s'\n\n",
-                 args.command.c_str());
-    print_usage(stderr);
-    return 2;
+    return cmd_list();  // the usage's one other command
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n\n", e.what());
-    print_usage(stderr);
+    std::fputs(kUsage, stderr);
     return 2;
   }
 }
