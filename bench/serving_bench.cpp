@@ -9,7 +9,7 @@
 //     num_requests  default 400 (CI smoke runs fewer)
 //     models_csv    default "squeezenet,inception_v3"
 //
-// All servers share one sharded recipe cache, so each (model, batch size)
+// All servers share one recipe store, so each (model, batch size)
 // configuration is optimized exactly once across the whole sweep; the
 // simulated serving numbers are unaffected (optimization is off the
 // simulated clock).

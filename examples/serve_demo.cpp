@@ -1,6 +1,6 @@
 // Serving demo: the optimizer meets traffic. Generates a two-model Poisson
 // request trace, replays it through ios::serve::Server — dynamic batcher,
-// sharded recipe cache, four simulated executor workers — and shows how the
+// recipe store, four simulated executor workers — and shows how the
 // same workload behaves with batching disabled.
 //
 //   $ ./serve_demo
@@ -35,7 +35,7 @@ int main() {
   // Optional: optimize every (model, batch size) pair up front on all host
   // threads. Misses would otherwise be resolved lazily during run().
   server.prewarm(spec.models, /*threads=*/0);
-  std::printf("prewarmed %zu recipes into the sharded cache\n\n",
+  std::printf("prewarmed %zu recipes into the recipe store\n\n",
               server.cache().size());
 
   // 3. Replay the trace on the simulated clock.
@@ -68,7 +68,7 @@ int main() {
               u.throughput_rps, u.mean_latency_us, u.p50_latency_us,
               u.p99_latency_us);
 
-  // 5. The sharded cache made every configuration a one-time search.
+  // 5. The recipe store made every configuration a one-time search.
   const ServerStats totals = server.stats();
   std::printf("\nbatched server counters: %lld requests in %lld batches, "
               "cache %lld hits / %lld misses, %lld optimizer runs\n",

@@ -240,8 +240,7 @@ Graph graph_with_batch(const Graph& g, int batch) {
   return graph_from_json(doc);
 }
 
-OptimizationResult Optimizer::run(const OptimizationRequest& request,
-                                  bool use_store) {
+OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
   // Before the store lookup: an invalid option combination must throw even
   // when an equivalent request (the key excludes the engine) is stored.
   request.options.validate();
@@ -322,17 +321,13 @@ OptimizationResult Optimizer::run(const OptimizationRequest& request,
     return CachedRecipe{result.schedule, result.latency_us, result.stats,
                         result.new_measurements};
   };
-  if (!use_store) {
-    search_graph();
-  } else {
-    bool searched = false;
-    CachedRecipe entry = store_->get_or_compute(key, search_graph, &searched);
-    if (!searched) {
-      result.schedule = std::move(entry.schedule);
-      result.stats = entry.stats;
-      result.latency_us = entry.latency_us;
-      result.cache_hit = true;
-    }
+  bool searched = false;
+  CachedRecipe entry = store_->get_or_compute(key, search_graph, &searched);
+  if (!searched) {
+    result.schedule = std::move(entry.schedule);
+    result.stats = entry.stats;
+    result.latency_us = entry.latency_us;
+    result.cache_hit = true;
   }
 
   if (!request.baselines.empty()) {

@@ -10,12 +10,12 @@
 // configuration is optimized over and over — skips the DP search and all
 // cost-model profiling entirely. Zoo requests are keyed by
 // serving_cache_key, the key of the serving engine's own lookups, and
-// in-memory graphs by request_cache_key. A miss searches under its key's
-// shard lock, so misses on one shard run one at a time; a standalone
-// Optimizer has one shard, a strict LRU of configurable capacity (see
-// Optimizer::Optimizer). Results can also be persisted as recipe JSON
-// (save/load) and re-evaluated later, possibly on a different device or
-// batch size.
+// in-memory graphs by request_cache_key. A miss searches outside the
+// store's lock: an identical concurrent miss waits for that search, and
+// misses on other keys search in parallel. The store is a strict LRU of
+// configurable capacity (see Optimizer::Optimizer). Results can also be
+// persisted as recipe JSON (save/load) and re-evaluated later, possibly on
+// a different device or batch size.
 
 #include <atomic>
 #include <cstdint>
@@ -185,14 +185,14 @@ class Optimizer {
   /// (model, device, batch) combination of the paper's experiments.
   static constexpr std::size_t kDefaultCacheCapacity = 256;
 
-  /// Creates an optimizer with its own one-shard recipe store holding at
-  /// most `cache_capacity` entries (clamped to >= 1). Eviction policy:
+  /// Creates an optimizer with its own recipe store holding at most
+  /// `cache_capacity` entries (clamped to >= 1). Eviction policy:
   /// strict least-recently-used — every optimize() lookup (hit or insert)
   /// marks its entry as most-recently-used, and the insert that exceeds the
   /// capacity evicts the entry whose last use is oldest.
   explicit Optimizer(std::size_t cache_capacity = kDefaultCacheCapacity)
       : Optimizer(std::make_shared<ShardedRecipeCache>(
-            RecipeCacheOptions{1, cache_capacity})) {}
+            RecipeCacheOptions{cache_capacity})) {}
 
   /// Creates an optimizer around a caller's (possibly shared) store: the
   /// serving engine builds its Optimizer this way, so its per-batch lookups
@@ -203,19 +203,11 @@ class Optimizer {
   /// Runs the full pipeline for the request, or serves the schedule from the
   /// recipe store when an equivalent request was optimized before. Baseline
   /// latencies are (re)computed per call — they only need the executor,
-  /// never the profiling cost model. Thread-safe; a miss searches under its
-  /// key's shard lock, so it never runs twice for one key.
-  OptimizationResult optimize(const OptimizationRequest& request) {
-    return run(request, /*use_store=*/true);
-  }
-
-  /// optimize() without the store: always searches, and neither reads nor
-  /// fills the recipe store. The compute function of a caller's own store
-  /// lookup, which holds the key's shard lock and must not re-enter the
-  /// store. Thread-safe; concurrent calls search concurrently.
-  OptimizationResult search(const OptimizationRequest& request) {
-    return run(request, /*use_store=*/false);
-  }
+  /// never the profiling cost model. Thread-safe: a miss searches outside
+  /// the store's lock, a concurrent identical request waits for that search
+  /// instead of running its own, and requests for other keys search in
+  /// parallel.
+  OptimizationResult optimize(const OptimizationRequest& request);
 
   /// Executes a recipe's schedule and the sequential baseline. Empty device /
   /// non-positive batch mean "as recorded in the recipe". Zoo recipes are
@@ -238,9 +230,7 @@ class Optimizer {
   std::size_t cache_size() const { return store_->size(); }
 
   /// Max recipe-store entries before LRU eviction kicks in.
-  std::size_t cache_capacity() const {
-    return store_->num_shards() * store_->shard_capacity();
-  }
+  std::size_t cache_capacity() const { return store_->capacity(); }
 
   /// Hit/miss/eviction counters of the recipe store (counters survive
   /// clear_cache()).
@@ -249,16 +239,12 @@ class Optimizer {
   /// Drops every stored recipe (capacity and counters are kept).
   void clear_cache() { store_->clear(); }
 
-  /// Cost-model profiles run by all optimize() and search() calls on this
-  /// Optimizer.
+  /// Cost-model profiles run by all optimize() calls on this Optimizer.
   std::int64_t total_measurements() const {
     return total_measurements_.load();
   }
 
  private:
-  /// optimize() when `use_store`, search() otherwise.
-  OptimizationResult run(const OptimizationRequest& request, bool use_store);
-
   std::shared_ptr<ShardedRecipeCache> store_;
   std::atomic<std::int64_t> total_measurements_{0};
   /// Cross-request reuse state (request.cross_reuse); both thread-safe.

@@ -1,85 +1,82 @@
 #include "api/recipe_cache.hpp"
 
-#include "util/hash.hpp"
+#include <exception>
 
 namespace ios {
 
 ShardedRecipeCache::ShardedRecipeCache(RecipeCacheOptions options)
-    : shard_capacity_(options.shard_capacity < 1 ? 1
-                                                 : options.shard_capacity) {
-  const std::size_t n = options.num_shards < 1 ? 1 : options.num_shards;
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(shard_capacity_));
-  }
-}
-
-std::size_t ShardedRecipeCache::shard_of(const std::string& key) const {
-  return hash_bytes(key) % shards_.size();
-}
+    : entries_(options.capacity) {}
 
 CachedRecipe ShardedRecipeCache::get_or_compute(
     const std::string& key, const std::function<CachedRecipe()>& compute,
     bool* computed) {
-  Shard& shard = *shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (CachedRecipe* hit = shard.entries.get(key)) {
-    ++shard.hits;
+  std::unique_lock<std::mutex> lock(mu_);
+  if (CachedRecipe* hit = entries_.get(key)) {
+    ++hits_;
     if (computed) *computed = false;
     return *hit;
   }
-  ++shard.misses;
+  if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
+    ++hits_;
+    const std::shared_future<CachedRecipe> pending = it->second;
+    lock.unlock();
+    if (computed) *computed = false;
+    return pending.get();
+  }
+  ++misses_;
+  std::promise<CachedRecipe> result;
+  in_flight_.emplace(key, result.get_future().share());
+  lock.unlock();
+
   if (computed) *computed = true;
-  return shard.entries.put(key, compute());
+  CachedRecipe recipe;
+  try {
+    recipe = compute();
+  } catch (...) {
+    lock.lock();
+    in_flight_.erase(key);
+    lock.unlock();
+    result.set_exception(std::current_exception());
+    throw;
+  }
+  // The insert and the erase happen under one lock, so a lookup sees the
+  // key either in flight or resident, never absent in between.
+  lock.lock();
+  entries_.put(key, recipe);
+  in_flight_.erase(key);
+  lock.unlock();
+  result.set_value(recipe);
+  return recipe;
 }
 
-double ShardedRecipeCache::latency_or_compute(
-    const std::string& key, const std::function<CachedRecipe()>& compute,
-    bool* computed) {
-  Shard& shard = *shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (CachedRecipe* hit = shard.entries.get(key)) {
-    ++shard.hits;
-    if (computed) *computed = false;
-    return hit->latency_us;
-  }
-  ++shard.misses;
-  if (computed) *computed = true;
-  return shard.entries.put(key, compute()).latency_us;
+std::optional<double> ShardedRecipeCache::latency_if_cached(
+    const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const CachedRecipe* hit = entries_.get(key);
+  if (hit == nullptr) return std::nullopt;
+  ++hits_;
+  return hit->latency_us;
 }
 
 bool ShardedRecipeCache::contains(const std::string& key) {
-  Shard& shard = *shards_[shard_of(key)];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.entries.get(key) != nullptr;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.get(key) != nullptr;
 }
 
 RecipeCacheStats ShardedRecipeCache::stats() const {
-  RecipeCacheStats s;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.evictions += shard->entries.evictions();
-    s.size += shard->entries.size();
-  }
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return RecipeCacheStats{hits_, misses_, entries_.evictions(),
+                          entries_.size()};
 }
 
 std::size_t ShardedRecipeCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->entries.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 void ShardedRecipeCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.clear();
 }
 
 }  // namespace ios

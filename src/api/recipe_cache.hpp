@@ -1,25 +1,24 @@
 #pragma once
 // ShardedRecipeCache: the thread-safe store of optimized schedules an
-// ios::Optimizer owns — one shard (a plain strict LRU) for a standalone
-// Optimizer, N independently locked shards for the serving engine's, whose
-// front-end threads resolving different configurations then never contend
-// on one lock. A lookup miss runs the caller-supplied compute function (a
-// search) while holding only that key's shard lock — misses on *different*
-// shards search in parallel, and a second thread asking for the same key
-// blocks until the first thread's result is cached, so every configuration
-// is searched at most once.
+// ios::Optimizer owns — one strict-LRU map behind one mutex, with
+// single-flight misses. A miss registers an in-flight entry for its key,
+// releases the lock, and runs the caller-supplied compute function (a
+// search); a second thread asking for that key waits on the entry instead
+// of searching again, so every configuration is searched at most once per
+// residency, while lookups and misses of other keys proceed. The lock is
+// held only for one lookup or one insert, never across a search. (The name
+// predates the single map; it is kept so callers compile unchanged.)
 //
-// Eviction policy: per shard, strict least-recently-used with a fixed
-// capacity (see util/lru_cache.hpp). Keys are distributed over shards by a
-// mixed 64-bit hash of the key string, so total capacity is
-// num_shards * shard_capacity.
+// Eviction policy: strict least-recently-used with a fixed total capacity
+// (see util/lru_cache.hpp).
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <future>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "core/scheduler.hpp"
 #include "schedule/schedule.hpp"
@@ -42,83 +41,71 @@ struct CachedRecipe {
   std::int64_t measurements = 0;
 };
 
-/// Sizing knobs for the sharded cache.
+/// Sizing of the recipe store.
 struct RecipeCacheOptions {
-  /// Number of independently locked shards (clamped to >= 1).
-  std::size_t num_shards = 8;
-  /// Max entries per shard; the LRU entry of a full shard is evicted first.
-  std::size_t shard_capacity = 64;
+  /// Max resident entries (clamped to >= 1); an insert into a full store
+  /// evicts the least-recently-used entry first.
+  std::size_t capacity = 512;
 };
 
-/// Cumulative cache counters, aggregated over all shards.
+/// Cumulative store counters.
 struct RecipeCacheStats {
-  std::int64_t hits = 0;       ///< lookups answered from a shard
-  std::int64_t misses = 0;     ///< lookups that had to run compute()
-  std::int64_t evictions = 0;  ///< entries dropped by per-shard LRU
-  std::size_t size = 0;        ///< resident entries across all shards
+  std::int64_t hits = 0;       ///< lookups that did not run compute()
+  std::int64_t misses = 0;     ///< lookups that ran compute()
+  std::int64_t evictions = 0;  ///< entries dropped by the LRU
+  std::size_t size = 0;        ///< resident entries
 };
 
-/// Thread-safe bounded schedule store: N independently locked shards, each
-/// a strict-LRU map (see the file comment for the full contract).
+/// Thread-safe bounded schedule store: one strict-LRU map, one mutex, and
+/// one in-flight entry per key being computed (see the file comment).
 class ShardedRecipeCache {
  public:
-  /// Creates `options.num_shards` empty shards.
+  /// Creates an empty store holding at most `options.capacity` entries.
   explicit ShardedRecipeCache(RecipeCacheOptions options = {});
 
-  /// Returns the cached recipe for `key`, running `compute` to fill the
-  /// entry on a miss. The shard lock is held across compute(), so a given
-  /// key is computed at most once even under concurrent lookups; lookups
-  /// hashing to other shards proceed concurrently. compute() must not
-  /// re-enter the cache. Returns a copy (the entry may be evicted any time
-  /// after the call returns). When `computed` is non-null it is set to
-  /// whether this call ran compute() — callers sharing the cache use it to
+  /// Returns the stored recipe for `key`, running `compute` outside the
+  /// lock to fill the entry on a miss. A lookup of a key whose compute() is
+  /// running counts as a hit and waits for that result — or rethrows its
+  /// exception, after which the next lookup computes again. compute() must
+  /// not look up its own key. Returns a copy (the entry may be evicted any
+  /// time after the call returns). When `computed` is non-null it is set to
+  /// whether this call ran compute() — callers sharing the store use it to
   /// keep their own hit/miss counts without racing on the global counters.
   CachedRecipe get_or_compute(const std::string& key,
                               const std::function<CachedRecipe()>& compute,
                               bool* computed = nullptr);
 
-  /// get_or_compute, but returning only the entry's latency_us. The serving
-  /// hot path dispatches one batch per lookup and needs its service time,
-  /// not a copy of the whole Schedule.
-  double latency_or_compute(const std::string& key,
-                            const std::function<CachedRecipe()>& compute,
-                            bool* computed = nullptr);
+  /// The resident entry's latency_us, counted as a hit and promoted to
+  /// most-recently-used; nullopt, counting nothing, when `key` is not
+  /// resident (including while it is being computed). The serving hot path
+  /// peeks here and needs the batch service time, not a copy of the whole
+  /// Schedule.
+  std::optional<double> latency_if_cached(const std::string& key);
 
-  /// True if `key` is resident (promotes it to most-recently-used).
+  /// True if `key` is resident (promotes it to most-recently-used; counts
+  /// nothing).
   bool contains(const std::string& key);
 
-  /// Aggregated hit/miss/eviction counters and resident size.
+  /// Hit/miss/eviction counters and resident size.
   RecipeCacheStats stats() const;
 
-  /// Resident entries across all shards.
+  /// Resident entries.
   std::size_t size() const;
 
-  /// Number of independently locked shards.
-  std::size_t num_shards() const { return shards_.size(); }
+  /// Max resident entries before LRU eviction.
+  std::size_t capacity() const { return entries_.capacity(); }
 
-  /// Max entries per shard before LRU eviction.
-  std::size_t shard_capacity() const { return shard_capacity_; }
-
-  /// The shard index `key` hashes to (exposed for shard-independence tests).
-  std::size_t shard_of(const std::string& key) const;
-
-  /// Drops every entry; counters are kept.
+  /// Drops every resident entry; counters and in-flight computes are kept.
   void clear();
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    LruCache<CachedRecipe> entries;
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-
-    explicit Shard(std::size_t capacity) : entries(capacity) {}
-  };
-
-  std::size_t shard_capacity_;
-  /// unique_ptr because Shard owns a mutex and must not move when the
-  /// vector is built.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  LruCache<CachedRecipe> entries_;
+  /// Keys whose compute() is running, with the result their waiters read.
+  std::unordered_map<std::string, std::shared_future<CachedRecipe>>
+      in_flight_;
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
 };
 
 }  // namespace ios

@@ -83,11 +83,8 @@ void apply_daemon_option(DaemonOptions& options, const std::string& key,
     }
   } else if (key == "max_queue_delay_us") {
     options.serving.batching.max_queue_delay_us = value.as_number();
-  } else if (key == "shards") {
-    options.serving.cache.num_shards =
-        static_cast<std::size_t>(config_int(key, value, 1));
   } else if (key == "capacity") {
-    options.serving.cache.shard_capacity =
+    options.serving.cache.capacity =
         static_cast<std::size_t>(config_int(key, value, 1));
   } else if (key == "profile_db") {
     options.serving.profile_db = value.as_string();
@@ -181,7 +178,7 @@ void apply_daemon_option(DaemonOptions& options, const std::string& key,
     throw std::runtime_error(
         "daemon config: unknown key '" + key +
         "'; known keys: port device devices workers batch_sizes "
-        "max_queue_delay_us shards capacity profile_db prewarm "
+        "max_queue_delay_us capacity profile_db prewarm "
         "prewarm_threads max_pending time_scale io_threads slo "
         "default_slo_us default_priority shed shed_slack "
         "starvation_limit_us adaptive idle_timeout_us write_timeout_us "
@@ -230,8 +227,9 @@ Daemon::Daemon(DaemonOptions options)
     adaptive_ = std::make_unique<serve::AdaptiveController>(
         engine_.options().adaptive, engine_);
   }
-  const std::vector<std::string> models = models::model_names();
-  known_models_.insert(models.begin(), models.end());
+  for (const std::string& model : models::model_names()) {
+    known_models_.try_emplace(model);
+  }
   if (options_.fault.any()) {
     fault_ = std::make_unique<FaultInjector>(options_.fault);
   }
@@ -559,12 +557,25 @@ void Daemon::handle_request(const std::shared_ptr<Connection>& conn,
 
   // Validate the model before it reaches the engine: an unknown name must
   // be one failed request, not an exception inside a shared batch.
-  if (known_models_.find(request.model) == known_models_.end()) {
+  const auto known = known_models_.find(request.model);
+  if (known == known_models_.end()) {
     protocol_errors_.fetch_add(1);
     write_response(
         conn, format_response(error_response(
                   request.id, unknown_name_message("model", request.model,
                                                    models::model_names()))));
+    return;
+  }
+  // Warm the model up once, off engine_mu_ (see the file comment); later
+  // requests for it wait here until it is warm.
+  try {
+    std::call_once(known->second, [&] {
+      engine_.prewarm({request.model}, options_.prewarm_threads);
+    });
+  } catch (const std::exception& e) {
+    rejected_.fetch_add(1);
+    write_response(conn,
+                   format_response(error_response(request.id, e.what())));
     return;
   }
 
@@ -803,8 +814,10 @@ void Daemon::executor_loop(int worker) {
       response.queue_us = batch.record.start_us - member.arrival_us;
       response.service_us = batch.record.service_us;
       response.wall_latency_us = clock_.now_us() - pending.wall_admitted_us;
-      write_response(pending.conn, format_response(response));
+      // Counted before the write: a client that has read its answer and
+      // then asks for stats must find it counted.
       completed_.fetch_add(1);
+      write_response(pending.conn, format_response(response));
     }
   }
 }

@@ -14,6 +14,14 @@
 //   * a batcher thread that sleeps until the engine's next flush deadline
 //     and polls it, so wall-clock time drives exactly the deadline flushes
 //     the DES simulates;
+//   * warm-up on first sight: a model's first request resolves its recipes
+//     (every configured batch size and device class) on its io thread, off
+//     the engine lock, before admission, so a cold model's searches never
+//     run inside submit or poll and stall other models' traffic. Limits: a
+//     deadline flush of a queue shorter than the smallest configured batch
+//     size still resolves lazily under the lock (never with the default
+//     sizes {1,2,4,8}), and requests on the same connection behind a cold
+//     model's warm-up wait for it;
 //   * one executor thread per engine worker, replaying each routed batch
 //     (optionally occupying wall time for its service latency — the
 //     simulated device, made temporal) and writing responses;
@@ -32,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -96,10 +103,10 @@ struct DaemonOptions {
 };
 
 /// Applies one daemon config key to `options`: port, device, devices (pool
-/// spec string), workers, batch_sizes (array), max_queue_delay_us, shards,
-/// capacity, profile_db, prewarm (array of model names), prewarm_threads,
-/// max_pending, time_scale, io_threads, slo (object: model name -> SLO in
-/// us, or -> {"slo_us": n, "priority": p}), default_slo_us,
+/// spec string), workers, batch_sizes (array), max_queue_delay_us, capacity
+/// (recipe-store entries), profile_db, prewarm (array of model names),
+/// prewarm_threads, max_pending, time_scale, io_threads, slo (object: model
+/// name -> SLO in us, or -> {"slo_us": n, "priority": p}), default_slo_us,
 /// default_priority, shed (bool), shed_slack, starvation_limit_us, adaptive
 /// (bool), idle_timeout_us, write_timeout_us, max_line_bytes, chaos (bool),
 /// stuck_grace_us, watchdog_interval_us, fault (object: seed,
@@ -107,7 +114,7 @@ struct DaemonOptions {
 /// daemon and serve flags go through it too. Throws std::runtime_error
 /// naming the key on an unknown key, a wrong type, a fraction where an
 /// integer is due, or a value out of range: port outside [0, 65535];
-/// workers, batch sizes, shards, capacity, max_pending or io_threads below
+/// workers, batch sizes, capacity, max_pending or io_threads below
 /// 1; time_scale or max_line_bytes below 0.
 void apply_daemon_option(DaemonOptions& options, const std::string& key,
                          const JsonValue& value);
@@ -258,7 +265,9 @@ class Daemon {
   /// serving.adaptive.enabled). io threads feed arrivals, executors feed
   /// SLO outcomes, the batcher runs due re-plans off the request path.
   std::unique_ptr<serve::AdaptiveController> adaptive_;
-  std::set<std::string> known_models_;  ///< admission-time model validation
+  /// Admission-time model validation: every zoo model, each with the flag
+  /// of its one warm-up (see the file comment).
+  std::map<std::string, std::once_flag> known_models_;
 
   std::optional<ListenSocket> listener_;
   int wake_pipe_[2] = {-1, -1};  ///< stop() -> accept loop

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -186,34 +187,29 @@ std::string ServingEngine::cache_key(const std::string& model, int batch,
          config_key_part_;
 }
 
-CachedRecipe ServingEngine::optimize_config(const std::string& model,
-                                            int batch,
-                                            const std::string& device) {
+double ServingEngine::resolve_latency(const std::string& model, int batch,
+                                      std::size_t cls, bool* computed) {
+  if (const std::optional<double> latency =
+          cache().latency_if_cached(cache_key(model, batch, cls))) {
+    if (computed) *computed = false;
+    return *latency;
+  }
   OptimizationRequest request =
-      OptimizationRequest::for_model(model, device, batch);
+      OptimizationRequest::for_model(model, classes_[cls].device, batch);
   request.options = options_.scheduler;
   request.protocol = options_.protocol;
   request.profile_db = options_.profile_db;
   request.cross_reuse = options_.cross_reuse;
   request.baselines.clear();  // serving needs the schedule, not comparisons
-  // search(), not optimize(): the store lookup calling us holds this key's
-  // shard lock, and optimize() would take it again.
-  const OptimizationResult result = optimizer_.search(request);
-  {
+  const OptimizationResult result = optimizer_.optimize(request);
+  // Another caller may have filled the entry since the peek.
+  if (computed) *computed = !result.cache_hit;
+  if (!result.cache_hit) {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.optimizations;
     counters_.measurements += result.new_measurements;
   }
-  return CachedRecipe{result.schedule, result.latency_us, result.stats,
-                      result.new_measurements};
-}
-
-double ServingEngine::resolve_latency(const std::string& model, int batch,
-                                      std::size_t cls, bool* computed) {
-  return cache().latency_or_compute(
-      cache_key(model, batch, cls),
-      [&] { return optimize_config(model, batch, classes_[cls].device); },
-      computed);
+  return result.latency_us;
 }
 
 void ServingEngine::prewarm(const std::vector<std::string>& models,

@@ -37,7 +37,9 @@
 // Threading: submit/poll/drain/reset mutate queue and worker state and must
 // be externally serialized (the DES is single-threaded; the daemon wraps
 // them in one mutex). prewarm, counters(), cache(), optimizer(), and
-// options() are safe to call concurrently with each other.
+// options() are safe to call concurrently with each other and with those
+// four: prewarm reads only construction-time state and the recipe store, so
+// the daemon and the adaptive re-plan run it off the engine lock.
 
 #include <cstdint>
 #include <deque>
@@ -489,16 +491,13 @@ class ServingEngine {
     const SloClass* slo = nullptr;
   };
 
-  /// The service latency of (model, batch) on worker class `cls`, from the
-  /// recipe store, searching on a miss — the per-batch hot path, which must
-  /// not copy a Schedule per dispatch.
+  /// The service latency of (model, batch) on worker class `cls`: a peek
+  /// at the recipe store — the per-batch hot path, which must not copy a
+  /// Schedule per dispatch — and on a miss an optimize() through the
+  /// engine's Optimizer, accounted in the lifetime counters when it
+  /// searched. `computed` is set to whether this call searched.
   double resolve_latency(const std::string& model, int batch, std::size_t cls,
                          bool* computed = nullptr);
-
-  /// Searches (model, batch) on `device` and accounts it in the lifetime
-  /// counters — the compute function behind resolve_latency.
-  CachedRecipe optimize_config(const std::string& model, int batch,
-                               const std::string& device);
 
   /// The cache key for (model, batch) on worker class `cls` under this
   /// engine's options (serving_cache_key with the constant device/config

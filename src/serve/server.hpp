@@ -46,7 +46,7 @@ struct ServerStats {
   std::int64_t batches = 0;        ///< total batches executed
   std::int64_t optimizations = 0;  ///< recipe-cache misses -> Optimizer runs
   std::int64_t measurements = 0;   ///< cost-model profiles those runs took
-  RecipeCacheStats cache;          ///< live sharded-cache counters
+  RecipeCacheStats cache;          ///< live recipe-store counters
 };
 
 /// The simulated-clock serving front end: a DES adapter replaying request
@@ -83,7 +83,7 @@ class Server {
   void prewarm(const std::vector<std::string>& models, int threads = 1);
 
   /// Lifetime counters: requests/batches served, Optimizer invocations, and
-  /// the sharded cache's hit/miss/eviction counters.
+  /// the recipe store's hit/miss/eviction counters.
   ServerStats stats() const;
 
   /// The recipe store this server resolves schedules through.

@@ -38,8 +38,8 @@ inline std::uint64_t hash_bytes(std::string_view s) {
 /// low bits of the same mix — selecting shards by those bits would leave
 /// every key within a shard agreeing on its home-slot residue and degrade
 /// open-addressing probes into long linear runs.
-constexpr std::size_t shard_index(std::uint64_t key, std::size_t num_shards) {
-  return static_cast<std::size_t>(mix64(key) >> 32) % num_shards;
+constexpr std::size_t shard_index(std::uint64_t key, std::size_t shards) {
+  return static_cast<std::size_t>(mix64(key) >> 32) % shards;
 }
 
 /// Canonical fingerprint of a stage-shaped value: a strategy tag combined

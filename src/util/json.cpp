@@ -350,11 +350,17 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) fail("invalid value");
+    // The whole token must be the number: std::stod alone reads "2-1" as 2.
+    const std::string token(text_.substr(start, pos_ - start));
+    std::size_t used = 0;
+    double value = 0;
     try {
-      return JsonValue(std::stod(std::string(text_.substr(start, pos_ - start))));
+      value = std::stod(token, &used);
     } catch (const std::exception&) {
       fail("invalid number");
     }
+    if (used != token.size()) fail("invalid number");
+    return JsonValue(value);
   }
 
   std::string_view text_;

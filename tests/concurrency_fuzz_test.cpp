@@ -3,7 +3,7 @@
 // (LruCache), and the serving layer's ShardedRecipeCache. Each sweep drives
 // the container with a seeded random operation sequence and cross-checks
 // every observable against a trivially correct reference model
-// (std::unordered_map / a list-based reference LRU); the sharded cache is
+// (std::unordered_map / a list-based reference LRU); the recipe store is
 // additionally hammered from many threads, where its contract (each key
 // computed at most once per residency, values never torn) must hold for
 // every interleaving.
@@ -234,7 +234,7 @@ CachedRecipe recipe_for_key(const std::string& key) {
 TEST(ShardedCacheFuzz, EachKeyComputedOnceWithoutEvictions) {
   // Capacity far above the key universe: no evictions, so the contract is
   // exactly one compute per key no matter the interleaving.
-  ShardedRecipeCache cache(RecipeCacheOptions{8, 64});
+  ShardedRecipeCache cache(RecipeCacheOptions{512});
   constexpr int kKeys = 48;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 3000;
@@ -274,10 +274,10 @@ TEST(ShardedCacheFuzz, EachKeyComputedOnceWithoutEvictions) {
 }
 
 TEST(ShardedCacheFuzz, EvictionSweepsNeverTearValues) {
-  // Tiny shards force constant eviction and recomputation; values must
+  // A tiny store forces constant eviction and recomputation; values must
   // still always be the key's deterministic recipe, and the counters must
   // reconcile: every miss inserts, so misses == evictions + resident.
-  ShardedRecipeCache cache(RecipeCacheOptions{4, 4});
+  ShardedRecipeCache cache(RecipeCacheOptions{16});
   constexpr int kKeys = 64;
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
@@ -291,8 +291,11 @@ TEST(ShardedCacheFuzz, EvictionSweepsNeverTearValues) {
         const std::string key =
             "config-" + std::to_string(rng.uniform_int(kKeys));
         bool computed = false;
-        const double latency = cache.latency_or_compute(
-            key, [&] { return recipe_for_key(key); }, &computed);
+        const double latency =
+            cache
+                .get_or_compute(
+                    key, [&] { return recipe_for_key(key); }, &computed)
+                .latency_us;
         if (latency != recipe_for_key(key).latency_us) failures.fetch_add(1);
       }
     });
@@ -319,13 +322,14 @@ TEST(ShardedCacheFuzz, SeededOpSequenceIsReproducible) {
     for (int i = 0; i < 2000; ++i) {
       const std::string key =
           "config-" + std::to_string(rng.uniform_int(40));
-      observed.push_back(cache.latency_or_compute(
-          key, [&] { return recipe_for_key(key); }));
+      observed.push_back(
+          cache.get_or_compute(key, [&] { return recipe_for_key(key); })
+              .latency_us);
     }
     return observed;
   };
-  ShardedRecipeCache a(RecipeCacheOptions{4, 8});
-  ShardedRecipeCache b(RecipeCacheOptions{4, 8});
+  ShardedRecipeCache a(RecipeCacheOptions{32});
+  ShardedRecipeCache b(RecipeCacheOptions{32});
   EXPECT_EQ(run(a), run(b));
   EXPECT_EQ(a.stats().hits, b.stats().hits);
   EXPECT_EQ(a.stats().misses, b.stats().misses);

@@ -80,7 +80,9 @@ echo "e2e_daemon: --max-line-bytes -1 rejected"
 # worker count), a switch that is not 0|1 (shedding silently off), a zero
 # watchdog interval (the watchdog thread spun a core), a NaN queue delay
 # (partial batches never flushed, and the summary counted unserved
-# requests as served), and a non-0|1 --print on another command.
+# requests as served), a non-0|1 --print on another command, and a number
+# token that is not all number, as a flag or in a config file (--batch 2-1
+# optimized batch 2; {"workers": 2-1} started 2 workers).
 expect_rejected() {
   local name=$1
   shift
@@ -97,6 +99,10 @@ expect_rejected "watchdog[-_]interval[-_]us" \
 expect_rejected "--max-delay-us" \
   serve --models fig3 --requests 10 --max-delay-us nan
 expect_rejected "--print" optimize --model fig3 --print true
+expect_rejected "--batch" optimize --model fig3 --batch 2-1
+printf '{"workers": 2-1}\n' >"$WORKDIR/bad_number.json"
+expect_rejected "invalid number" \
+  daemon --port 0 --config "$WORKDIR/bad_number.json"
 echo "e2e_daemon: unknown flags and bad values rejected"
 
 # ---------------------------------------------------------------------------

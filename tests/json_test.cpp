@@ -66,6 +66,12 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(JsonValue::parse("\"unterminated"), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("tru"), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("1 2"), std::runtime_error);
+  // A number consumes its whole token: these once parsed as 2, 100000,
+  // 1.5 and {"workers": 2}.
+  EXPECT_THROW(JsonValue::parse("2-1"), std::runtime_error);
+  EXPECT_THROW(JsonValue::parse("1e5e5"), std::runtime_error);
+  EXPECT_THROW(JsonValue::parse("1.5.5"), std::runtime_error);
+  EXPECT_THROW(JsonValue::parse(R"({"workers": 2-1})"), std::runtime_error);
 }
 
 TEST(Json, KindMismatchThrows) {

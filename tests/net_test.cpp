@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <optional>
 #include <set>
@@ -150,7 +152,6 @@ TEST(DaemonConfig, ParsesEveryKnownKey) {
     "workers": 3,
     "batch_sizes": [1, 4, 8],
     "max_queue_delay_us": 750,
-    "shards": 4,
     "capacity": 16,
     "profile_db": "db.json",
     "prewarm": ["fig3", "fig5"],
@@ -165,8 +166,7 @@ TEST(DaemonConfig, ParsesEveryKnownKey) {
   EXPECT_EQ(options.serving.batching.batch_sizes,
             (std::vector<int>{1, 4, 8}));
   EXPECT_EQ(options.serving.batching.max_queue_delay_us, 750);
-  EXPECT_EQ(options.serving.cache.num_shards, 4u);
-  EXPECT_EQ(options.serving.cache.shard_capacity, 16u);
+  EXPECT_EQ(options.serving.cache.capacity, 16u);
   EXPECT_EQ(options.serving.profile_db, "db.json");
   EXPECT_EQ(options.prewarm_models,
             (std::vector<std::string>{"fig3", "fig5"}));
@@ -178,6 +178,9 @@ TEST(DaemonConfig, ParsesEveryKnownKey) {
 
 TEST(DaemonConfig, UnknownKeysAreRejected) {
   EXPECT_THROW(daemon_options_from_json(JsonValue::parse(R"({"prot":1})")),
+               std::runtime_error);
+  // The recipe store has no shards to size.
+  EXPECT_THROW(daemon_options_from_json(JsonValue::parse(R"({"shards":4})")),
                std::runtime_error);
   EXPECT_THROW(daemon_options_from_json(JsonValue::parse("[]")),
                std::runtime_error);
@@ -197,7 +200,7 @@ TEST(DaemonConfig, OutOfRangeValuesAreRejectedByName) {
   rejects("port", "70000");
   rejects("port", "-1");
   for (const char* key :
-       {"workers", "shards", "capacity", "max_pending", "io_threads"}) {
+       {"workers", "capacity", "max_pending", "io_threads"}) {
     rejects(key, "0");
     rejects(key, "-1");
   }
@@ -218,11 +221,11 @@ TEST(DaemonConfig, OutOfRangeValuesAreRejectedByName) {
 
   // The bounds themselves are accepted; max_line_bytes 0 means unlimited.
   const DaemonOptions edge = daemon_options_from_json(JsonValue::parse(R"({
-    "port": 65535, "workers": 1, "shards": 1, "capacity": 1,
+    "port": 65535, "workers": 1, "capacity": 1,
     "max_pending": 1, "io_threads": 1, "time_scale": 0, "max_line_bytes": 0
   })"));
   EXPECT_EQ(edge.port, 65535);
-  EXPECT_EQ(edge.serving.cache.num_shards, 1u);
+  EXPECT_EQ(edge.serving.cache.capacity, 1u);
   EXPECT_EQ(edge.time_scale, 0);
   EXPECT_EQ(edge.max_line_bytes, 0u);
 }
@@ -422,6 +425,86 @@ TEST(DaemonTest, AdaptiveReplansRunBesideIoAndExecutorThreads) {
   EXPECT_EQ(stats.admitted, 40);
   EXPECT_EQ(stats.completed, stats.admitted);
   EXPECT_GE(stats.replans, 1);
+}
+
+// A cold model's first request resolves its recipes on its own io thread,
+// off the engine lock, so a warm stream on another connection keeps flowing
+// while the cold model searches (one nasnet configuration searches for
+// hundreds of milliseconds). Round trips are timed by the clients:
+// wall_latency_us starts at admission, so it would miss a wait for the
+// engine lock in front of it.
+TEST(DaemonTest, ColdModelWarmUpDoesNotStallOtherConnections) {
+  using Clock = std::chrono::steady_clock;
+  const auto micros = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  DaemonOptions options = test_daemon_options();
+  options.prewarm_models = {"fig3"};
+  options.prewarm_threads = 1;
+  Daemon daemon(options);
+  daemon.start();
+  Socket warm = Socket::connect_to("127.0.0.1", daemon.port());
+  Socket cold = Socket::connect_to("127.0.0.1", daemon.port());
+
+  std::atomic<bool> cold_answered{false};
+  double cold_round_trip_us = 0;
+  std::thread cold_client([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    WireRequest request;
+    request.id = 1;
+    request.model = "nasnet";
+    const Clock::time_point sent = Clock::now();
+    cold.write_all(format_request(request) + "\n");
+    std::string line;
+    if (cold.read_line(line)) {
+      cold_round_trip_us = micros(Clock::now() - sent);
+      const WireResponse response = parse_response(line);
+      EXPECT_TRUE(response.ok) << response.error;
+      EXPECT_EQ(response.id, 1);
+    }
+    cold_answered.store(true);
+  });
+
+  // The warm stream: one fig3 request every 2.5 ms, each answered before
+  // the next is sent, until 20 requests after the cold answer (or a bound
+  // that only a hung daemon reaches).
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(120);
+  double warm_max_us = 0;
+  int warm_sent = 0;
+  int after_cold = 0;
+  Clock::time_point next = Clock::now();
+  while (after_cold < 20 && Clock::now() < give_up) {
+    if (cold_answered.load()) ++after_cold;
+    WireRequest request;
+    request.id = 100 + warm_sent++;
+    request.model = "fig3";
+    const Clock::time_point sent = Clock::now();
+    warm.write_all(format_request(request) + "\n");
+    std::string line;
+    if (!warm.read_line(line)) {
+      ADD_FAILURE() << "the warm connection closed";
+      break;
+    }
+    warm_max_us = std::max(warm_max_us, micros(Clock::now() - sent));
+    const WireResponse response = parse_response(line);
+    EXPECT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.id, request.id);
+    next += std::chrono::microseconds(2500);
+    std::this_thread::sleep_until(next);
+  }
+  daemon.stop();
+  cold_client.join();
+
+  EXPECT_GT(cold_round_trip_us, 0) << "the cold request got no answer";
+  EXPECT_LT(warm_max_us, cold_round_trip_us / 4)
+      << "the warm stream stalled behind the cold model's search";
+  std::string extra;
+  EXPECT_FALSE(warm.read_line(extra)) << "second answer: " << extra;
+  EXPECT_FALSE(cold.read_line(extra)) << "second answer: " << extra;
+  const DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.admitted, warm_sent + 1);
+  EXPECT_EQ(stats.completed, stats.admitted);
+  EXPECT_EQ(stats.rejected, 0);
 }
 
 TEST(DaemonTest, StopIsIdempotentAndDestructorIsSafe) {

@@ -273,8 +273,7 @@ TEST(Server, StatsExposeCacheHitMissCounters) {
 TEST(Server, TinyCacheEvictsAndReoptimizes) {
   ServerOptions options = small_options();
   options.batching.batch_sizes = {1};
-  options.cache.num_shards = 1;
-  options.cache.shard_capacity = 1;
+  options.cache.capacity = 1;
   Server server(options);
 
   Trace trace;

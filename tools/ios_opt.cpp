@@ -78,7 +78,7 @@ constexpr const char kUsage[] =
     "  evaluate   execute a saved recipe\n"
     "             --recipe FILE [--device NAME] [--batch N]\n"
     "  serve      replay a synthetic request trace through the\n"
-    "             dynamic batcher + sharded recipe cache\n"
+    "             dynamic batcher + recipe store\n"
     "             --models a,b,... | --device NAME |\n"
     "             --devices POOL (e.g. v100,k80x2; device-aware\n"
     "             routing, overrides --device/--workers) |\n"
@@ -87,7 +87,7 @@ constexpr const char kUsage[] =
     "             --phases N@RATE,... (non-stationary trace;\n"
     "             overrides --requests/--rate) |\n"
     "             --batch-sizes a,b,... | --max-delay-us T |\n"
-    "             --shards N | --capacity N | --prewarm 0|1 |\n"
+    "             --capacity N (stored recipes) | --prewarm 0|1 |\n"
     "             --profile-db FILE | --cross-reuse 0|1 |\n"
     "             --slo model=SLO_US[:PRIORITY],... |\n"
     "             --default-slo-us T | --default-priority N |\n"
@@ -99,7 +99,8 @@ constexpr const char kUsage[] =
     "             --models a,b,... (prewarm) | --device NAME |\n"
     "             --devices POOL | --workers N |\n"
     "             --batch-sizes a,b,... | --max-delay-us T |\n"
-    "             --shards N | --capacity N | --profile-db FILE |\n"
+    "             --capacity N (stored recipes) |\n"
+    "             --profile-db FILE |\n"
     "             --max-pending N | --time-scale X |\n"
     "             --io-threads N | --prewarm-threads N |\n"
     "             --slo model=SLO_US[:PRIORITY],... |\n"
@@ -312,7 +313,6 @@ constexpr OptionFlag kOptionFlags[] = {
     {"workers", "workers", number_value, false},
     {"batch-sizes", "batch_sizes", numbers_json, false},
     {"max-delay-us", "max_queue_delay_us", number_value, false},
-    {"shards", "shards", number_value, false},
     {"capacity", "capacity", number_value, false},
     {"profile-db", "profile_db", text_json, false},
     {"slo", "slo", slo_json, false},
