@@ -246,19 +246,23 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
   request.options.validate();
   const DeviceSpec device = device_by_name(request.device);
   // Bind the graph by reference: a for_graph request must not deep-copy the
-  // graph on the store-hit serving path.
+  // graph on the store-hit serving path. A zoo request's key needs no
+  // graph, so its model is built only by a miss or for a baseline.
   std::optional<Graph> built;
-  const Graph& g =
-      request.graph
-          ? *request.graph
-          : built.emplace(models::build_model(request.model, request.batch));
+  const auto graph = [&]() -> const Graph& {
+    if (request.graph) return *request.graph;
+    if (!built) {
+      built.emplace(models::build_model(request.model, request.batch));
+    }
+    return *built;
+  };
   const ExecConfig config{device, KernelModelParams{}};
 
   // A zoo request shares the serving engine's key, so the engine's lookups
   // and a planner optimizing through the engine's Optimizer fill one entry.
   const std::string key =
-      request.graph ? request_cache_key(g, device.name, request.options,
-                                        request.protocol)
+      request.graph ? request_cache_key(*request.graph, device.name,
+                                        request.options, request.protocol)
                     : serving_cache_key(request.model, device.name,
                                         request.batch, request.options,
                                         request.protocol);
@@ -269,6 +273,7 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
   // builds one only when a baseline needs it.
   std::optional<CostModel> cost_model;
   const auto search_graph = [&] {
+    const Graph& g = graph();
     CostModel& cost = cost_model.emplace(g, config, request.protocol);
     if (request.cross_reuse) {
       // Throws under a noisy protocol — reused latencies must equal what
@@ -331,6 +336,7 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
   }
 
   if (!request.baselines.empty()) {
+    const Graph& g = graph();
     std::optional<Executor> hit_executor;
     const Executor& executor = cost_model ? cost_model->executor()
                                           : hit_executor.emplace(g, config);
@@ -341,13 +347,13 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
     }
   }
 
-  result.recipe.model = request.graph ? g.name() : request.model;
+  result.recipe.model = request.graph ? request.graph->name() : request.model;
   result.recipe.device = device.name;
-  result.recipe.batch = g.batch();
+  result.recipe.batch = request.graph ? request.graph->batch() : request.batch;
   result.recipe.variant = request.options.variant;
   result.recipe.pruning = request.options.pruning;
   result.recipe.schedule = result.schedule;
-  if (request.graph) result.recipe.graph = g;
+  if (request.graph) result.recipe.graph = *request.graph;
   return result;
 }
 

@@ -146,6 +146,121 @@ std::vector<std::vector<Set64>> BlockDag::down_sets() const {
   return levels;
 }
 
+BlockDag::DownSetIndex BlockDag::down_set_index() const {
+  DownSetIndex index;
+  for (const std::vector<Set64>& level : down_sets()) {
+    index.level_begin.push_back(static_cast<std::uint32_t>(index.size()));
+    for (const Set64 d : level) index.sets.push_back(d.bits());
+  }
+  index.level_begin.push_back(static_cast<std::uint32_t>(index.size()));
+
+  FlatMap64<std::uint32_t> id_of(index.size());
+  for (std::uint32_t id = 0; id < index.size(); ++id) {
+    id_of.try_emplace(index.sets[id], id);
+  }
+  index.top.reserve(index.size());
+  index.child_begin.reserve(index.size() + 1);
+  for (const std::uint64_t bits : index.sets) {
+    const Set64 d{bits};
+    Set64 top;
+    for (int u : d) {
+      if (!succ_mask(u).intersects(d)) top.insert(u);
+    }
+    index.top.push_back(top.bits());
+    index.child_begin.push_back(static_cast<std::uint32_t>(index.child.size()));
+    // Removing an op with no successor in D leaves a down-set.
+    for (int u : top) {
+      index.child.push_back(*id_of.find((d - Set64::single(u)).bits()));
+    }
+  }
+  index.child_begin.push_back(static_cast<std::uint32_t>(index.child.size()));
+  return index;
+}
+
+namespace {
+
+/// The ending trie's builder: one DFS shaped like visit_rec, which gives a
+/// node's children contiguous ids before descending into them.
+struct TrieBuilder {
+  const BlockDag& dag;
+  BlockDag::EndingTrie& trie;
+  std::vector<Set64> anc;  ///< op -> its ancestors
+  Set64 rows[64][64];      ///< component lists by depth, as in visit_rec
+
+  /// Merges u into the components `comps` that touch it, writing the
+  /// untouched ones to `next`; returns the merged component.
+  Set64 merge(int u, const Set64* comps, int ncomps, Set64* next,
+              int& nnext) const {
+    Set64 merged = Set64::single(u);
+    const Set64 adj = dag.adj_mask(u);
+    for (int c = 0; c < ncomps; ++c) {
+      if (comps[c].intersects(adj)) {
+        merged |= comps[c];
+      } else if (next != nullptr) {
+        next[nnext++] = comps[c];
+      }
+    }
+    return merged;
+  }
+
+  /// Fills in node `node`, the ending `chosen` of `depth` ops whose smallest
+  /// member is `below`, with ancestors `chosen_anc` and components `comps`.
+  void build(std::uint32_t node, Set64 chosen, Set64 chosen_anc, int below,
+             const Set64* comps, int ncomps, int depth) {
+    if (depth >= trie.max_ops) return;
+    Set64 kids;
+    for (int u = 0; u < below; ++u) {
+      // chosen + {u} is convex unless a path from u reaches a member through
+      // an op outside it (no path runs from a member down to u). The path's
+      // first op after u is then outside and reaches a member: were it
+      // inside, the rest of the path would be too, chosen being convex.
+      if (dag.succ_mask(u).intersects(chosen_anc - chosen)) continue;
+      int unused = 0;
+      if (merge(u, comps, ncomps, nullptr, unused).size() >
+          trie.max_group_ops) {
+        continue;
+      }
+      kids.insert(u);
+    }
+    const auto first = static_cast<std::uint32_t>(trie.size());
+    trie.child_mask[node] = kids.bits();
+    trie.first_child[node] = first;
+    trie.child_mask.resize(trie.size() + static_cast<std::size_t>(kids.size()));
+    trie.first_child.resize(trie.child_mask.size());
+    std::uint32_t child = first;
+    for (int u : kids) {
+      Set64* next = rows[depth];
+      int nnext = 0;
+      const Set64 merged = merge(u, comps, ncomps, next, nnext);
+      next[nnext++] = merged;
+      build(child++, chosen | Set64::single(u),
+            chosen_anc | anc[static_cast<std::size_t>(u)], u, next, nnext,
+            depth + 1);
+    }
+  }
+};
+
+}  // namespace
+
+BlockDag::EndingTrie BlockDag::ending_trie(int max_ops,
+                                           int max_group_ops) const {
+  EndingTrie trie;
+  trie.max_ops = max_ops;
+  trie.max_group_ops = max_group_ops;
+  trie.child_mask.push_back(0);
+  trie.first_child.push_back(0);
+  TrieBuilder builder{*this, trie, {}, {}};
+  // Ancestor closure: predecessors have lower indices.
+  builder.anc.resize(static_cast<std::size_t>(n_));
+  for (int i = 0; i < n_; ++i) {
+    Set64 a = pred_mask(i);
+    for (int j : pred_mask(i)) a |= builder.anc[static_cast<std::size_t>(j)];
+    builder.anc[static_cast<std::size_t>(i)] = a;
+  }
+  builder.build(0, Set64{}, Set64{}, n_, nullptr, 0, 0);
+  return trie;
+}
+
 int BlockDag::width() const {
   // Transitive closure by descending local index (successors first).
   std::vector<Set64> closure(static_cast<std::size_t>(n_));

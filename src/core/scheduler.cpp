@@ -1,7 +1,7 @@
 #include "core/scheduler.hpp"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -134,17 +134,10 @@ IosScheduler::IosScheduler(CostModel& cost, SchedulerOptions options,
 SearchEngine IosScheduler::resolved_engine() const {
   if (options_.engine != SearchEngine::kAuto) return options_.engine;
   if (!options_.memoize) return SearchEngine::kSerial;
-  // Pruned modes exist only in the wave engine.
-  if (options_.prune != PruneMode::kExact) return SearchEngine::kWave;
-  // Both engines hold O(states) memory, and a single-worker wave search is
-  // somewhat faster. Single-threaded callers (the serving prewarm among
-  // them) still get the recursive engine, so their search path and timing
-  // stay what the serving benchmarks have measured;
-  // SearchEngine.AutoResolvesByMemoizationAndWorkers pins the choice. The
-  // schedule is identical either way.
-  const int workers = options_.num_threads > 0 ? options_.num_threads
-                                               : ThreadPool::hardware_threads();
-  return workers > 1 ? SearchEngine::kWave : SearchEngine::kSerial;
+  // The wave engine is faster at every worker count, and only it runs the
+  // pruned modes. The serial engine stays the exactness reference and the
+  // memoize=false ablation. The schedule is identical either way.
+  return SearchEngine::kWave;
 }
 
 Stage IosScheduler::concurrent_stage(const BlockDag& dag,
@@ -336,20 +329,22 @@ double IosScheduler::solve(BlockContext& ctx, Set64 s, SchedulerStats* stats) {
 namespace {
 
 /// A transition the beam search keeps between its two passes: 16 bytes. The
-/// stage build is not stored — the cost pass re-reads it from the frozen
-/// ending stripes for the one argmin choice per state.
+/// stage build is not stored — the cost pass re-reads it from the ending
+/// store for the one argmin choice per state.
 struct WaveTransition {
   std::uint64_t ending = 0;
   double latency_us = 0;
 };
 
 /// A surviving ending of a dominance-mode state: its lower bound on the
-/// state's total through it (stage floor plus the exact sub-state cost) and
-/// its position among the state's surviving endings, the tie-break.
+/// state's total through it (stage floor plus the exact sub-state cost), its
+/// position among the state's surviving endings (the tie-break), its trie
+/// node, and the down-set id it leaves.
 struct DominanceCandidate {
   double bound = 0;
   std::uint32_t index = 0;
-  std::uint64_t ending = 0;
+  std::uint32_t node = 0;
+  std::uint32_t sub = 0;
 };
 
 /// An admissible lower bound ("floor") on the remaining-schedule latency of
@@ -547,176 +542,30 @@ bool scan_ending(const PruningStrategy& pruning, const PruneFloor& floor,
 /// dominated the level's own work.
 constexpr std::size_t kSerialLevelCutoff = 24;
 
-/// Below this many fresh entries, EndingStripes::drain runs on the calling
-/// thread, as small levels do: the migration is then too short to be worth
-/// waking pool helpers.
-constexpr std::size_t kDrainInlineBelow = 4096;
-
 }  // namespace
 
-/// Lock-striped ending cache shared by the worker threads of one block's
-/// wave search. Each stripe holds two generations: fresh entries in a
-/// locked table, and a frozen shard that is never written during a
-/// parallel phase and is therefore read without any lock. At each of the
-/// wave engine's serial points drain() migrates every stripe's fresh
-/// entries into its own frozen shard, the stripes spread over the pool.
-/// Most repeat lookups are cross-level — an ending evaluated once recurs
-/// under most states of every later wave — so after the first level the
-/// hot hit path takes no stripe lock at all. A lookup holds its stripe's
-/// lock only around the fresh-table lookup/insert, never across the
-/// measurement, so stripes stay available while stages simulate; two
-/// threads racing on the same uncached ending both evaluate it
-/// (deterministically) and the first insert wins.
-struct IosScheduler::EndingStripes {
-  static constexpr std::size_t kStripes = 32;  // power of two
-
-  /// A frozen slot; key 0 marks it empty (an ending is never empty).
-  struct FrozenSlot {
-    std::uint64_t key = 0;
-    EndingEval eval;
-  };
-  /// Every stripe's frozen shard in one slot array, written only by
-  /// drain(): stripe i owns the frozen_cap slots from i * frozen_cap, an
-  /// open-addressing table probed linearly from the low bits of the key's
-  /// hash (shard_index picks the stripe from the high bits). A growth step
-  /// is then one allocation, as for a single table: 32 separately growing
-  /// tables left enough heap holes to raise a warm optimize's peak RSS by
-  /// ~3%.
-  std::vector<FrozenSlot> frozen;
-  std::size_t frozen_cap = 0;  ///< slots per shard: 0 or a power of two
-
-  /// Aligned so the writers' lock and fresh table share no cache line with
-  /// the frozen array's header, which every lookup reads.
-  struct alignas(64) Stripe {
-    std::mutex mu;
-    FlatMap64<EndingEval> fresh;
-    std::size_t frozen_size = 0;        ///< entries in this stripe's shard
-    std::int64_t frozen_unpruned = 0;   ///< of which not pruned
-  };
-  std::array<Stripe, kStripes> stripes;
-  /// False when the whole search runs on the calling thread — the stripes
-  /// are then only ever touched sequentially and the (per-lookup) lock cost
-  /// would be pure overhead on the serial fast path.
-  bool locked = true;
-
-  explicit EndingStripes(bool locked_) : locked(locked_) {}
-
-  /// The entry for `key` in stripe i's frozen shard, or null.
-  const EndingEval* frozen_find(std::size_t i, std::uint64_t key) const {
-    if (frozen_cap == 0) return nullptr;
-    const FrozenSlot* shard = frozen.data() + i * frozen_cap;
-    const std::size_t mask = frozen_cap - 1;
-    for (std::size_t j = mix64(key) & mask;; j = (j + 1) & mask) {
-      if (shard[j].key == key) return &shard[j].eval;
-      if (shard[j].key == 0) return nullptr;
-    }
+BlockTemplateCache::Stages IosScheduler::memo_stages(
+    const FlatMap64<Entry>& memo, Set64 all) {
+  // Schedule construction (Algorithm 1 L6-11): walk choice[] from the full
+  // set back to the empty set. The walk yields stages last-to-first, so
+  // append and reverse once.
+  BlockTemplateCache::Stages stages;
+  for (Set64 s = all; !s.empty();) {
+    const Entry& e = *memo.find(s.bits());
+    stages.emplace_back(e.choice, static_cast<int>(e.build));
+    s -= Set64{e.choice};
   }
+  std::reverse(stages.begin(), stages.end());
+  return stages;
+}
 
-  /// Inserts `key`, known to be absent, into a shard of `cap` slots.
-  static void frozen_put(FrozenSlot* shard, std::size_t cap,
-                         std::uint64_t key, const EndingEval& eval) {
-    const std::size_t mask = cap - 1;
-    for (std::size_t j = mix64(key) & mask;; j = (j + 1) & mask) {
-      if (shard[j].key == 0) {
-        shard[j] = FrozenSlot{key, eval};
-        return;
-      }
-    }
-  }
-
-  /// The cached evaluation of `ending`, or evaluate()'s result (the
-  /// caller's compute_ending call), cached.
-  template <typename Evaluate>
-  EndingEval get_or_eval(Set64 ending, Evaluate&& evaluate) {
-    const std::uint64_t key = ending.bits();
-    const std::size_t i = shard_index(key, kStripes);
-    if (const EndingEval* hit = frozen_find(i, key)) return *hit;
-    Stripe& stripe = stripes[i];
-    if (!locked) {
-      if (const EndingEval* hit = stripe.fresh.find(key)) return *hit;
-      return *stripe.fresh.try_emplace(key, evaluate()).first;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      if (const EndingEval* hit = stripe.fresh.find(key)) return *hit;
-    }
-    const EndingEval eval = evaluate();
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    return *stripe.fresh.try_emplace(key, eval).first;
-  }
-
-  /// Lock-free lookup for after discovery, when the stripes are quiescent
-  /// (no writer runs concurrently with the cost pass). The key must have
-  /// been evaluated; returns null otherwise.
-  const EndingEval* find_frozen(std::uint64_t key) const {
-    const std::size_t i = shard_index(key, kStripes);
-    if (const EndingEval* hit = frozen_find(i, key)) return hit;
-    return stripes[i].fresh.find(key);
-  }
-
-  /// Migrates every fresh entry into its stripe's frozen shard, one stripe
-  /// per task on `threads` workers (inline when few entries are fresh),
-  /// first growing every shard to what the fullest stripe needs. Only the
-  /// wave engine calls this, between its parallel phases; after the call,
-  /// lookups of everything evaluated so far are lock-free. Because drains
-  /// happen only at serial points, the frozen contents after each level
-  /// are deterministic regardless of thread count.
-  void drain(int threads) {
-    std::size_t added = 0;
-    std::size_t fullest = 0;
-    for (const Stripe& stripe : stripes) {
-      added += stripe.fresh.size();
-      fullest = std::max(fullest, stripe.frozen_size + stripe.fresh.size());
-    }
-    if (added == 0) return;
-    // The flat tables' load limit: at most 70% of the slots in use.
-    std::size_t cap = std::max<std::size_t>(frozen_cap, 16);
-    while (fullest * 10 > cap * 7) cap <<= 1;
-    std::vector<FrozenSlot> grown;
-    if (cap != frozen_cap) grown.resize(kStripes * cap);
-    parallel_for(kStripes, added < kDrainInlineBelow ? 1 : threads,
-                 [&](std::size_t i) {
-      Stripe& stripe = stripes[i];
-      FrozenSlot* shard = nullptr;
-      if (grown.empty()) {
-        shard = &frozen[i * cap];
-      } else {
-        shard = &grown[i * cap];
-        for (std::size_t j = 0; j < frozen_cap; ++j) {
-          const FrozenSlot& old = frozen[i * frozen_cap + j];
-          if (old.key != 0) frozen_put(shard, cap, old.key, old.eval);
-        }
-      }
-      stripe.fresh.for_each([&](std::uint64_t key, const EndingEval& eval) {
-        frozen_put(shard, cap, key, eval);
-        if (!eval.pruned) ++stripe.frozen_unpruned;
-      });
-      stripe.frozen_size += stripe.fresh.size();
-      stripe.fresh.clear_retain();
-    });
-    if (!grown.empty()) {
-      frozen.swap(grown);
-      frozen_cap = cap;
-    }
-  }
-
-  /// Distinct non-pruned endings evaluated. Single-threaded use only, after
-  /// a drain() with no evaluation since.
-  std::int64_t distinct_unpruned() const {
-    std::int64_t n = 0;
-    for (const Stripe& stripe : stripes) n += stripe.frozen_unpruned;
-    return n;
-  }
-};
-
-double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
+BlockTemplateCache::Template IosScheduler::solve_wave(const BlockDag& dag,
+                                                      SchedulerStats* stats) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const BlockDag& dag = ctx.dag;
-  FlatMap64<Entry>& memo = ctx.memo;
   const PruneMode mode = options_.prune;
-  const int beam_width = options_.beam_width;  // read in kBeam only
+  if (mode == PruneMode::kBeam) return solve_beam(dag, stats);
   const int n = dag.size();
-  if (n == 0) return 0;
+  if (n == 0) return {};
   const int max_ops = options_.pruning.unrestricted()
                           ? 64
                           : options_.pruning.r * options_.pruning.s;
@@ -725,23 +574,277 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
   const int threads = options_.num_threads;
   const int workers =
       threads <= 0 ? ThreadPool::hardware_threads() : threads;
-  EndingStripes endings(/*locked=*/workers > 1);
   PruneFloor floor;
-  if (mode != PruneMode::kExact) {
+  if (mode == PruneMode::kDominance) {
     floor = make_prune_floor(dag, cost_, options_.pruning, options_.variant);
   }
 
-  std::int64_t transitions = 0;    // endings visited that P(r, s) kept
-  std::int64_t pruned_calls = 0;   // endings visited that P(r, s) cut
-  std::int64_t pruned_states = 0;  // dominance: states with >= 1 skip
-  std::int64_t trimmed = 0;        // endings cut unevaluated (beam keep-set
-                                   // or dominance argmin bound)
-  std::int64_t lazy_evals = 0;     // dominance: ending lookups
-  double min_cut = kInf;  // beam: min f + h over trim points; kInf = no cut
+  // The states are the block's down-sets (predecessor-closed op sets), in
+  // popcount levels: an ending strictly shrinks its state, so the levels
+  // are a topological order of the DP. Every down-set D is reached: in a
+  // down-set S above D, the highest op of S - D has no successor in S (D is
+  // closed under predecessors), so its singleton is an ending — one group
+  // of one op, which P(r, s) never cuts (r, s >= 1) and IOS-Merge runs
+  // sequentially — and removing such singletons walks from the full set
+  // down to D. Nothing else is reached: removing an ending E from a
+  // down-set S leaves a down-set, because E is closed under in-S
+  // successors, so no op left in S - E has a predecessor in E.
+  // search_engine_test pins the state count to a brute-force down-set
+  // count.
+  const BlockDag::DownSetIndex downs = dag.down_set_index();
+  const BlockDag::EndingTrie trie = dag.ending_trie(max_ops, max_group_ops);
+
+  // Per trie node, its ending's stage latency — NaN until first evaluated,
+  // +inf when P(r, s)'s group count cuts it — and its stage build. Both are
+  // read and written through relaxed atomic_refs: two threads that meet
+  // the same fresh ending both evaluate it and store the same values, and
+  // the cost model counts one measurement. The build is read only after
+  // the pass, when every store is visible.
+  constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> latency(trie.size(), kUnknown);
+  std::vector<std::uint8_t> build(trie.size(), 0);
+  const auto latency_of = [&](std::uint32_t node, Set64 ending,
+                              const Set64* comps, int ncomps) {
+    const std::atomic_ref<double> slot(latency[node]);
+    double l = slot.load(std::memory_order_relaxed);
+    if (std::isnan(l)) {
+      const EndingEval eval = compute_ending(dag, ending, comps, ncomps);
+      l = eval.pruned ? kInf : eval.latency_us;
+      std::atomic_ref<std::uint8_t>(build[node])
+          .store(static_cast<std::uint8_t>(eval.build),
+                 std::memory_order_relaxed);
+      slot.store(l, std::memory_order_relaxed);
+    }
+    return l;
+  };
+  // Dominance mode's stage floor per trie node, filled the same way (+inf:
+  // cut by the group count). It depends on the ending alone: the enumerator
+  // adds an ending's ops in one order from every state, so it hands over
+  // the same component list each time.
+  std::vector<double> stage_floor;
+  if (mode == PruneMode::kDominance) stage_floor.assign(trie.size(), kUnknown);
+  const auto stage_floor_of = [&](std::uint32_t node, Set64 ending,
+                                  const Set64* comps, int ncomps) {
+    const std::atomic_ref<double> slot(stage_floor[node]);
+    double lb = slot.load(std::memory_order_relaxed);
+    if (std::isnan(lb)) {
+      if (scan_ending(options_.pruning, floor, ending, comps, ncomps, &lb)) {
+        lb = kInf;
+      }
+      slot.store(lb, std::memory_order_relaxed);
+    }
+    return lb;
+  };
+
+  // Per down-set, its cost and argmin: the chosen ending's trie node and
+  // the id it leaves. Only the state's own task writes them, and the
+  // level's parallel_for join publishes them to the later levels.
+  struct Choice {
+    std::uint32_t node = 0;
+    std::uint32_t sub = 0;
+  };
+  std::vector<double> cost(downs.size(), 0.0);  // cost[0]: the empty set
+  std::vector<Choice> choice(downs.size());
+
+  // Per-worker scratch and counters, indexed by parallel_for's slot.
+  struct WorkerScratch {
+    std::vector<DominanceCandidate> candidates;
+    std::int64_t transitions = 0;    // endings visited that P(r, s) kept
+    std::int64_t pruned = 0;         // endings visited that P(r, s) cut
+    std::int64_t evals = 0;          // dominance: latency look-ups
+    std::int64_t pruned_states = 0;  // dominance: states with >= 1 skip
+    std::int64_t trimmed = 0;        // dominance: endings cut unevaluated
+  };
+  std::vector<WorkerScratch> scratch(
+      static_cast<std::size_t>(std::max(1, workers)));
+
+  // ---- One ascending pass (popcount ascending) ---------------------------
+  // Each state reads its sub-states' costs from strictly lower levels and
+  // keeps the first minimum in enumeration order (strict <) — the serial
+  // engine's tie-break.
+  //  * Exact mode enumerates the state's endings and evaluates each on the
+  //    spot; no transition is stored.
+  //  * Dominance mode collects each surviving ending with its admissible
+  //    stage floor plus the exact sub-state cost, a lower bound on its
+  //    total. It then evaluates the candidates cheapest-bound-first and
+  //    stops once the bound alone exceeds the best total found — a skipped
+  //    candidate provably cannot beat (or tie) the running best, so the
+  //    argmin, its tie-break and the found latency are bit-identical to
+  //    exact mode while many stages are never simulated at all.
+  for (int p = 1; p <= n; ++p) {
+    const std::uint32_t first = downs.level_begin[static_cast<std::size_t>(p)];
+    const std::size_t cnt =
+        downs.level_begin[static_cast<std::size_t>(p) + 1] - first;
+    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
+      const auto id = static_cast<std::uint32_t>(first + i);
+      WorkerScratch& sc = scratch[static_cast<std::size_t>(slot)];
+      double best = kInf;
+      Choice pick;
+      std::int64_t transitions = 0;
+      std::int64_t pruned = 0;
+      if (mode == PruneMode::kExact) {
+        dag.visit_endings(
+            downs, id, trie,
+            [&](Set64 ending, const Set64* comps, int ncomps,
+                std::uint32_t node, std::uint32_t sub) {
+              const double l = latency_of(node, ending, comps, ncomps);
+              if (l == kInf) {
+                ++pruned;
+                return;
+              }
+              ++transitions;
+              const double total = l + cost[sub];
+              if (total < best) {
+                best = total;
+                pick = {node, sub};
+              }
+            });
+      } else {
+        std::vector<DominanceCandidate>& cands = sc.candidates;
+        cands.clear();
+        dag.visit_endings(
+            downs, id, trie,
+            [&](Set64 ending, const Set64* comps, int ncomps,
+                std::uint32_t node, std::uint32_t sub) {
+              const double lb = stage_floor_of(node, ending, comps, ncomps);
+              if (lb == kInf) {
+                ++pruned;
+                return;
+              }
+              cands.push_back({lb + cost[sub],
+                               static_cast<std::uint32_t>(cands.size()), node,
+                               sub});
+            });
+        transitions = static_cast<std::int64_t>(cands.size());
+        // A min-heap on (bound, index): the evaluation below usually stops
+        // long before the last candidate, so popping them in order is
+        // cheaper than sorting them all.
+        const auto after = [](const DominanceCandidate& a,
+                              const DominanceCandidate& b) {
+          if (a.bound != b.bound) return a.bound > b.bound;
+          return a.index > b.index;
+        };
+        std::make_heap(cands.begin(), cands.end(), after);
+        const std::uint64_t s = downs.sets[id];
+        std::uint32_t best_index = std::numeric_limits<std::uint32_t>::max();
+        std::int64_t evals = 0;
+        for (auto end = cands.end(); end != cands.begin(); --end) {
+          std::pop_heap(cands.begin(), end, after);
+          const DominanceCandidate& c = *(end - 1);
+          // Strictly above the running best: this candidate can neither
+          // beat nor tie it, and it has the least bound left, so every
+          // remaining candidate is out too. Ties (bound == best) are still
+          // evaluated so the enumeration-order tie-break sees every minimal
+          // one.
+          if (c.bound > best || !std::isfinite(c.bound)) break;
+          const double l =
+              latency_of(c.node, Set64{s & ~downs.sets[c.sub]}, nullptr, 0);
+          ++evals;
+          if (l == kInf) continue;  // scan_ending already excluded these
+          const double total = l + cost[c.sub];
+          if (total < best || (total == best && c.index < best_index)) {
+            best = total;
+            pick = {c.node, c.sub};
+            best_index = c.index;
+          }
+        }
+        sc.evals += evals;
+        if (evals < transitions) {
+          sc.trimmed += transitions - evals;
+          ++sc.pruned_states;
+        }
+      }
+      sc.transitions += transitions;
+      sc.pruned += pruned;
+      if (!std::isfinite(best)) {
+        throw std::logic_error(
+            "no feasible ending found for a non-empty state");
+      }
+      cost[id] = best;
+      choice[id] = pick;
+    }, kSerialLevelCutoff);
+  }
+
+  if (stats) {
+    WorkerScratch total;
+    for (const WorkerScratch& sc : scratch) {
+      total.transitions += sc.transitions;
+      total.pruned += sc.pruned;
+      total.evals += sc.evals;
+      total.pruned_states += sc.pruned_states;
+      total.trimmed += sc.trimmed;
+    }
+    // The distinct surviving endings evaluated; every other look-up of a
+    // surviving ending is a cache hit. That is every transition in exact
+    // mode, as the serial engine counts them, and only the evaluated
+    // candidates in dominance mode.
+    std::int64_t distinct = 0;
+    for (const double l : latency) distinct += std::isfinite(l) ? 1 : 0;
+    stats->states += static_cast<std::int64_t>(downs.size()) - 1;
+    stats->transitions += total.transitions;
+    stats->pruned_endings += total.pruned;
+    stats->cache_hits +=
+        (mode == PruneMode::kDominance ? total.evals : total.transitions) -
+        distinct;
+    stats->pruned_states += total.pruned_states;
+    stats->beam_trimmed += total.trimmed;
+  }
+
+  // Schedule construction: walk the choices from the full set (the last
+  // id) down to the empty one (id 0), then put the stages first-to-last.
+  BlockTemplateCache::Template tpl;
+  for (auto id = static_cast<std::uint32_t>(downs.size() - 1); id != 0;
+       id = choice[id].sub) {
+    const Choice c = choice[id];
+    tpl.stages.emplace_back(downs.sets[id] & ~downs.sets[c.sub],
+                            static_cast<int>(build[c.node]));
+  }
+  std::reverse(tpl.stages.begin(), tpl.stages.end());
+  return tpl;
+}
+
+BlockTemplateCache::Template IosScheduler::solve_beam(const BlockDag& dag,
+                                                      SchedulerStats* stats) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const int beam_width = options_.beam_width;
+  const int n = dag.size();
+  if (n == 0) return {};
+  const int max_ops = options_.pruning.unrestricted()
+                          ? 64
+                          : options_.pruning.r * options_.pruning.s;
+  const int max_group_ops =
+      options_.pruning.unrestricted() ? 64 : options_.pruning.r;
+  const int threads = options_.num_threads;
+  const int workers =
+      threads <= 0 ? ThreadPool::hardware_threads() : threads;
+  const PruneFloor floor =
+      make_prune_floor(dag, cost_, options_.pruning, options_.variant);
+
+  // The ending store: one table behind one mutex, which look-ups and
+  // inserts hold and evaluations run outside of. Two threads that meet the
+  // same fresh ending both evaluate it (deterministically) and the first
+  // insert wins. A reached state evaluates at most beam_width + 1 endings,
+  // too few to build a trie for.
+  std::mutex endings_mu;
+  FlatMap64<EndingEval> endings;
+  const auto evaluate = [&](Set64 ending) {
+    {
+      std::lock_guard<std::mutex> lock(endings_mu);
+      if (const EndingEval* hit = endings.find(ending.bits())) return *hit;
+    }
+    const EndingEval eval = compute_ending(dag, ending);
+    std::lock_guard<std::mutex> lock(endings_mu);
+    return *endings.try_emplace(ending.bits(), eval).first;
+  };
+
+  std::int64_t transitions = 0;   // endings kept that P(r, s) kept
+  std::int64_t pruned_calls = 0;  // endings kept that P(r, s) cut
+  std::int64_t trimmed = 0;       // endings cut unevaluated by the keep set
+  double min_cut = kInf;  // min f + h over trim points; kInf = no cut
 
   // Per-worker scratch, indexed by parallel_for's slot and reused across
-  // levels: the beam discovery's successor dedup and collect-then-select
-  // enumeration, and the dominance mode's candidate list.
+  // levels: the discovery's successor dedup and collect-then-select
+  // enumeration.
   struct WorkerScratch {
     // Successors met this level, each with its minimum prefix cost via
     // this worker's states.
@@ -749,32 +852,16 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
     std::vector<std::uint64_t> fresh;  // the keys of met, to fold
     std::vector<std::uint64_t> collected;
     std::vector<std::uint32_t> kept;
-    std::vector<DominanceCandidate> candidates;
   };
   std::vector<WorkerScratch> scratch(
       static_cast<std::size_t>(std::max(1, workers)));
 
-  // The DP states bucketed by popcount, each level ascending by mask.
-  // Popcount levels are a topological order of the DP dependency graph:
-  // an ending strictly shrinks its state.
-  //
-  // Exact and dominance mode reach exactly the block's non-empty down-sets
-  // (predecessor-closed op sets), so they generate them directly instead of
-  // discovering them. Every down-set D is reached: in a down-set S above D,
-  // the highest op of S - D has no successor in S (D is closed under
-  // predecessors), so its singleton is an ending — one group of one op,
-  // which P(r, s) never cuts (r, s >= 1) and IOS-Merge runs sequentially —
-  // and removing such singletons walks from the full set down to D.
-  // Nothing else is reached: removing an ending E from a down-set S leaves
-  // a down-set, because E is closed under in-S successors, so no op left in
-  // S - E has a predecessor in E. search_engine_test pins the state count
-  // to a brute-force down-set count.
-  //
-  // Beam mode discovers its states top-down instead: which states it
-  // reaches depends on each state's keep set, and its gap bound on the
-  // prefix costs. It keeps only the transitions it will replay, at most
-  // beam_width + 1 per state, in per-level, per-worker vectors.
-  std::vector<std::vector<Set64>> levels;
+  // The states bucketed by popcount, each level ascending by mask. Which
+  // states the beam reaches depends on each state's keep set, and its gap
+  // bound on the prefix costs, so it discovers them top-down. It keeps only
+  // the transitions it will replay, at most beam_width + 1 per state, in
+  // per-level, per-worker vectors.
+  std::vector<std::vector<Set64>> levels(static_cast<std::size_t>(n) + 1);
   struct BeamSpan {
     std::uint32_t slot = 0;  // the worker vector holding the transitions
     std::uint32_t offset = 0;
@@ -784,358 +871,228 @@ double IosScheduler::solve_wave(BlockContext& ctx, SchedulerStats* stats) {
     std::vector<std::vector<WaveTransition>> by_slot;
     std::vector<BeamSpan> spans;  // per state
   };
-  std::vector<BeamLevel> beam;
-  std::size_t total_states = 0;
+  std::vector<BeamLevel> beam(static_cast<std::size_t>(n) + 1);
 
-  if (mode != PruneMode::kBeam) {
-    levels = dag.down_sets();
-    for (int p = 1; p <= n; ++p) {
-      total_states += levels[static_cast<std::size_t>(p)].size();
-    }
-  } else {
-    // ---- Beam discovery (popcount descending) ---------------------------
-    // Each state evaluates its kept endings, fanned out across the level's
-    // states, and meets their successors. fcost[S] is the cheapest known
-    // prefix cost from the full set down to S. Each worker keeps its own
-    // minimum per successor while a level runs, and the serial step folds
-    // those minima in. Since endings strictly shrink states, every
-    // transition into S comes from a strictly higher level, so fcost[S] is
-    // final before S's level expands. The floor supplies the admissible
-    // remainder bound h(S); min over trim points of f + h is the certified
-    // lower bound behind latency_gap_bound_us. Each level is sorted by
-    // state bits before it expands, so level contents are deterministic
-    // regardless of thread count.
-    levels.resize(static_cast<std::size_t>(n) + 1);
-    beam.resize(static_cast<std::size_t>(n) + 1);
-    levels[static_cast<std::size_t>(n)].push_back(dag.all());
-    FlatSet64 seen;
-    seen.insert(dag.all().bits());
-    FlatMap64<double> fcost;
-    fcost.try_emplace(dag.all().bits(), 0.0);
-    for (int p = n; p >= 1; --p) {
-      std::vector<Set64>& level = levels[static_cast<std::size_t>(p)];
-      if (level.empty()) continue;
-      std::sort(level.begin(), level.end(),
-                [](Set64 a, Set64 b) { return a.bits() < b.bits(); });
-      const std::size_t cnt = level.size();
-      BeamLevel& kept = beam[static_cast<std::size_t>(p)];
-      kept.by_slot.resize(scratch.size());
-      kept.spans.resize(cnt);
-      std::vector<std::int32_t> pruned_per_state(cnt, 0);
-      std::vector<std::int32_t> trimmed_per_state(cnt, 0);
+  // ---- Discovery (popcount descending) -----------------------------------
+  // Each state evaluates its kept endings, fanned out across the level's
+  // states, and meets their successors. fcost[S] is the cheapest known
+  // prefix cost from the full set down to S. Each worker keeps its own
+  // minimum per successor while a level runs, and the serial step folds
+  // those minima in. Since endings strictly shrink states, every transition
+  // into S comes from a strictly higher level, so fcost[S] is final before
+  // S's level expands. The floor supplies the admissible remainder bound
+  // h(S); min over trim points of f + h is the certified lower bound behind
+  // latency_gap_bound_us. Each level is sorted by state bits before it
+  // expands, so level contents are deterministic regardless of thread
+  // count.
+  levels[static_cast<std::size_t>(n)].push_back(dag.all());
+  FlatSet64 seen;
+  seen.insert(dag.all().bits());
+  FlatMap64<double> fcost;
+  fcost.try_emplace(dag.all().bits(), 0.0);
+  for (int p = n; p >= 1; --p) {
+    std::vector<Set64>& level = levels[static_cast<std::size_t>(p)];
+    if (level.empty()) continue;
+    std::sort(level.begin(), level.end(),
+              [](Set64 a, Set64 b) { return a.bits() < b.bits(); });
+    const std::size_t cnt = level.size();
+    BeamLevel& kept = beam[static_cast<std::size_t>(p)];
+    kept.by_slot.resize(scratch.size());
+    kept.spans.resize(cnt);
+    std::vector<std::int32_t> pruned_per_state(cnt, 0);
+    std::vector<std::int32_t> trimmed_per_state(cnt, 0);
 
-      parallel_for(cnt, threads, [&](int slot, std::size_t i) {
-        const Set64 s = level[i];
-        WorkerScratch& sc = scratch[static_cast<std::size_t>(slot)];
-        std::vector<WaveTransition>& out =
-            kept.by_slot[static_cast<std::size_t>(slot)];
-        const std::size_t offset = out.size();
-        const double* f = fcost.find(s.bits());
-        const double f_here = f ? *f : 0;
+    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
+      const Set64 s = level[i];
+      WorkerScratch& sc = scratch[static_cast<std::size_t>(slot)];
+      std::vector<WaveTransition>& out =
+          kept.by_slot[static_cast<std::size_t>(slot)];
+      const std::size_t offset = out.size();
+      const double* f = fcost.find(s.bits());
+      const double f_here = f ? *f : 0;
 
-        // Keeps a surviving ending and meets its successor. Every
-        // successor, seen or not: its prefix bound may still drop.
-        const auto eval_one = [&](std::uint64_t bits) {
-          const EndingEval eval = endings.get_or_eval(
-              Set64{bits}, [&] { return compute_ending(dag, Set64{bits}); });
-          if (eval.pruned) {
-            ++pruned_per_state[i];
-            return;
-          }
-          out.push_back({bits, eval.latency_us});
-          const std::uint64_t sub = s.bits() & ~bits;
-          if (sub == 0) return;
-          const double via = f_here + eval.latency_us;
-          const auto [fsub, first] = sc.met.try_emplace(sub, via);
-          if (first) {
-            sc.fresh.push_back(sub);
-          } else if (via < *fsub) {
-            *fsub = via;
-          }
+      // Keeps a surviving ending and meets its successor. Every successor,
+      // seen or not: its prefix bound may still drop.
+      const auto eval_one = [&](std::uint64_t bits) {
+        const EndingEval eval = evaluate(Set64{bits});
+        if (eval.pruned) {
+          ++pruned_per_state[i];
+          return;
+        }
+        out.push_back({bits, eval.latency_us});
+        const std::uint64_t sub = s.bits() & ~bits;
+        if (sub == 0) return;
+        const double via = f_here + eval.latency_us;
+        const auto [fsub, first] = sc.met.try_emplace(sub, via);
+        if (first) {
+          sc.fresh.push_back(sub);
+        } else if (via < *fsub) {
+          *fsub = via;
+        }
+      };
+
+      // Collect every ending without evaluating, then keep the beam: the
+      // `beam_width` best under (popcount desc, enumeration index asc) —
+      // bigger endings mean fewer stages — plus the safety valve, the
+      // singleton of the state's topologically last op. The valve is always
+      // enumerated (excluding everything else is legal), never P-pruned
+      // (one group of one op), and always feasible, so every state keeps at
+      // least one transition and the DP always completes. The keep set is a
+      // prefix of one fixed total order, so it is nested across widths —
+      // results are monotone in beam_width.
+      sc.collected.clear();
+      dag.visit_endings(s, max_ops, max_group_ops,
+                        [&sc](Set64 ending, const Set64*, int) {
+                          sc.collected.push_back(ending.bits());
+                        });
+      const std::uint32_t total =
+          static_cast<std::uint32_t>(sc.collected.size());
+      if (total <= static_cast<std::uint32_t>(beam_width)) {
+        for (const std::uint64_t bits : sc.collected) eval_one(bits);
+      } else {
+        sc.kept.resize(total);
+        std::iota(sc.kept.begin(), sc.kept.end(), 0u);
+        const std::vector<std::uint64_t>& col = sc.collected;
+        const auto better = [&col](std::uint32_t a, std::uint32_t b) {
+          const int pa = std::popcount(col[a]);
+          const int pb = std::popcount(col[b]);
+          if (pa != pb) return pa > pb;
+          return a < b;
         };
-
-        // Collect every ending without evaluating, then keep the beam: the
-        // `beam_width` best under (popcount desc, enumeration index asc) —
-        // bigger endings mean fewer stages — plus the safety valve, the
-        // singleton of the state's topologically last op. The valve is
-        // always enumerated (excluding everything else is legal), never
-        // P-pruned (one group of one op), and always feasible, so every
-        // state keeps at least one transition and the DP always completes.
-        // The keep set is a prefix of one fixed total order, so it is
-        // nested across widths — results are monotone in beam_width.
-        sc.collected.clear();
-        dag.visit_endings(s, max_ops, max_group_ops,
-                          [&sc](Set64 ending, const Set64*, int) {
-                            sc.collected.push_back(ending.bits());
-                          });
-        const std::uint32_t total =
-            static_cast<std::uint32_t>(sc.collected.size());
-        if (total <= static_cast<std::uint32_t>(beam_width)) {
-          for (const std::uint64_t bits : sc.collected) eval_one(bits);
-        } else {
-          sc.kept.resize(total);
-          std::iota(sc.kept.begin(), sc.kept.end(), 0u);
-          const std::vector<std::uint64_t>& col = sc.collected;
-          const auto better = [&col](std::uint32_t a, std::uint32_t b) {
-            const int pa = std::popcount(col[a]);
-            const int pb = std::popcount(col[b]);
-            if (pa != pb) return pa > pb;
-            return a < b;
-          };
-          std::nth_element(sc.kept.begin(),
-                           sc.kept.begin() + beam_width, sc.kept.end(),
-                           better);
-          sc.kept.resize(static_cast<std::size_t>(beam_width));
-          const int top = 63 - std::countl_zero(s.bits());
-          const std::uint64_t valve = std::uint64_t{1} << top;
-          bool have_valve = false;
-          for (const std::uint32_t j : sc.kept) {
+        std::nth_element(sc.kept.begin(), sc.kept.begin() + beam_width,
+                         sc.kept.end(), better);
+        sc.kept.resize(static_cast<std::size_t>(beam_width));
+        const int top = 63 - std::countl_zero(s.bits());
+        const std::uint64_t valve = std::uint64_t{1} << top;
+        bool have_valve = false;
+        for (const std::uint32_t j : sc.kept) {
+          if (col[j] == valve) {
+            have_valve = true;
+            break;
+          }
+        }
+        if (!have_valve) {
+          for (std::uint32_t j = 0; j < total; ++j) {
             if (col[j] == valve) {
-              have_valve = true;
+              sc.kept.push_back(j);
               break;
             }
           }
-          if (!have_valve) {
-            for (std::uint32_t j = 0; j < total; ++j) {
-              if (col[j] == valve) {
-                sc.kept.push_back(j);
-                break;
-              }
-            }
-          }
-          // Ascending collection index restores enumeration order, keeping
-          // the cost pass's argmin tie-break identical to the serial
-          // engine's.
-          std::sort(sc.kept.begin(), sc.kept.end());
-          trimmed_per_state[i] =
-              static_cast<std::int32_t>(total - sc.kept.size());
-          for (const std::uint32_t j : sc.kept) eval_one(col[j]);
         }
-        kept.spans[i] = BeamSpan{static_cast<std::uint32_t>(slot),
-                                 static_cast<std::uint32_t>(offset),
-                                 static_cast<std::uint32_t>(out.size() -
-                                                            offset)};
-      }, kSerialLevelCutoff);
+        // Ascending collection index restores enumeration order, keeping
+        // the cost pass's argmin tie-break identical to the serial
+        // engine's.
+        std::sort(sc.kept.begin(), sc.kept.end());
+        trimmed_per_state[i] =
+            static_cast<std::int32_t>(total - sc.kept.size());
+        for (const std::uint32_t j : sc.kept) eval_one(col[j]);
+      }
+      kept.spans[i] = BeamSpan{
+          static_cast<std::uint32_t>(slot), static_cast<std::uint32_t>(offset),
+          static_cast<std::uint32_t>(out.size() - offset)};
+    }, kSerialLevelCutoff);
 
-      // Serial step, O(states + workers x new states): statistics, the
-      // gap bound, and the fold of the workers' successors.
-      for (std::size_t i = 0; i < cnt; ++i) {
-        transitions += kept.spans[i].count;
-        pruned_calls += pruned_per_state[i];
-        if (trimmed_per_state[i] > 0) {
-          trimmed += trimmed_per_state[i];
-          // Any schedule reaching this state through a trimmed ending costs
-          // at least f + h; together with the found cost this certifies the
-          // reported gap bound.
-          const double* f = fcost.find(level[i].bits());
-          min_cut = std::min(min_cut, (f ? *f : 0) + floor.eval(level[i]));
-        }
+    // Serial step, O(states + workers x new states): statistics, the gap
+    // bound, and the fold of the workers' successors.
+    for (std::size_t i = 0; i < cnt; ++i) {
+      transitions += kept.spans[i].count;
+      pruned_calls += pruned_per_state[i];
+      if (trimmed_per_state[i] > 0) {
+        trimmed += trimmed_per_state[i];
+        // Any schedule reaching this state through a trimmed ending costs
+        // at least f + h; together with the found cost this certifies the
+        // reported gap bound.
+        const double* f = fcost.find(level[i].bits());
+        min_cut = std::min(min_cut, (f ? *f : 0) + floor.eval(level[i]));
       }
-      for (WorkerScratch& sc : scratch) {
-        for (const std::uint64_t sub : sc.fresh) {
-          const double via = *sc.met.find(sub);
-          const auto [f, first] = fcost.try_emplace(sub, via);
-          if (!first && via < *f) *f = via;
-          if (seen.insert(sub)) {
-            levels[static_cast<std::size_t>(std::popcount(sub))].push_back(
-                Set64{sub});
-          }
-        }
-        sc.fresh.clear();
-        sc.met.clear_retain();
-      }
-      // Freeze this level's fresh endings: every later wave's repeat
-      // lookups of them become lock-free hits.
-      endings.drain(threads);
     }
-    total_states = seen.size();
+    for (WorkerScratch& sc : scratch) {
+      for (const std::uint64_t sub : sc.fresh) {
+        const double via = *sc.met.find(sub);
+        const auto [f, first] = fcost.try_emplace(sub, via);
+        if (!first && via < *f) *f = via;
+        if (seen.insert(sub)) {
+          levels[static_cast<std::size_t>(std::popcount(sub))].push_back(
+              Set64{sub});
+        }
+      }
+      sc.fresh.clear();
+      sc.met.clear_retain();
+    }
   }
 
   // ---- One ascending pass (popcount ascending) ---------------------------
-  // Each state reads its sub-states' costs from strictly lower levels,
-  // frozen in the memo while the level runs, and keeps the first minimum in
-  // enumeration order (strict <) — the serial engine's tie-break.
-  //  * Exact mode enumerates the state's endings and evaluates each on the
-  //    spot, through the shared ending stripes; no transition is stored.
-  //  * Dominance mode collects each surviving ending with its admissible
-  //    stage floor plus the exact sub-state cost, a lower bound on its
-  //    total. It then evaluates the candidates cheapest-bound-first and
-  //    stops once the bound alone exceeds the best total found — a skipped
-  //    candidate provably cannot beat (or tie) the running best, so the
-  //    argmin, its tie-break and the found latency are bit-identical to
-  //    exact mode while many stages are never simulated at all.
-  //  * Beam mode replays its kept transitions. A sub-state may have no
-  //    memo entry (it was cut); such transitions are skipped, and a state
-  //    left with no finite cost simply gets no entry of its own.
-  memo.reserve(total_states);
-  struct Solved {
-    Entry best;
-    std::int32_t transitions = 0;  // exact, dominance: surviving endings
-    std::int32_t pruned = 0;       // exact, dominance: P(r, s)-cut endings
-    std::int32_t evals = 0;        // dominance: endings evaluated
-  };
-  std::vector<Solved> solved;
+  // Each state replays its kept transitions, reading its sub-states' costs
+  // from strictly lower levels, frozen in the memo while the level runs,
+  // and keeps the first minimum in enumeration order (strict <) — the
+  // serial engine's tie-break. A sub-state may have no memo entry (it was
+  // cut); such transitions are skipped, and a state left with no finite
+  // cost simply gets no entry of its own. No writer touches the ending
+  // store any more, so the argmin's build is read from it without a lock.
+  FlatMap64<Entry> memo(seen.size());
+  std::vector<Entry> solved;
   for (int p = 1; p <= n; ++p) {
     std::vector<Set64>& level = levels[static_cast<std::size_t>(p)];
     if (level.empty()) continue;
     const std::size_t cnt = level.size();
-    solved.assign(cnt, Solved{});
-    parallel_for(cnt, threads, [&](int slot, std::size_t i) {
+    const BeamLevel& kept = beam[static_cast<std::size_t>(p)];
+    solved.assign(cnt, Entry{});
+    parallel_for(cnt, threads, [&](int, std::size_t i) {
       const Set64 s = level[i];
-      Solved& r = solved[i];
-      Entry& best = r.best;
+      Entry& best = solved[i];
       best.cost = kInf;
-      // The exact cost of S - ending: a lower-level state, or 0 for the
-      // empty one. Exact and dominance mode always have its entry.
-      const auto sub_cost = [&memo](std::uint64_t sub) {
-        return sub == 0 ? 0.0 : memo.find(sub)->cost;
-      };
-
-      if (mode == PruneMode::kExact) {
-        dag.visit_endings(
-            s, max_ops, max_group_ops,
-            [&](Set64 ending, const Set64* comps, int ncomps) {
-              const EndingEval eval = endings.get_or_eval(ending, [&] {
-                return compute_ending(dag, ending, comps, ncomps);
-              });
-              if (eval.pruned) {
-                ++r.pruned;
-                return;
-              }
-              ++r.transitions;
-              const double total =
-                  eval.latency_us + sub_cost(s.bits() & ~ending.bits());
-              if (total < best.cost) {
-                best.cost = total;
-                best.choice = ending.bits();
-                best.build = eval.build;
-              }
-            });
-      } else if (mode == PruneMode::kDominance) {
-        std::vector<DominanceCandidate>& cands =
-            scratch[static_cast<std::size_t>(slot)].candidates;
-        cands.clear();
-        dag.visit_endings(
-            s, max_ops, max_group_ops,
-            [&](Set64 ending, const Set64* comps, int ncomps) {
-              double lb = 0;
-              if (scan_ending(options_.pruning, floor, ending, comps, ncomps,
-                              &lb)) {
-                ++r.pruned;
-                return;
-              }
-              lb += sub_cost(s.bits() & ~ending.bits());
-              cands.push_back({lb, static_cast<std::uint32_t>(cands.size()),
-                               ending.bits()});
-            });
-        r.transitions = static_cast<std::int32_t>(cands.size());
-        std::sort(cands.begin(), cands.end(),
-                  [](const DominanceCandidate& a, const DominanceCandidate& b) {
-                    if (a.bound != b.bound) return a.bound < b.bound;
-                    return a.index < b.index;
-                  });
-        std::uint32_t best_index = std::numeric_limits<std::uint32_t>::max();
-        for (const DominanceCandidate& c : cands) {
-          // Strictly above the running best: this candidate can neither
-          // beat nor tie it, and the order is sorted, so every remaining
-          // candidate is out too. Ties (bound == best) are still evaluated
-          // so the enumeration-order tie-break sees every minimal one.
-          if (c.bound > best.cost || !std::isfinite(c.bound)) break;
-          const Set64 ending{c.ending};
-          const EndingEval eval = endings.get_or_eval(
-              ending, [&] { return compute_ending(dag, ending); });
-          ++r.evals;
-          if (eval.pruned) continue;  // scan_ending already excluded these
-          const double total =
-              eval.latency_us + sub_cost(s.bits() & ~c.ending);
-          if (total < best.cost ||
-              (total == best.cost && c.index < best_index)) {
-            best.cost = total;
-            best.choice = c.ending;
-            best.build = eval.build;
-            best_index = c.index;
-          }
+      const BeamSpan& span = kept.spans[i];
+      const WaveTransition* tr = kept.by_slot[span.slot].data() + span.offset;
+      for (std::uint32_t t = 0; t < span.count; ++t) {
+        const std::uint64_t sub = s.bits() & ~tr[t].ending;
+        double total = tr[t].latency_us;
+        if (sub != 0) {
+          const Entry* e = memo.find(sub);
+          if (!e) continue;  // the sub-state was cut
+          total += e->cost;
         }
-      } else {
-        const BeamLevel& kept = beam[static_cast<std::size_t>(p)];
-        const BeamSpan& span = kept.spans[i];
-        const WaveTransition* tr =
-            kept.by_slot[span.slot].data() + span.offset;
-        for (std::uint32_t t = 0; t < span.count; ++t) {
-          const std::uint64_t sub = s.bits() & ~tr[t].ending;
-          double total = tr[t].latency_us;
-          if (sub != 0) {
-            const Entry* e = memo.find(sub);
-            if (!e) continue;  // the sub-state was cut
-            total += e->cost;
-          }
-          if (total < best.cost) {
-            best.cost = total;
-            best.choice = tr[t].ending;
-          }
+        if (total < best.cost) {
+          best.cost = total;
+          best.choice = tr[t].ending;
         }
-        if (std::isfinite(best.cost)) {
-          best.build = endings.find_frozen(best.choice)->build;
-        }
-        return;  // a state the cuts left infeasible gets no memo entry
       }
-      if (!std::isfinite(best.cost)) {
-        throw std::logic_error(
-            "no feasible ending found for a non-empty state");
+      if (std::isfinite(best.cost)) {
+        best.build = endings.find(best.choice)->build;
       }
     }, kSerialLevelCutoff);
 
-    // Serial step: the level's costs enter the memo, its counts the totals,
-    // and its fresh endings the frozen stripes, so every later level's
-    // repeat lookups of them are lock-free hits.
+    // Serial step: the level's costs enter the memo.
     for (std::size_t i = 0; i < cnt; ++i) {
-      const Solved& r = solved[i];
-      if (std::isfinite(r.best.cost)) {
-        memo.try_emplace(level[i].bits(), r.best);
-      }
-      transitions += r.transitions;
-      pruned_calls += r.pruned;
-      lazy_evals += r.evals;
-      if (mode == PruneMode::kDominance && r.evals < r.transitions) {
-        trimmed += r.transitions - r.evals;
-        ++pruned_states;
+      if (std::isfinite(solved[i].cost)) {
+        memo.try_emplace(level[i].bits(), solved[i]);
       }
     }
-    endings.drain(threads);
     std::vector<Set64>().swap(level);
-    if (mode == PruneMode::kBeam) {
-      beam[static_cast<std::size_t>(p)] = BeamLevel{};
-    }
+    beam[static_cast<std::size_t>(p)] = BeamLevel{};
   }
 
   const Entry* root = memo.find(dag.all().bits());
   if (!root) {
     throw std::logic_error("wave search found no feasible schedule");
   }
-
   if (stats) {
-    stats->states += static_cast<std::int64_t>(total_states);
+    std::int64_t distinct = 0;  // distinct surviving endings evaluated
+    endings.for_each([&distinct](std::uint64_t, const EndingEval& eval) {
+      if (!eval.pruned) ++distinct;
+    });
+    stats->states += static_cast<std::int64_t>(seen.size());
     stats->transitions += transitions;
     stats->pruned_endings += pruned_calls;
-    if (mode == PruneMode::kDominance) {
-      // Lazy evaluation: only `lazy_evals` of the transitions ever touched
-      // the ending cache, so repeat lookups among those are the hits.
-      stats->cache_hits += lazy_evals - endings.distinct_unpruned();
-    } else {
-      // Identical to the serial engine's counting by construction: the same
-      // multiset of (S, S') pairs is visited exactly once per solved state,
-      // and repeat lookups of surviving endings are cache hits.
-      stats->cache_hits += transitions - endings.distinct_unpruned();
-    }
-    stats->pruned_states += pruned_states;
+    // Identical to the serial engine's counting: repeat lookups of
+    // surviving endings are cache hits.
+    stats->cache_hits += transitions - distinct;
     stats->beam_trimmed += trimmed;
   }
   // Certified bound: every schedule the trims could have lost costs at
-  // least min_cut, so the optimum is >= min(found, min_cut). Dominance
-  // never trims a candidate that could beat or tie the best, so nothing
-  // feeds min_cut there and the gap is exactly zero.
+  // least min_cut, so the optimum is >= min(found, min_cut).
   const double found = root->cost;
-  return std::max(0.0, found - std::min(found, min_cut));
+  return {memo_stages(memo, dag.all()),
+          std::max(0.0, found - std::min(found, min_cut))};
 }
 
 std::string IosScheduler::canonical_block_key(const BlockDag& dag) const {
@@ -1227,58 +1184,34 @@ Schedule IosScheduler::schedule_block_keyed(std::span<const OpId> block_ops,
 
   BlockDag dag(cost_.graph(), block_ops);
 
+  // The block's stages as (ending, build) pairs: a template replay's, or a
+  // search's. A structurally identical block already solved against the
+  // template cache replays its stage layout and the gap bound its search
+  // owed.
   std::string block_key;
+  std::optional<BlockTemplateCache::Template> tpl;
   if (templates_ != nullptr) {
     block_key = known_key ? *known_key : canonical_block_key(dag);
-    if (const auto tpl = templates_->get(block_key)) {
-      // A structurally identical block was already solved against this
-      // cache: replay its stage layout and the gap bound its search owed.
-      Schedule q;
-      for (const auto& [ending, build] : tpl->stages) {
-        q.stages.push_back(
-            build_stage(dag, Set64{ending}, static_cast<StageBuild>(build)));
-      }
-      if (stats) {
-        ++stats->block_cache_hits;
-        stats->latency_gap_bound_us += tpl->latency_gap_bound_us;
-      }
-      finish(stats);
-      return q;
+    tpl = templates_->get(block_key);
+    if (tpl && stats) ++stats->block_cache_hits;
+  }
+  if (!tpl) {
+    if (resolved_engine() == SearchEngine::kWave) {
+      tpl = solve_wave(dag, stats);
+    } else {
+      BlockContext ctx{dag, {}, {}};
+      solve(ctx, dag.all(), stats);
+      tpl = BlockTemplateCache::Template{memo_stages(ctx.memo, dag.all()), 0};
     }
+    if (templates_ != nullptr) templates_->put(block_key, *tpl);
   }
+  if (stats) stats->latency_gap_bound_us += tpl->latency_gap_bound_us;
 
-  BlockContext ctx{dag, {}, {}};
-  double gap_bound_us = 0;
-  if (resolved_engine() == SearchEngine::kWave) {
-    gap_bound_us = solve_wave(ctx, stats);
-  } else {
-    solve(ctx, dag.all(), stats);
-  }
-  if (stats) stats->latency_gap_bound_us += gap_bound_us;
-
-  // Schedule construction (Algorithm 1 L6-11): walk choice[] from the full
-  // set back to the empty set; the walk yields stages last-to-first, so
-  // append and reverse once instead of inserting at the front (O(n) vs the
-  // quadratic element shifting of repeated begin() inserts).
   Schedule q;
-  BlockTemplateCache::Template tpl{{}, gap_bound_us};
-  Set64 s = dag.all();
-  while (!s.empty()) {
-    const Entry& e = *ctx.memo.find(s.bits());
-    const Set64 ending{e.choice};
-    q.stages.push_back(build_stage(dag, ending, e.build));
-    if (templates_ != nullptr) {
-      tpl.stages.emplace_back(e.choice, static_cast<int>(e.build));
-    }
-    s -= ending;
+  for (const auto& [ending, build] : tpl->stages) {
+    q.stages.push_back(
+        build_stage(dag, Set64{ending}, static_cast<StageBuild>(build)));
   }
-  std::reverse(q.stages.begin(), q.stages.end());
-
-  if (templates_ != nullptr) {
-    std::reverse(tpl.stages.begin(), tpl.stages.end());
-    templates_->put(block_key, std::move(tpl));
-  }
-
   finish(stats);
   return q;
 }

@@ -19,8 +19,11 @@
 // Both run one GENERATE_STAGE (IosScheduler::compute_ending), which keys the
 // cost model's latency cache by fingerprints derived from an ending's
 // component masks. Independent blocks fan out on the same parallel_for.
-// Memo and ending caches are flat open-addressing tables (util/flat_map.hpp)
-// keyed by Set64::bits().
+// The serial engine's memo and ending cache are flat open-addressing tables
+// (util/flat_map.hpp) keyed by Set64::bits(). The wave engine's exact and
+// dominance passes hash nothing per transition: they read a state's cost and
+// an ending's latency from arrays indexed by BlockDag's dense down-set ids
+// and ending-trie nodes.
 
 #include <cstdint>
 #include <mutex>
@@ -63,8 +66,8 @@ const char* ios_variant_name(IosVariant v);
 /// latencies, and statistics; they differ only in wall-clock behavior. Both
 /// hold O(states) memory: neither stores a transition.
 enum class SearchEngine {
-  kAuto,    ///< kWave when memoization is on and either pruning or more
-            ///< than one worker is requested, kSerial otherwise
+  kAuto,    ///< kWave when memoization is on, at any worker count;
+            ///< kSerial for the memoize=false ablation
   kSerial,  ///< reference recursive top-down solver (always one thread);
             ///< the exactness reference for the wave engine
   kWave,    ///< bottom-up solver, wave-parallel on the thread pool; the
@@ -111,10 +114,9 @@ struct SchedulerOptions {
   /// shared sub-schedules exponentially often). Only the serial engine
   /// supports this — requesting kWave with memoize=false throws.
   bool memoize = true;
-  /// DP solver selection; kAuto resolves to the wave engine when
-  /// memoization is on and the effective worker count (num_threads, or the
-  /// hardware threads when <= 0) exceeds one. The found schedule is
-  /// identical either way.
+  /// DP solver selection; kAuto resolves to the wave engine whenever
+  /// memoization is on, and to the serial engine otherwise. The found
+  /// schedule is identical either way.
   SearchEngine engine = SearchEngine::kAuto;
   /// Worker-thread target for the whole search: independent blocks run
   /// their DPs concurrently (Section 4.2), and within a block the wave
@@ -212,8 +214,9 @@ class BlockTemplateCache {
   /// A solved block: its stages first-to-last as (ending mask, stage build)
   /// pairs in block-local indices, plus the block's contribution to
   /// SchedulerStats::latency_gap_bound_us, re-added on every replay.
+  using Stages = std::vector<std::pair<std::uint64_t, int>>;
   struct Template {
-    std::vector<std::pair<std::uint64_t, int>> stages;
+    Stages stages;
     double latency_gap_bound_us = 0;
   };
 
@@ -276,15 +279,12 @@ class IosScheduler {
     StageBuild build = StageBuild::kConcurrentGroups;
   };
 
+  /// The serial engine's state: its memo and its ending cache.
   struct BlockContext {
     const BlockDag& dag;
     FlatMap64<Entry> memo;
-    FlatMap64<EndingEval> ending_cache;  // serial engine only
+    FlatMap64<EndingEval> ending_cache;
   };
-
-  /// The wave engine's shared ending cache: stripes of independently locked
-  /// flat tables (defined in scheduler.cpp).
-  struct EndingStripes;
 
   /// GENERATE_STAGE (Algorithm 1 L23-33) specialized by the variant, plus
   /// the P(r, s) pruning verdict, for an ending whose `ncomps` weakly
@@ -306,20 +306,32 @@ class IosScheduler {
   /// SCHEDULER (Algorithm 1 L13-22): the reference recursive solver.
   double solve(BlockContext& ctx, Set64 s, SchedulerStats* stats);
 
-  /// The wave engine: fills ctx.memo in one pass over the states, level by
-  /// level in ascending popcount, each level's states in parallel. In
-  /// exact and dominance mode the states are the block's non-empty
-  /// down-sets (BlockDag::down_sets), and each state evaluates its endings
-  /// as it solves, storing no transition. Exact mode produces bit-identical
-  /// memo entries and statistics to solve(ctx, dag.all()). kDominance
-  /// evaluates lazily, skipping every ending whose floor-plus-exact-sub-cost
-  /// bound cannot beat the state's running best — bit-identical results
-  /// with fewer simulations. kBeam first discovers its states top-down,
-  /// evaluating only the `beam_width` endings selected per state and
-  /// keeping those for the pass. Returns the block's certified latency gap
-  /// bound (0 outside kBeam), computed whether or not `stats` is given. See
-  /// scheduler.cpp for the machinery.
-  double solve_wave(BlockContext& ctx, SchedulerStats* stats);
+  /// The stages a memo's argmin choices encode, walked from the full set.
+  static BlockTemplateCache::Stages memo_stages(const FlatMap64<Entry>& memo,
+                                               Set64 all);
+
+  /// The wave engine: solves the block in one pass over its states, level
+  /// by level in ascending popcount, each level's states in parallel, and
+  /// returns its stages. In exact and dominance mode the states are the
+  /// block's down-sets, numbered by BlockDag::down_set_index, and every
+  /// ending they reach is a node of BlockDag::ending_trie; a transition reads
+  /// the sub-state's cost and the ending's latency from two arrays, the
+  /// latencies filled on first use. Exact mode produces bit-identical
+  /// choices and statistics to solve(ctx, dag.all()). kDominance evaluates
+  /// lazily, skipping every ending whose floor-plus-exact-sub-cost bound
+  /// cannot beat the state's running best — bit-identical results with
+  /// fewer simulations. kBeam runs solve_beam. See scheduler.cpp for the
+  /// machinery.
+  BlockTemplateCache::Template solve_wave(const BlockDag& dag,
+                                          SchedulerStats* stats);
+
+  /// The wave engine's kBeam search: it first discovers its states
+  /// top-down, evaluating only the `beam_width` endings selected per state
+  /// and keeping those for the ascending pass, and builds no index. Also
+  /// returns the block's certified latency gap bound, computed whether or
+  /// not `stats` is given.
+  BlockTemplateCache::Template solve_beam(const BlockDag& dag,
+                                          SchedulerStats* stats);
 
   /// schedule_block with the block's canonical_block_key already built
   /// (`known_key`, ignored without a template cache); null builds it here.

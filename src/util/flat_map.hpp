@@ -11,8 +11,9 @@
 //
 // Insert-only semantics (no erase): the DP and the caches only ever grow
 // within one search, which keeps the table tombstone-free. Not thread-safe;
-// concurrent readers are fine only while no writer is active (the wave
-// search relies on this: tables are frozen between parallel phases).
+// concurrent readers are fine only while no writer is active (the beam
+// search relies on this: its memo is written only between parallel
+// phases).
 
 #include <algorithm>
 #include <cassert>
@@ -117,8 +118,8 @@ class FlatMap64 {
   }
 
   /// Removes every entry but keeps the slot array allocated, so steady-state
-  /// refill cycles (e.g. the wave cache's per-level fresh stripes) neither
-  /// reallocate nor regrow from the minimum capacity.
+  /// refill cycles (e.g. the beam discovery's per-level successor tables)
+  /// neither reallocate nor regrow from the minimum capacity.
   void clear_retain() {
     std::fill(slots_.begin(), slots_.end(), Slot{});
     size_ = 0;

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/block_dag.hpp"
 #include "models/models.hpp"
 #include "util/flat_map.hpp"
+#include "util/rng.hpp"
 
 namespace ios {
 namespace {
@@ -243,32 +245,89 @@ TEST(BlockDag, GroupPruningMatchesPostFilter) {
   }
 }
 
+/// The ending each node of `trie` holds. A node's id is above its parent's.
+std::vector<std::uint64_t> trie_endings(const BlockDag::EndingTrie& trie) {
+  std::vector<std::uint64_t> out(trie.size(), 0);
+  for (std::uint32_t node = 0; node < trie.size(); ++node) {
+    for (const int u : Set64{trie.child_mask[node]}) {
+      out[trie.child(node, u)] = out[node] | Set64::single(u).bits();
+    }
+  }
+  return out;
+}
+
+/// The id `downs` gives the down-set `s`.
+std::uint32_t id_of(const BlockDag::DownSetIndex& downs, Set64 s) {
+  const auto level = static_cast<std::size_t>(s.size());
+  const auto first = downs.sets.begin() + downs.level_begin[level];
+  const auto last = downs.sets.begin() + downs.level_begin[level + 1];
+  const auto it = std::lower_bound(first, last, s.bits());
+  EXPECT_TRUE(it != last && *it == s.bits()) << "not a down-set: " << s.bits();
+  return static_cast<std::uint32_t>(it - downs.sets.begin());
+}
+
+/// A block's down-set ids and its ending trie under one cap set, with the
+/// ending each trie node holds.
+struct Indices {
+  const BlockDag::DownSetIndex& downs;
+  BlockDag::EndingTrie trie;
+  std::vector<std::uint64_t> endings;
+
+  Indices(const BlockDag& dag, const BlockDag::DownSetIndex& d, int max_ops,
+          int max_group_ops)
+      : downs(d), trie(dag.ending_trie(max_ops, max_group_ops)),
+        endings(trie_endings(trie)) {}
+};
+
 /// visit_endings must emit exactly `reference` (for_each_ending's endings
 /// under the same caps, in its order), each with the partition
-/// components() computes.
+/// components() computes. With `indices` (built under the same caps), so
+/// must the indexed visit of `s`, and each ending's trie node must hold it
+/// and its sub-state id must hold S - ending.
 void expect_visits(const BlockDag& dag, Set64 s, int max_ops,
                    int max_group_ops,
-                   const std::vector<std::uint64_t>& reference) {
+                   const std::vector<std::uint64_t>& reference,
+                   const Indices* indices = nullptr) {
   std::vector<std::uint64_t> visited;
   bool comps_match = true;
-  dag.visit_endings(s, max_ops, max_group_ops,
-                    [&](Set64 e, const Set64* comps, int ncomps) {
-                      visited.push_back(e.bits());
-                      Set64 got[64];
-                      std::copy(comps, comps + ncomps, got);
-                      std::sort(got, got + ncomps, [](Set64 a, Set64 b) {
-                        return a.first() < b.first();
-                      });
-                      const std::vector<Set64> want = dag.components(e);
-                      if (!std::equal(got, got + ncomps, want.begin(),
-                                      want.end())) {
-                        comps_match = false;
-                      }
-                    });
+  const auto check = [&](Set64 e, const Set64* comps, int ncomps) {
+    visited.push_back(e.bits());
+    Set64 got[64];
+    std::copy(comps, comps + ncomps, got);
+    std::sort(got, got + ncomps,
+              [](Set64 a, Set64 b) { return a.first() < b.first(); });
+    const std::vector<Set64> want = dag.components(e);
+    if (!std::equal(got, got + ncomps, want.begin(), want.end())) {
+      comps_match = false;
+    }
+  };
+  dag.visit_endings(s, max_ops, max_group_ops, check);
   ASSERT_EQ(visited, reference)
       << "state " << s.bits() << " caps " << max_ops << "/" << max_group_ops;
   ASSERT_TRUE(comps_match)
       << "state " << s.bits() << " caps " << max_ops << "/" << max_group_ops;
+  if (indices == nullptr) return;
+
+  visited.clear();
+  bool ids_match = true;
+  dag.visit_endings(indices->downs, id_of(indices->downs, s), indices->trie,
+                    [&](Set64 e, const Set64* comps, int ncomps,
+                        std::uint32_t node, std::uint32_t sub) {
+                      check(e, comps, ncomps);
+                      if (indices->endings[node] != e.bits() ||
+                          indices->downs.sets[sub] != (s - e).bits()) {
+                        ids_match = false;
+                      }
+                    });
+  ASSERT_EQ(visited, reference)
+      << "indexed, state " << s.bits() << " caps " << max_ops << "/"
+      << max_group_ops;
+  ASSERT_TRUE(comps_match)
+      << "indexed, state " << s.bits() << " caps " << max_ops << "/"
+      << max_group_ops;
+  ASSERT_TRUE(ids_match)
+      << "indexed, state " << s.bits() << " caps " << max_ops << "/"
+      << max_group_ops;
 }
 
 std::vector<std::uint64_t> reference_endings(const BlockDag& dag, Set64 s,
@@ -290,6 +349,12 @@ TEST(BlockDag, VisitEndingsMatchesReferenceOnEveryZooState) {
     for (const std::vector<OpId>& block : g.blocks()) {
       const BlockDag dag(g, block);
       SCOPED_TRACE(name + ", block of " + std::to_string(dag.size()));
+      const BlockDag::DownSetIndex downs = dag.down_set_index();
+      const Indices p38(dag, downs, 24, 3);
+      const std::vector<Indices> others{Indices(dag, downs, 2, 2),
+                                        Indices(dag, downs, 4, 2)};
+      std::optional<Indices> none;
+      if (dag.size() <= 20) none.emplace(dag, downs, 64, 64);
       // Every state the DP reaches from the full set under P(3, 8).
       std::vector<Set64> todo{dag.all()};
       FlatSet64 seen;
@@ -300,13 +365,16 @@ TEST(BlockDag, VisitEndingsMatchesReferenceOnEveryZooState) {
         ++states;
         const std::vector<std::uint64_t> endings =
             reference_endings(dag, s, 24, 3);
-        expect_visits(dag, s, 24, 3, endings);
-        for (const auto& [max_ops, max_group_ops] : kOtherCaps) {
+        expect_visits(dag, s, 24, 3, endings, &p38);
+        for (std::size_t c = 0; c < std::size(kOtherCaps); ++c) {
+          const auto [max_ops, max_group_ops] = kOtherCaps[c];
           expect_visits(dag, s, max_ops, max_group_ops,
-                        reference_endings(dag, s, max_ops, max_group_ops));
+                        reference_endings(dag, s, max_ops, max_group_ops),
+                        &others[c]);
         }
-        if (dag.size() <= 20) {
-          expect_visits(dag, s, 64, 64, reference_endings(dag, s, 64, 64));
+        if (none) {
+          expect_visits(dag, s, 64, 64, reference_endings(dag, s, 64, 64),
+                        &*none);
         }
         if (HasFatalFailure()) return;
         for (const std::uint64_t e : endings) {
@@ -323,6 +391,96 @@ TEST(BlockDag, VisitEndingsMatchesReferenceOnEveryZooState) {
   }
   // RandWire's three 33-op stages alone reach over 22k states.
   EXPECT_GT(states, 30000u);
+}
+
+TEST(BlockDag, IndicesMatchBruteForceOnRandomDags) {
+  // Random DAGs of 6-14 ops, each op wired to one or two random earlier
+  // outputs (an op with none reads the block input). Under each cap set the
+  // trie's nodes must be exactly the convex op sets within the caps, the
+  // empty one included, and every down-set's CSR children must be the ids
+  // of D - u for the ops u with no successor in D.
+  constexpr std::pair<int, int> kCaps[] = {{24, 3}, {4, 2}, {64, 64}};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const int n = 6 + rng.uniform_int(9);
+    std::vector<std::pair<int, int>> edges;
+    for (int v = 1; v < n; ++v) {
+      const int inputs = 1 + rng.uniform_int(2);
+      for (int k = 0; k < inputs; ++k) {
+        const int u = rng.uniform_int(v + 1) - 1;  // -1: the block input
+        if (u < 0 || std::find(edges.begin(), edges.end(),
+                               std::pair{u, v}) != edges.end()) {
+          continue;
+        }
+        edges.emplace_back(u, v);
+      }
+    }
+    const DagBuilder b(n, edges);
+    const BlockDag dag = b.dag();
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(n) +
+                 " ops");
+
+    // Reachability, from the edges alone.
+    std::vector<std::uint64_t> desc(static_cast<std::size_t>(n), 0);
+    for (int v = n - 1; v >= 0; --v) {
+      for (const auto& [from, to] : edges) {
+        if (from == v) {
+          desc[static_cast<std::size_t>(v)] |=
+              desc[static_cast<std::size_t>(to)] | (std::uint64_t{1} << to);
+        }
+      }
+    }
+    const auto convex = [&](std::uint64_t e) {
+      std::uint64_t below = 0;  // ops some member reaches
+      std::uint64_t above = 0;  // ops that reach some member
+      for (int v = 0; v < n; ++v) {
+        if ((e >> v) & 1) below |= desc[static_cast<std::size_t>(v)];
+        if (desc[static_cast<std::size_t>(v)] & e) {
+          above |= std::uint64_t{1} << v;
+        }
+      }
+      return (below & above & ~e) == 0;
+    };
+
+    const BlockDag::DownSetIndex downs = dag.down_set_index();
+    ASSERT_EQ(downs.level_begin.size(), static_cast<std::size_t>(n) + 2);
+    ASSERT_EQ(downs.level_begin.back(), downs.size());
+    for (std::uint32_t d = 0; d < downs.size(); ++d) {
+      const Set64 set{downs.sets[d]};
+      std::vector<std::uint32_t> want;
+      for (const int u : set) {
+        if (!dag.succ_mask(u).intersects(set)) {
+          want.push_back(id_of(downs, set - Set64::single(u)));
+        }
+      }
+      const std::vector<std::uint32_t> got(
+          downs.child.begin() + downs.child_begin[d],
+          downs.child.begin() + downs.child_begin[d + 1]);
+      EXPECT_EQ(got, want) << "down-set " << set.bits();
+      for (const int u : Set64{downs.top[d]}) {
+        EXPECT_EQ(downs.sets[downs.without(d, u)],
+                  (set - Set64::single(u)).bits());
+      }
+    }
+
+    for (const auto& [max_ops, max_group_ops] : kCaps) {
+      SCOPED_TRACE("caps " + std::to_string(max_ops) + "/" +
+                   std::to_string(max_group_ops));
+      std::vector<std::uint64_t> brute;
+      for (std::uint64_t e = 0; e < (std::uint64_t{1} << n); ++e) {
+        if (!convex(e) || Set64{e}.size() > max_ops) continue;
+        bool small = true;
+        for (const Set64 comp : dag.components(Set64{e})) {
+          small = small && comp.size() <= max_group_ops;
+        }
+        if (small) brute.push_back(e);
+      }
+      std::vector<std::uint64_t> nodes =
+          trie_endings(dag.ending_trie(max_ops, max_group_ops));
+      std::sort(nodes.begin(), nodes.end());
+      EXPECT_EQ(nodes, brute);
+    }
+  }
 }
 
 TEST(BlockDag, RejectsOversizedBlock) {

@@ -58,6 +58,28 @@ TEST(Optimizer, CacheHitSkipsAllProfiling) {
   EXPECT_FALSE(opt.optimize(request).cache_hit);
 }
 
+TEST(Optimizer, ZooHitReturnsTheMissRecipe) {
+  // A zoo hit without baselines builds no graph, so everything it returns
+  // comes from the request and the stored recipe.
+  Optimizer opt;
+  OptimizationRequest request =
+      OptimizationRequest::for_model("squeezenet", "k80", 2);
+  request.baselines.clear();
+  const OptimizationResult miss = opt.optimize(request);
+  ASSERT_FALSE(miss.cache_hit);
+  const OptimizationResult hit = opt.optimize(request);
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_EQ(dump(hit.schedule), dump(miss.schedule));
+  EXPECT_EQ(hit.latency_us, miss.latency_us);
+  EXPECT_EQ(hit.fingerprint, miss.fingerprint);
+  EXPECT_TRUE(hit.baselines.empty());
+  EXPECT_EQ(hit.recipe.model, "squeezenet");
+  EXPECT_EQ(hit.recipe.device, miss.recipe.device);
+  EXPECT_EQ(hit.recipe.batch, 2);
+  EXPECT_EQ(dump(hit.recipe.schedule), dump(miss.recipe.schedule));
+  EXPECT_FALSE(hit.recipe.graph.has_value());
+}
+
 TEST(Optimizer, CacheIsBoundedWithLruEviction) {
   Optimizer opt(/*cache_capacity=*/2);
   EXPECT_EQ(opt.cache_capacity(), 2u);

@@ -332,11 +332,10 @@ TEST(SearchEngine, AutoResolvesByMemoizationAndWorkers) {
   EXPECT_EQ(IosScheduler(cost, {.memoize = true, .num_threads = 4})
                 .resolved_engine(),
             SearchEngine::kWave);
-  // One worker: the recursive engine, which single-threaded callers (the
-  // serving prewarm among them) have always run.
+  // One worker: the wave engine too, which is faster at any worker count.
   EXPECT_EQ(IosScheduler(cost, {.memoize = true, .num_threads = 1})
                 .resolved_engine(),
-            SearchEngine::kSerial);
+            SearchEngine::kWave);
   // The memoize=false ablation only exists recursively.
   EXPECT_EQ(IosScheduler(cost, {.memoize = false, .num_threads = 4})
                 .resolved_engine(),
