@@ -25,11 +25,15 @@ namespace {
 /// optimize() calls (e.g. a server prewarm fan-out) sharing one path never
 /// clobber each other's contexts and never re-parse a growing file per
 /// call. Every open database carries its own mutex, so calls on different
-/// paths never serialize on each other. Deleting the file resets the path
-/// on next open (operators delete a database to start it over); external
-/// *edits* to a file this process already opened are not re-read — within
-/// one process the registry is authoritative, and writers in other
-/// processes are last-write-wins, as with any unlocked shared file.
+/// paths never serialize on each other. A search holds it to take the
+/// bucket it reads in place (buckets are immutable once published; a
+/// cross_reuse search also installs the canonical bucket into its
+/// Optimizer's cache) and, after a search that measured something, to
+/// publish the merged buckets and write the file. Deleting the file resets
+/// the path on next open (operators delete a database to start it over);
+/// external *edits* to a file this process already opened are not re-read
+/// — within one process the registry is authoritative, and writers in
+/// other processes are last-write-wins, as with any unlocked shared file.
 struct OpenProfileDb {
   std::mutex mu;
   ProfileDb db;
@@ -54,7 +58,8 @@ struct ProfileDbRegistry {
         // The file was deleted: reset the contents IN PLACE (lock order:
         // registry.mu then handle->mu, never the reverse). Keeping the same
         // handle means optimize() calls still holding it merge into the
-        // reset database rather than forking a second writer for the path.
+        // reset database rather than forking a second writer for the path;
+        // the buckets they loaded stay valid snapshots.
         std::lock_guard<std::mutex> db_lock(handle->mu);
         handle->db = ProfileDb{};
         handle->on_disk.store(false);
@@ -281,13 +286,19 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
       cost.enable_canonical_reuse(&canonical_);
     }
     std::shared_ptr<OpenProfileDb> profile_db;
+    std::uint64_t context = 0;
+    ProfileDb::Bucket loaded;  // the bucket the search reads in place
     if (!request.profile_db.empty()) {
+      context = cost.profile_context();
       profile_db = profile_db_registry().open(request.profile_db);
-      std::lock_guard<std::mutex> db_lock(profile_db->mu);
-      result.profile_entries_loaded = cost.load_profile(profile_db->db);
-      if (request.cross_reuse) {
-        result.profile_entries_loaded += cost.load_canonical(profile_db->db);
+      {
+        std::lock_guard<std::mutex> db_lock(profile_db->mu);
+        loaded = profile_db->db.share(context);
+        if (request.cross_reuse) {
+          result.profile_entries_loaded += cost.load_canonical(profile_db->db);
+        }
       }
+      result.profile_entries_loaded += cost.load_profile(loaded);
     }
     result.schedule =
         IosScheduler(cost, request.options,
@@ -306,12 +317,15 @@ OptimizationResult Optimizer::optimize(const OptimizationRequest& request) {
                              !request.cross_reuse && profile_db &&
                              profile_db->on_disk.load();
     if (profile_db && !nothing_new) {
+      // The merged buckets are built before the lock.
+      ProfileDb::Bucket bucket = cost.profile_bucket();
+      ProfileDb::Bucket canonical = cost.canonical_bucket();
+      result.profile_entries_saved = static_cast<int>(bucket->size());
       std::lock_guard<std::mutex> db_lock(profile_db->mu);
       const std::size_t before = profile_db->db.num_entries();
-      result.profile_entries_saved = cost.save_profile(profile_db->db);
-      if (request.cross_reuse) {
-        result.profile_entries_saved += cost.save_canonical(profile_db->db);
-      }
+      profile_db->db.merge(context, std::move(bucket), loaded.get());
+      result.profile_entries_saved +=
+          cost.save_canonical(profile_db->db, std::move(canonical));
       // Merged values for already-known fingerprints are identical (the
       // simulator is deterministic), so only a growing database is worth a
       // full rewrite — warm runs then do zero file writes.

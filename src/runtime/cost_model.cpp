@@ -1,6 +1,5 @@
 #include "runtime/cost_model.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -73,11 +72,7 @@ CostModel::CostModel(const Graph& g, ExecConfig cfg,
 
 double CostModel::measure(const Stage& stage) {
   const std::uint64_t key = stage_fingerprint(stage);
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (const double* hit = shard.cache.find(key)) return *hit;
-  }
+  if (const std::optional<double> hit = cached(key)) return *hit;
   return measure_slow(key, stage);
 }
 
@@ -179,48 +174,49 @@ std::uint64_t CostModel::profile_context() const {
 }
 
 int CostModel::save_profile(ProfileDb& db) const {
-  ProfileDb::Entries& entries = db.context_for_update(profile_context());
-  // The merged bucket holds at least the larger of the two, and exactly
-  // that when one contains the other (a search's cache holds everything it
-  // loaded from the bucket).
-  std::size_t cached = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    cached += shard->cache.size();
-  }
-  entries.reserve(std::max(entries.size(), cached));
-  int written = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->cache.for_each([&](std::uint64_t key, const double& latency) {
-      entries.insert_or_assign(key, latency);
-      ++written;
-    });
-  }
+  std::shared_ptr<const FlatMap64<double>> bucket = profile_bucket();
+  const int written = static_cast<int>(bucket->size());
+  db.merge(profile_context(), std::move(bucket), loaded_.get());
   return written;
 }
 
 int CostModel::load_profile(const ProfileDb& db) {
-  const ProfileDb::Entries* entries = db.context(profile_context());
-  if (!entries) return 0;
-  // Size every shard once, then install in one pass under every shard's
-  // lock (taken in index order; measure() holds at most one at a time).
-  const std::size_t n = shards_.size();
-  std::vector<std::size_t> incoming(n, 0);
-  entries->for_each([&](std::uint64_t key, double) {
-    ++incoming[shard_index(key, n)];
-  });
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    locks.emplace_back(shards_[i]->mu);
-    shards_[i]->cache.reserve(shards_[i]->cache.size() + incoming[i]);
+  return load_profile(db.share(profile_context()));
+}
+
+int CostModel::load_profile(std::shared_ptr<const FlatMap64<double>> bucket) {
+  bool cached_any = loaded_ != nullptr;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    cached_any = cached_any || !shard->cache.empty();
   }
-  int loaded = 0;
-  entries->for_each([&](std::uint64_t key, double latency) {
-    if (shard_for(key).cache.try_emplace(key, latency).second) ++loaded;
-  });
-  return loaded;
+  if (cached_any) {
+    throw std::logic_error(
+        "CostModel::load_profile: the model has already cached or loaded "
+        "stages; load a profile into a fresh model");
+  }
+  loaded_ = std::move(bucket);
+  return loaded_ != nullptr ? static_cast<int>(loaded_->size()) : 0;
+}
+
+std::shared_ptr<const FlatMap64<double>> CostModel::profile_bucket() const {
+  // Sized once for the snapshot plus every shard: the shards never hold a
+  // snapshot key, so the union is exactly that big.
+  std::size_t size = loaded_ != nullptr ? loaded_->size() : 0;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    size += shard->cache.size();
+  }
+  auto bucket = std::make_shared<FlatMap64<double>>(size);
+  const auto add = [&](std::uint64_t key, double latency) {
+    bucket->insert_or_assign(key, latency);
+  };
+  if (loaded_ != nullptr) loaded_->for_each(add);
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    shard->cache.for_each(add);
+  }
+  return bucket;
 }
 
 void CostModel::enable_canonical_reuse(CanonicalStageCache* cache) {
@@ -258,26 +254,36 @@ std::uint64_t CostModel::canonical_stage_key(const Stage& stage) const {
   return h;
 }
 
-int CostModel::save_canonical(ProfileDb& db) const {
-  if (canonical_ == nullptr) return 0;
-  ProfileDb::Entries& entries =
-      db.context_for_update(canonical_profile_context());
-  int written = 0;
+std::shared_ptr<const FlatMap64<double>> CostModel::canonical_bucket() const {
+  if (canonical_ == nullptr) return nullptr;
+  auto bucket = std::make_shared<FlatMap64<double>>(canonical_->size());
   canonical_->for_each(
       [&](std::uint64_t key, const CanonicalStageCache::Entry& e) {
-        entries[key] = e.latency_us;
-        ++written;
+        bucket->insert_or_assign(key, e.latency_us);
       });
+  return bucket;
+}
+
+int CostModel::save_canonical(
+    ProfileDb& db, std::shared_ptr<const FlatMap64<double>> bucket) const {
+  if (bucket == nullptr) return 0;
+  const int written = static_cast<int>(bucket->size());
+  const std::uint64_t ctx = canonical_profile_context();
+  // The cache is insert-only and holds every key of loaded_canonical_, so
+  // an equal size means equal keys: nothing to add.
+  const bool unchanged = loaded_canonical_ != nullptr &&
+                         db.context(ctx) == loaded_canonical_.get() &&
+                         bucket->size() == loaded_canonical_->size();
+  if (!unchanged) db.merge(ctx, std::move(bucket), loaded_canonical_.get());
   return written;
 }
 
 int CostModel::load_canonical(const ProfileDb& db) {
   if (canonical_ == nullptr) return 0;
-  const ProfileDb::Entries* entries =
-      db.context(canonical_profile_context());
-  if (!entries) return 0;
+  loaded_canonical_ = db.share(canonical_profile_context());
+  if (!loaded_canonical_) return 0;
   int loaded = 0;
-  entries->for_each([&](std::uint64_t key, double latency) {
+  loaded_canonical_->for_each([&](std::uint64_t key, double latency) {
     if (canonical_->put(key, latency, /*origin=*/0).second) ++loaded;
   });
   return loaded;

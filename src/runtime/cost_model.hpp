@@ -15,16 +15,21 @@
 // distinct stages measured does not depend on the order threads request
 // them, and each stage's simulated latency is a pure function of the stage.
 //
-// Persistence: save_profile/load_profile move the cache contents to/from a
-// ProfileDb keyed by stage fingerprint under this model's profile_context()
-// (graph + device + kernel params + protocol), so a warm-started process
-// re-runs zero simulations for stages any previous run already measured.
+// Persistence: a ProfileDb keys stage latencies by fingerprint under this
+// model's profile_context() (graph + device + kernel params + protocol), so
+// a warm-started process re-runs zero simulations for stages any previous
+// run already measured. load_profile keeps the db's bucket for that context
+// as a shared, immutable snapshot (a pointer, not a copy), and every probe
+// reads it without a lock before the striped cache, which then holds only
+// what this model measured since. save_profile publishes snapshot ∪
+// measured back as a new bucket.
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -75,7 +80,8 @@ class CostModel {
   StageChoice generate_stage(std::span<const OpId> ops);
 
   /// Measured latency of a fully-specified stage, cached by
-  /// stage_fingerprint. Thread-safe: the fingerprint picks one of
+  /// stage_fingerprint. Thread-safe: a stage in the loaded snapshot is read
+  /// without a lock; otherwise the fingerprint picks one of
   /// num_cache_shards() independently locked shards, and the simulation
   /// itself (a const Executor call) runs unlocked. Two threads racing on the
   /// same uncached stage may both simulate it; the simulation is
@@ -92,18 +98,14 @@ class CostModel {
   /// a search is underway. Same caching/counter semantics as measure().
   template <typename MakeStage>
   double measure_keyed(std::uint64_t key, MakeStage&& make) {
-    Shard& shard = shard_for(key);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (const double* hit = shard.cache.find(key)) return *hit;
-    }
+    if (const std::optional<double> hit = cached(key)) return *hit;
     const Stage stage = make();
     assert(key == stage_fingerprint(stage));
     return measure_slow(key, stage);
   }
 
   /// Number of distinct stage configurations profiled so far (lock-free).
-  /// Stages installed by load_profile are not counted — they cost nothing.
+  /// Stages loaded by load_profile are not counted — they cost nothing.
   std::int64_t num_measurements() const {
     return num_measurements_.load(std::memory_order_relaxed);
   }
@@ -126,16 +128,31 @@ class CostModel {
   /// model/device's latencies.
   std::uint64_t profile_context() const;
 
-  /// Exports every cached stage latency into `db` under profile_context().
-  /// Returns the number of entries written (cache size).
+  /// Publishes profile_bucket() into `db` under profile_context(), merged
+  /// with whatever `db` holds there (ProfileDb::merge: O(1) while the
+  /// loaded snapshot is still `db`'s bucket). Returns the number of entries
+  /// written: the snapshot's plus every stage cached since.
   int save_profile(ProfileDb& db) const;
 
-  /// Installs `db`'s entries for this model's profile_context() into the
-  /// cache and returns how many were installed. Entries of other contexts
-  /// are ignored; already-cached fingerprints keep their in-memory value.
-  /// Loaded entries do not move the profiling counters — subsequent
-  /// measure() calls on them are pure cache hits.
+  /// Keeps `db`'s bucket for this model's profile_context() — a shared,
+  /// immutable snapshot, in O(1) — and returns its size. Entries of other
+  /// contexts are ignored; the snapshot is unaffected by later merges into
+  /// `db`, a reset of `db` or its destruction. Loaded entries do not move
+  /// the profiling counters — measure() calls on them are lock-free hits.
+  /// Call it on a fresh model, before any measurement and not beside one:
+  /// throws std::logic_error if the model has cached a stage or already
+  /// holds a snapshot.
   int load_profile(const ProfileDb& db);
+
+  /// load_profile() with the bucket already taken (ProfileDb::share), so a
+  /// caller that guards its db with a lock holds it for the pointer only.
+  /// A null bucket loads nothing.
+  int load_profile(std::shared_ptr<const FlatMap64<double>> bucket);
+
+  /// This model's whole profile as a new bucket: the loaded snapshot plus
+  /// every stage cached since. ProfileDb::merge(profile_context(), bucket,
+  /// snapshot) publishes it.
+  std::shared_ptr<const FlatMap64<double>> profile_bucket() const;
 
   // -- Cross-request canonical reuse (opt-in) ------------------------------
 
@@ -174,14 +191,23 @@ class CostModel {
   /// blocks, and batch sizes.
   std::uint64_t canonical_stage_key(const Stage& stage) const;
 
-  /// Exports the *entire* attached canonical cache into `db` under the
-  /// process-independent canonical context; returns entries written. No-op
-  /// (0) when reuse is off.
-  int save_canonical(ProfileDb& db) const;
+  /// The *entire* attached canonical cache as a new bucket, for
+  /// save_canonical(); a caller that guards its db with a lock builds it
+  /// before taking the lock. Null when reuse is off.
+  std::shared_ptr<const FlatMap64<double>> canonical_bucket() const;
+
+  /// Publishes `bucket` (a canonical_bucket()) into `db` under the
+  /// process-independent canonical context and returns its size. The cache
+  /// holds every entry load_canonical() read, so while that bucket is still
+  /// `db`'s the publish is O(1), and skipped when the cache has added no
+  /// entry since. No-op (0) for a null bucket.
+  int save_canonical(ProfileDb& db,
+                     std::shared_ptr<const FlatMap64<double>> bucket) const;
 
   /// Installs `db`'s canonical bucket into the attached cache (origin 0 =
-  /// loaded from a database, so hits count as cross-model); returns
-  /// entries newly installed. No-op (0) when reuse is off.
+  /// loaded from a database, so hits count as cross-model) and keeps that
+  /// bucket for save_canonical(); returns entries newly installed. No-op
+  /// (0) when reuse is off.
   int load_canonical(const ProfileDb& db);
 
  private:
@@ -189,6 +215,18 @@ class CostModel {
     mutable std::mutex mu;
     FlatMap64<double> cache;
   };
+
+  /// The cached latency of `key`: the loaded snapshot first, read without
+  /// a lock because nothing writes it, then the key's shard.
+  std::optional<double> cached(std::uint64_t key) const {
+    if (loaded_ != nullptr) {
+      if (const double* hit = loaded_->find(key)) return *hit;
+    }
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (const double* hit = shard.cache.find(key)) return *hit;
+    return std::nullopt;
+  }
 
   /// Cache-miss tail shared by measure() and measure_keyed(): canonical
   /// reuse probe, simulation, noise averaging, and the counted insert.
@@ -200,12 +238,17 @@ class CostModel {
 
   Executor executor_;
   ProfilingProtocol protocol_;
+  /// The profile-db bucket load_profile() kept (null: none). Immutable, so
+  /// the shards never hold its keys.
+  std::shared_ptr<const FlatMap64<double>> loaded_;
   /// unique_ptr because Shard owns a mutex and must not move.
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::int64_t> num_measurements_{0};
   std::atomic<double> profiling_cost_us_{0};
 
   CanonicalStageCache* canonical_ = nullptr;  ///< null = reuse off
+  /// The canonical bucket load_canonical() read (null: none).
+  std::shared_ptr<const FlatMap64<double>> loaded_canonical_;
   std::uint64_t origin_ = 0;      ///< this graph's fingerprint (reuse on)
   std::uint64_t env_fp_ = 0;      ///< cached environment_fingerprint()
   std::atomic<std::int64_t> canonical_hits_{0};

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string_view>
 #include <sys/stat.h>
@@ -114,8 +115,8 @@ ProfileDb decode_v2(std::string_view bytes) {
                                std::to_string(count) + " entries but " +
                                std::to_string(end - pos) + " bytes remain");
     }
-    ProfileDb::Entries& entries = db.context_for_update(ctx);
-    entries.reserve(static_cast<std::size_t>(count));
+    auto entries = std::make_shared<ProfileDb::Entries>();
+    entries->reserve(static_cast<std::size_t>(count));
     std::uint64_t prev_key = 0;
     for (std::uint64_t i = 0; i < count; ++i, pos += sizeof(Record)) {
       const std::uint64_t key = read_u64(bytes.data() + pos);
@@ -131,8 +132,9 @@ ProfileDb decode_v2(std::string_view bytes) {
                                  " is not finite and positive");
       }
       prev_key = key;
-      entries.try_emplace(key, latency);
+      entries->try_emplace(key, latency);
     }
+    db.merge(ctx, std::move(entries));
   }
   return db;
 }
@@ -152,10 +154,11 @@ ProfileDb ProfileDb::from_json(const JsonValue& doc) {
   ProfileDb db;
   if (doc.contains("contexts")) {
     for (const auto& [ctx_key, bucket] : doc.at("contexts").as_object()) {
-      Entries& entries = db.contexts_[parse_hex16(ctx_key)];
+      auto entries = std::make_shared<Entries>();
       for (const auto& [stage_key, latency] : bucket.as_object()) {
-        entries[parse_hex16(stage_key)] = latency.as_number();
+        (*entries)[parse_hex16(stage_key)] = latency.as_number();
       }
+      db.merge(parse_hex16(ctx_key), std::move(entries));
     }
   }
   return db;
@@ -185,10 +188,10 @@ bool ProfileDb::exists(const std::string& path) {
 
 JsonValue ProfileDb::to_json() const {
   JsonValue contexts = JsonValue::object();
-  for (const auto& [ctx, entries] : contexts_) {
+  for (const auto& [ctx, slot] : contexts_) {
     // Sort stage keys so the dump is byte-stable run to run.
     JsonValue bucket = JsonValue::object();
-    for (const Record& r : sorted_records(entries)) {
+    for (const Record& r : sorted_records(*slot.entries)) {
       bucket.set(hex16(r.key), r.latency_us);
     }
     contexts.set(hex16(ctx), std::move(bucket));
@@ -204,8 +207,8 @@ void ProfileDb::save(const std::string& path) const {
   std::string out(kMagic, sizeof(kMagic));
   out.reserve(sizeof(kMagic) + contexts_.size() * 2 * kWord +
               num_entries() * sizeof(Record) + kWord);
-  for (const auto& [ctx, entries] : contexts_) {
-    const std::vector<Record> records = sorted_records(entries);
+  for (const auto& [ctx, slot] : contexts_) {
+    const std::vector<Record> records = sorted_records(*slot.entries);
     for (const Record& r : records) {
       if (!valid_latency(r.latency_us)) {
         throw std::invalid_argument("profile-db: latency of stage " +
@@ -226,18 +229,63 @@ void ProfileDb::save(const std::string& path) const {
   write_file_atomic(path, out);
 }
 
+ProfileDb::ProfileDb(const ProfileDb& other) : contexts_(other.contexts_) {
+  // An editable bucket is the other database's alone: copy it.
+  for (auto& [ctx, slot] : contexts_) {
+    if (slot.editable != nullptr) {
+      slot = Slot{std::make_shared<const Entries>(*slot.entries)};
+    }
+  }
+}
+
+ProfileDb& ProfileDb::operator=(const ProfileDb& other) {
+  if (this != &other) *this = ProfileDb(other);
+  return *this;
+}
+
 const ProfileDb::Entries* ProfileDb::context(std::uint64_t ctx) const {
   const auto it = contexts_.find(ctx);
-  return it == contexts_.end() ? nullptr : &it->second;
+  return it == contexts_.end() ? nullptr : it->second.entries.get();
+}
+
+ProfileDb::Bucket ProfileDb::share(std::uint64_t ctx) const {
+  const auto it = contexts_.find(ctx);
+  if (it == contexts_.end()) return nullptr;
+  const Slot& slot = it->second;
+  if (slot.editable != nullptr) {
+    return std::make_shared<const Entries>(*slot.entries);
+  }
+  return slot.entries;
+}
+
+void ProfileDb::merge(std::uint64_t ctx, Bucket entries, const Entries* base) {
+  Slot& slot = contexts_[ctx];
+  if (slot.entries != nullptr && slot.entries.get() != base) {
+    auto merged = std::make_shared<Entries>(*slot.entries);
+    merged->reserve(merged->size() + entries->size());
+    entries->for_each([&](std::uint64_t key, double latency) {
+      merged->insert_or_assign(key, latency);
+    });
+    entries = std::move(merged);
+  }
+  slot = Slot{std::move(entries)};
 }
 
 ProfileDb::Entries& ProfileDb::context_for_update(std::uint64_t ctx) {
-  return contexts_[ctx];
+  Slot& slot = contexts_[ctx];
+  if (slot.editable == nullptr) {
+    auto own = slot.entries != nullptr
+                   ? std::make_shared<Entries>(*slot.entries)
+                   : std::make_shared<Entries>();
+    slot.editable = own.get();
+    slot.entries = std::move(own);
+  }
+  return *slot.editable;
 }
 
 std::size_t ProfileDb::num_entries() const {
   std::size_t n = 0;
-  for (const auto& [ctx, entries] : contexts_) n += entries.size();
+  for (const auto& [ctx, slot] : contexts_) n += slot.entries->size();
   return n;
 }
 

@@ -11,6 +11,17 @@
 // imports entries of its own context, so one database file can safely
 // accumulate profiles for many models and devices.
 //
+// Buckets are shared and immutable once published. A load, a merge or
+// from_json publishes each bucket it builds, and nothing writes it again:
+// a merge publishes a new old ∪ new bucket in its place. share() hands a
+// CostModel a published bucket in O(1), and that snapshot stays valid and
+// unchanged through later merges, a reset of the database and the
+// database's own destruction, so any number of searches read one bucket
+// without a lock or a copy. Copying a ProfileDb copies pointers.
+// context_for_update() is the one in-place writer: it first gives the
+// database a private copy of the bucket, which share() and copies never
+// hand out.
+//
 // On-disk format (version 2, what save() writes), little-endian:
 //   8-byte magic "IOSPDB2\n"
 //   per context, in ascending context order:
@@ -30,6 +41,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "util/flat_map.hpp"
@@ -41,8 +53,14 @@ class ProfileDb {
  public:
   /// Measured latency by canonical stage fingerprint, one bucket per context.
   using Entries = FlatMap64<double>;
+  /// A published bucket: shared, and never written again.
+  using Bucket = std::shared_ptr<const Entries>;
 
   ProfileDb() = default;
+  ProfileDb(const ProfileDb& other);
+  ProfileDb& operator=(const ProfileDb& other);
+  ProfileDb(ProfileDb&&) = default;
+  ProfileDb& operator=(ProfileDb&&) = default;
 
   /// Parses a version-1 (JSON) profile-db document (throws
   /// std::runtime_error on an unknown format or version).
@@ -73,11 +91,23 @@ class ProfileDb {
   /// non-finite or non-positive latency, which load() would reject.
   void save(const std::string& path) const;
 
-  /// The entry bucket of `ctx`, or nullptr if this database has none.
+  /// The entry bucket of `ctx`, or nullptr if this database has none. Valid
+  /// until the next merge() or context_for_update() of `ctx`.
   const Entries* context(std::uint64_t ctx) const;
 
-  /// The (created-on-demand) mutable bucket of `ctx` — how a CostModel
-  /// exports its cache into the database.
+  /// The published bucket of `ctx`, or nullptr: O(1), unless `ctx` was
+  /// last written through context_for_update(), which costs one copy.
+  Bucket share(std::uint64_t ctx) const;
+
+  /// Publishes the bucket of `ctx` ∪ `entries` as the new bucket of `ctx`,
+  /// `entries` winning on a shared key. `base` names the bucket `entries`
+  /// was built on (a share() of it): while that is still the published
+  /// bucket, or `ctx` has none, `entries` is published as is, in O(1);
+  /// otherwise the current bucket is copied and `entries` added to it.
+  void merge(std::uint64_t ctx, Bucket entries, const Entries* base = nullptr);
+
+  /// A mutable bucket of `ctx`, created on demand: the database's private
+  /// copy, which no snapshot or copy of this database sees.
   Entries& context_for_update(std::uint64_t ctx);
 
   std::size_t num_contexts() const { return contexts_.size(); }
@@ -85,8 +115,15 @@ class ProfileDb {
   bool empty() const { return contexts_.empty(); }
 
  private:
+  struct Slot {
+    Bucket entries;
+    /// Non-null while context_for_update() may write `entries` in place:
+    /// then this database alone holds it, and share() and copies copy it.
+    Entries* editable = nullptr;
+  };
+
   /// Ordered by context so save() and to_json() are deterministic.
-  std::map<std::uint64_t, Entries> contexts_;
+  std::map<std::uint64_t, Slot> contexts_;
 };
 
 }  // namespace ios

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/optimizer.hpp"
 #include "frameworks/frameworks.hpp"
@@ -419,6 +421,157 @@ TEST(Optimizer, WarmProfileDbCallSkipsTheMerge) {
   std::remove(path.c_str());
 }
 
+// Four callers, each with a fresh Optimizer, share one profile-db path:
+// three search over buckets they read in place while the fourth's cold
+// miss publishes a context of its own and rewrites the file. Every warm
+// reader finds its bucket whole, and the file ends with all four contexts.
+TEST(Optimizer, WarmReadersAndAColdWriterShareOneProfileDb) {
+  const std::string path =
+      ::testing::TempDir() + "/optimizer_profile_db_concurrent.db";
+  std::remove(path.c_str());
+  const std::vector<std::string> models = {"squeezenet", "fig3", "fig5",
+                                           "fig2"};
+  const auto request_for = [](const std::string& model,
+                              const std::string& db) {
+    OptimizationRequest request = OptimizationRequest::for_model(model);
+    request.baselines.clear();
+    request.profile_db = db;
+    return request;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  // One thread: the first three models fill the database, and the fourth
+  // is searched without one.
+  std::vector<double> one_thread;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const OptimizationResult r =
+        Optimizer().optimize(request_for(models[i], i < 3 ? path : ""));
+    ASSERT_GT(r.new_measurements, 0);
+    one_thread.push_back(r.latency_us);
+  }
+  ASSERT_EQ(ProfileDb::load(path).num_contexts(), 3u);
+
+  std::vector<OptimizationResult> results(models.size());
+  std::vector<std::string> errors(models.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < static_cast<int>(models.size())) {
+        std::this_thread::yield();
+      }
+      try {
+        results[i] = Optimizer().optimize(request_for(models[i], path));
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    SCOPED_TRACE(models[i]);
+    EXPECT_EQ(errors[i], "");
+    EXPECT_FALSE(results[i].cache_hit);
+    EXPECT_EQ(bits(results[i].latency_us), bits(one_thread[i]));
+    if (i < 3) {
+      EXPECT_GT(results[i].profile_entries_loaded, 0);
+      EXPECT_EQ(results[i].new_measurements, 0);
+      EXPECT_EQ(results[i].profile_entries_saved, 0);
+    } else {
+      EXPECT_EQ(results[i].profile_entries_loaded, 0);
+      EXPECT_GT(results[i].new_measurements, 0);
+    }
+  }
+  EXPECT_EQ(ProfileDb::load(path).num_contexts(), 4u);
+  std::remove(path.c_str());
+}
+
+// A cold search that merges into the very bucket warm searches are
+// reading: three callers search squeezenet under the pruning the database
+// was filled with, again and again until a fourth, searching it under
+// wider pruning, has measured stages the bucket lacks and published old ∪
+// new under the same context. The readers probe their bucket without a
+// lock, so a published bucket written in place would race with them (TSAN)
+// and one freed under them would be a use-after-free (ASAN).
+TEST(Optimizer, AColdWriterMergesIntoTheBucketWarmReadersSearch) {
+  const std::string path =
+      ::testing::TempDir() + "/optimizer_profile_db_one_context.db";
+  std::remove(path.c_str());
+  OptimizationRequest narrow = OptimizationRequest::for_model("squeezenet");
+  narrow.baselines.clear();
+  narrow.options.pruning = {1, 1};
+  OptimizationRequest wide = narrow;
+  wide.options.pruning = PruningStrategy{};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  // One thread: the narrow search fills the database; the wide one runs
+  // without it.
+  const double wide_latency = Optimizer().optimize(wide).latency_us;
+  narrow.profile_db = path;
+  wide.profile_db = path;
+  const OptimizationResult filled = Optimizer().optimize(narrow);
+  ASSERT_GT(filled.new_measurements, 0);
+  ASSERT_EQ(ProfileDb::load(path).num_contexts(), 1u);
+
+  constexpr int kReaders = 3;
+  OptimizationResult writer;
+  std::string writer_error;
+  std::vector<std::vector<OptimizationResult>> reads(kReaders);
+  std::vector<std::string> errors(kReaders);
+  std::atomic<int> ready{0};
+  std::atomic<bool> written{false};
+  const auto start_together = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < kReaders + 1) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    start_together();
+    try {
+      writer = Optimizer().optimize(wide);
+    } catch (const std::exception& e) {
+      writer_error = e.what();
+    }
+    written.store(true);
+  });
+  for (int i = 0; i < kReaders; ++i) {
+    threads.emplace_back([&, i] {
+      start_together();
+      try {
+        do {
+          reads[i].push_back(Optimizer().optimize(narrow));
+        } while (!written.load());
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(writer_error, "");
+  EXPECT_EQ(writer.profile_entries_loaded, filled.profile_entries_saved);
+  EXPECT_GT(writer.new_measurements, 0);
+  EXPECT_EQ(bits(writer.latency_us), bits(wide_latency));
+  const int merged = filled.profile_entries_saved + writer.new_measurements;
+  for (int i = 0; i < kReaders; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(errors[i], "");
+    for (const OptimizationResult& r : reads[i]) {
+      // Loaded before or after the writer's merge, never between.
+      EXPECT_TRUE(r.profile_entries_loaded == filled.profile_entries_saved ||
+                  r.profile_entries_loaded == merged);
+      EXPECT_EQ(r.new_measurements, 0);
+      EXPECT_EQ(bits(r.latency_us), bits(filled.latency_us));
+    }
+  }
+  const ProfileDb stored = ProfileDb::load(path);
+  EXPECT_EQ(stored.num_contexts(), 1u);
+  EXPECT_EQ(static_cast<int>(stored.num_entries()), merged);
+  std::remove(path.c_str());
+}
+
 TEST(Optimizer, ProfileDbDoesNotAffectCacheKey) {
   // The database only changes where latencies come from, never the found
   // schedule, so requests with and without it share one recipe-cache entry.
@@ -510,6 +663,39 @@ TEST(Optimizer, CrossReuseKeepsSchedulesAcrossModels) {
       EXPECT_GT(on.block_cache_hits, 0);
     }
   }
+}
+
+// The canonical cache persists through the profile db: a fresh Optimizer
+// starts from the db's canonical bucket, so a second model reuses the
+// first's stages, and what it adds is published for the next caller. A
+// search that adds nothing leaves the db as it was.
+TEST(Optimizer, CrossReuseKeepsItsCanonicalCacheInTheProfileDb) {
+  const std::string path =
+      ::testing::TempDir() + "/optimizer_profile_db_canonical.db";
+  std::remove(path.c_str());
+  const auto request_for = [&](const std::string& model) {
+    OptimizationRequest request = OptimizationRequest::for_model(model);
+    request.baselines.clear();
+    request.cross_reuse = true;
+    request.profile_db = path;
+    return request;
+  };
+  const OptimizationResult first = Optimizer().optimize(request_for("resnet34"));
+  ASSERT_GT(first.new_measurements, 0);
+  const OptimizationResult second =
+      Optimizer().optimize(request_for("resnet50"));
+  EXPECT_GT(second.cross_model_hits, 0);
+  EXPECT_GT(second.new_measurements, 0);
+  const std::size_t stored = ProfileDb::load(path).num_entries();
+
+  // The db holds resnet50's stages and the second run's whole canonical
+  // cache, so a third run loads what the second saved and measures nothing.
+  const OptimizationResult third = Optimizer().optimize(request_for("resnet50"));
+  EXPECT_EQ(third.new_measurements, 0);
+  EXPECT_EQ(third.profile_entries_loaded, second.profile_entries_saved);
+  EXPECT_EQ(third.profile_entries_saved, second.profile_entries_saved);
+  EXPECT_EQ(ProfileDb::load(path).num_entries(), stored);
+  std::remove(path.c_str());
 }
 
 // Which blocks of a partition replay a template is decided before any

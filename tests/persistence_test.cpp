@@ -11,11 +11,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/optimizer.hpp"
+#include "core/scheduler.hpp"
+#include "models/models.hpp"
+#include "runtime/cost_model.hpp"
 #include "runtime/profile_db.hpp"
 #include "schedule/serialize.hpp"
 #include "util/hash.hpp"
@@ -441,6 +445,129 @@ TEST(ProfileDbV2, V1AndV2DbsGiveTheColdScheduleWithZeroMeasurements) {
       EXPECT_EQ(bits(warm.latency_us), bits(cold.latency_us));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Shared buckets: what a CostModel loads is a snapshot it reads in place.
+
+/// `cost` answers every stage of `entries` with the stored bits and
+/// simulates none of them.
+void expect_answered_unsimulated(CostModel& cost,
+                                 const ProfileDb::Entries& entries) {
+  entries.for_each([&](std::uint64_t key, double latency) {
+    const double got = cost.measure_keyed(key, []() -> Stage {
+      throw std::logic_error("a loaded stage was simulated");
+    });
+    EXPECT_EQ(bits(got), bits(latency));
+  });
+  EXPECT_EQ(cost.num_measurements(), 0);
+}
+
+TEST(ProfileDbShared, ALoadedBucketOutlivesMergesResetsAndItsDb) {
+  const Graph g = models::squeezenet(1);
+  const ExecConfig config{device_by_name("v100"), {}};
+  // Squeezenet's scheduled stages, distinct: a first model measures half
+  // of them into the database, and the warm model measures the rest.
+  std::vector<Stage> stages;
+  {
+    CostModel cost(g, config);
+    FlatSet64 seen;
+    for (Stage& stage : IosScheduler(cost, {}).schedule_graph().stages) {
+      if (seen.insert(stage_fingerprint(stage))) {
+        stages.push_back(std::move(stage));
+      }
+    }
+  }
+  ASSERT_GE(stages.size(), 4u);
+  const std::size_t half = stages.size() / 2;
+  CostModel first(g, config);
+  for (std::size_t i = 0; i < half; ++i) first.measure(stages[i]);
+  const std::uint64_t ctx = first.profile_context();
+
+  enum class Then { kMergeLarger, kDestroyDb, kResetDb };
+  for (const Then then : {Then::kMergeLarger, Then::kDestroyDb,
+                          Then::kResetDb}) {
+    SCOPED_TRACE(static_cast<int>(then));
+    auto db = std::make_unique<ProfileDb>();
+    ASSERT_EQ(first.save_profile(*db), static_cast<int>(half));
+    const ProfileDb::Entries loaded = *db->context(ctx);
+
+    CostModel warm(g, config);
+    ASSERT_EQ(warm.load_profile(*db), static_cast<int>(half));
+    switch (then) {
+      case Then::kMergeLarger: {
+        // Every loaded key at another value, plus one more key.
+        auto larger = std::make_shared<ProfileDb::Entries>();
+        loaded.for_each([&](std::uint64_t key, double latency) {
+          larger->try_emplace(key, 2 * latency);
+        });
+        larger->try_emplace(0x5eed, 1.0);
+        db->merge(ctx, std::move(larger));
+        ASSERT_EQ(db->context(ctx)->size(), half + 1);
+        break;
+      }
+      case Then::kDestroyDb:
+        db.reset();
+        break;
+      case Then::kResetDb:
+        *db = ProfileDb{};  // how the registry resets a deleted file's path
+        break;
+    }
+    expect_answered_unsimulated(warm, loaded);
+
+    std::vector<double> measured;
+    for (std::size_t i = half; i < stages.size(); ++i) {
+      measured.push_back(warm.measure(stages[i]));
+    }
+    EXPECT_EQ(warm.num_measurements(),
+              static_cast<std::int64_t>(stages.size() - half));
+
+    // save_profile publishes the snapshot plus what the model measured.
+    ProfileDb out;
+    EXPECT_EQ(warm.save_profile(out), static_cast<int>(stages.size()));
+    const ProfileDb::Entries* saved = out.context(ctx);
+    ASSERT_NE(saved, nullptr);
+    EXPECT_EQ(saved->size(), stages.size());
+    loaded.for_each([&](std::uint64_t key, double latency) {
+      EXPECT_EQ(bits(saved->at(key)), bits(latency));
+    });
+    for (std::size_t i = half; i < stages.size(); ++i) {
+      EXPECT_EQ(bits(saved->at(stage_fingerprint(stages[i]))),
+                bits(measured[i - half]));
+    }
+  }
+}
+
+TEST(ProfileDbShared, ACopyNeverSeesTheOthersUpdates) {
+  ProfileDb a = sample_db();
+  ProfileDb b = a;
+  a.context_for_update(0x42)[7] = 1.0;
+  a.context_for_update(0x42)[8] = 2.0;
+  b.context_for_update(0xabcdef0123456789ull)[1] = 3.0;
+  EXPECT_EQ(bits(b.context(0x42)->at(7)), bits(1234.0));
+  EXPECT_EQ(b.context(0x42)->find(8), nullptr);
+  EXPECT_EQ(bits(a.context(0xabcdef0123456789ull)->at(1)), bits(10.5));
+
+  // A loaded database's buckets are published: a copy shares them until
+  // it writes, and then writes its own.
+  const std::string path = temp_path("persist_shared_copy.db");
+  sample_db().save(path);
+  const ProfileDb loaded = ProfileDb::load(path);
+  ProfileDb copy = loaded;
+  EXPECT_EQ(copy.context(0x42), loaded.context(0x42));
+  copy.context_for_update(0x42)[7] = 5.0;
+  EXPECT_EQ(bits(loaded.context(0x42)->at(7)), bits(1234.0));
+  EXPECT_EQ(bits(copy.context(0x42)->at(7)), bits(5.0));
+
+  // A snapshot and an assigned copy are just as deaf to later writes.
+  const ProfileDb::Bucket snapshot = copy.share(0x42);
+  ProfileDb assigned;
+  assigned = copy;
+  copy.context_for_update(0x42)[9] = 6.0;
+  EXPECT_EQ(snapshot->find(9), nullptr);
+  EXPECT_EQ(bits(snapshot->at(7)), bits(5.0));
+  EXPECT_EQ(assigned.context(0x42)->find(9), nullptr);
+  EXPECT_EQ(bits(assigned.context(0x42)->at(7)), bits(5.0));
 }
 
 }  // namespace
